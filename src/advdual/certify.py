@@ -5,7 +5,9 @@ couplings: the duality gap bounds joint suboptimality, the two supremum
 residuals and the pointwise residual witness complementary slackness, the
 support check verifies that each coupling only moves mass to extremizers of
 the conditional-probability field in the epsilon-ball, and the feasibility
-flags confirm the pushforwards stay inside the infinity-Wasserstein ball.
+flags record that the pushforwards stay inside the infinity-Wasserstein
+ball.  The flags are read off the coupling witness, which every certificate
+validates first, so no max-flow runs.
 The residual identity r1 + r0 + r_pt = gap makes the triple a decomposition
 of the gap into interpretable parts.
 """
@@ -20,7 +22,8 @@ from .dualsolve import DualSolution, dual_objective
 from .errors import InfeasibleDual
 from .ground import GroundSet, inf_ball, sup_ball
 from .losses import Loss, get_loss, mul0
-from .measures import TwoClassMeasure, coupling_in_delta, winf_feasible
+from .measures import TwoClassMeasure, coupling_in_delta, pushforward
+from .measures import winf_feasible  # noqa: F401  unused; bench/spans.py patches this name
 from .primalsolve import classify_risk_adv, construct_f, risk_adv, threshold_classifier
 
 #: default gap tolerances: the exponential pipeline is solved directly, the
@@ -69,14 +72,24 @@ class Certificate:
 
 def _check_dual_feasible(dual: DualSolution, g: GroundSet,
                          measure: TwoClassMeasure) -> None:
+    """Validate the coupling witness; raise ``InfeasibleDual`` unless each
+    coupling lies on epsilon-edges, has the class measure as its source
+    marginal and ``dual.m0``/``dual.m1`` as its pushforward.  A witness that
+    passes proves both W-infinity feasibility flags.  The comparisons are
+    written so that a NaN or infinite weight or mass fails them."""
     tol = 1e-9 * max(measure.total, 1.0)
-    for c, p in ((dual.coupling0, measure.mass0), (dual.coupling1, measure.mass1)):
+    for c, p, m in ((dual.coupling0, measure.mass0, dual.m0),
+                    (dual.coupling1, measure.mass1, dual.m1)):
         if not coupling_in_delta(g, c):
             raise InfeasibleDual("coupling moves mass beyond epsilon")
         src_marg = c.source_marginal()
-        if np.max(np.abs(src_marg - p)) > tol:
+        if not np.all(np.abs(src_marg - p) <= tol):
             raise InfeasibleDual("coupling source marginal does not match "
                                  "the class measure")
+        m = np.asarray(m, dtype=float)
+        if m.shape != (g.n,) or not np.all(np.abs(pushforward(c) - m) <= tol):
+            raise InfeasibleDual("dual masses do not match the coupling "
+                                 "pushforward")
 
 
 def duality_gap(loss: Loss, f, dual: DualSolution, g: GroundSet,
@@ -84,15 +97,14 @@ def duality_gap(loss: Loss, f, dual: DualSolution, g: GroundSet,
     """Certificate carrying the primal/dual values and their gap.
 
     The slackness and support fields are left unset; ``certify`` fills
-    everything in one pass.
+    everything in one pass.  The W-infinity flags come from the validated
+    coupling witness.
     """
     _check_dual_feasible(dual, g, measure)
     primal = risk_adv(loss, f, g, measure)
     dual_val = dual_objective(loss, dual.m0, dual.m1)
-    ok0 = bool(winf_feasible(g, measure.mass0, dual.m0, g.epsilon))
-    ok1 = bool(winf_feasible(g, measure.mass1, dual.m1, g.epsilon))
     return Certificate(loss=loss.kind, primal_value=primal, dual_value=dual_val,
-                       gap=primal - dual_val, winf_ok=(ok0, ok1))
+                       gap=primal - dual_val, winf_ok=(True, True))
 
 
 def slackness(loss: Loss, f, dual: DualSolution, g: GroundSet,
@@ -187,21 +199,20 @@ def universality_check(eta_hat, dual_exp: DualSolution, losses, g: GroundSet,
     f = alpha(eta_hat) and the dual value is the exponential couplings'
     masses re-scored under that loss.  The zero-one entry scores the
     thresholded classifier and is reported as a diagnostic, not a certified
-    optimum.
+    optimum.  Every entry validates the dual pair before scoring it.
     """
     eta = snap_eta(eta_hat)
     out: dict[str, Certificate] = {}
     for name in losses:
         loss = get_loss(name)
         if loss.kind == "zero_one_dual":
+            _check_dual_feasible(dual_exp, g, measure)
             sign = threshold_classifier(eta)
             primal = classify_risk_adv(sign, g, measure)
             dual_val = dual_objective(loss, dual_exp.m0, dual_exp.m1)
-            ok0 = bool(winf_feasible(g, measure.mass0, dual_exp.m0, g.epsilon))
-            ok1 = bool(winf_feasible(g, measure.mass1, dual_exp.m1, g.epsilon))
             out[loss.kind] = Certificate(
                 loss=loss.kind, primal_value=primal, dual_value=dual_val,
-                gap=primal - dual_val, winf_ok=(ok0, ok1), diagnostic=True)
+                gap=primal - dual_val, winf_ok=(True, True), diagnostic=True)
             continue
         f_phi = construct_f(loss, eta)
         out[loss.kind] = certify(loss, f_phi, dual_exp, g, measure, eta=eta)

@@ -15,7 +15,7 @@ from advdual.dualsolve import DualSolution, solve_dual
 from advdual.errors import InfeasibleDual
 from advdual.ground import build_ground
 from advdual.losses import get_loss
-from advdual.measures import Coupling, TwoClassMeasure
+from advdual.measures import Coupling, TwoClassMeasure, winf_feasible
 from advdual.primalsolve import eta_hat, solve_exp_primal
 
 
@@ -125,6 +125,38 @@ def test_infeasible_dual_rejected(twopoint):
         objective=1.0, iterations=0, converged=True)
     with pytest.raises(InfeasibleDual):
         duality_gap(EXP, np.zeros(3), short, g, measure)
+
+
+def test_dual_masses_must_match_pushforward(twopoint):
+    g, measure = twopoint
+    c0 = Coupling.build([0], [2], [0.5], 3)
+    c1 = Coupling.build([1], [2], [0.5], 3)
+    # couplings on epsilon-edges with the right sources, but one stored mass
+    # vector is not where they move the class measure
+    for m0, m1 in (([0.5, 0.0, 0.0], [0.0, 0.0, 0.5]),
+                   ([0.0, 0.0, 0.5], [0.0, 0.25, 0.25])):
+        bad = DualSolution(coupling0=c0, coupling1=c1, m0=np.array(m0),
+                           m1=np.array(m1), objective=1.0, iterations=0,
+                           converged=True)
+        with pytest.raises(InfeasibleDual):
+            duality_gap(EXP, np.zeros(3), bad, g, measure)
+        with pytest.raises(InfeasibleDual):
+            certify(EXP, np.zeros(3), bad, g, measure)
+        for losses in (("exp", "zero-one"), ("zero-one",)):
+            with pytest.raises(InfeasibleDual):
+                universality_check(np.full(3, 0.5), bad, losses, g, measure)
+
+
+def test_derived_winf_flags_match_max_flow(oracle_instances):
+    losses = ("exp", "logistic", "hinge", "zero-one")
+    for name, g, measure in oracle_instances:
+        primal, dual = _solve_pair(g, measure)
+        # max-flow stays the reference for the flags read off the witness
+        ref = (winf_feasible(g, measure.mass0, dual.m0, g.epsilon),
+               winf_feasible(g, measure.mass1, dual.m1, g.epsilon))
+        certs = universality_check(eta_hat(primal.f), dual, losses, g, measure)
+        for kind, cert in certs.items():
+            assert cert.winf_ok == ref, (name, kind)
 
 
 def test_snap_eta():
