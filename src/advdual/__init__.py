@@ -10,7 +10,6 @@ from .certify import (
     universality_check,
 )
 from .dualsolve import (
-    DualConfig,
     DualSolution,
     brute_dual,
     dual_objective,
@@ -38,7 +37,6 @@ from .measures import (
     winf_feasible,
 )
 from .primalsolve import (
-    PrimalConfig,
     PrimalSolution,
     brute_primal,
     classify_risk_adv,
@@ -55,11 +53,9 @@ __all__ = [
     "AdvdualError",
     "Certificate",
     "Coupling",
-    "DualConfig",
     "DualSolution",
     "GroundSet",
     "Loss",
-    "PrimalConfig",
     "PrimalSolution",
     "TwoClassMeasure",
     "brute_dual",

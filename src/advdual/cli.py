@@ -20,26 +20,15 @@ import numpy as np
 
 from . import io as adio
 from .certify import TOL_EXP, TOL_UNIVERSAL, universality_check
-from .dualsolve import DualConfig, DualSolution, brute_dual, dual_objective, solve_dual
+from .dualsolve import DualSolution, brute_dual, dual_objective, solve_dual
 from .errors import AdvdualError, InstanceTooLarge, ParseError, ValidationError
 from .ground import build_ground
 from .losses import get_loss
 from .measures import Coupling, winf_distance
-from .primalsolve import PrimalConfig, brute_primal, eta_hat, solve_exp_primal
+from .primalsolve import brute_primal, eta_hat, solve_exp_primal
 
 LOSS_CHOICES = ("exp", "logistic", "hinge", "zero-one")
 ALL_LOSSES = list(LOSS_CHOICES)
-
-
-def _add_shared(p: argparse.ArgumentParser, loss_default="exp") -> None:
-    p.add_argument("--tol", type=float, default=None,
-                   help="gap tolerance (default 1e-4 exp, 1e-3 other losses)")
-    p.add_argument("--seed", type=int, default=0, help="solver seed")
-    p.add_argument("--loss", choices=LOSS_CHOICES + ("all",),
-                   default=loss_default, help="surrogate loss")
-    p.add_argument("--out", default=None, help="output path")
-    p.add_argument("--format", choices=("json", "csv", "svg", "both"),
-                   default=None, help="output format (sweep: csv|svg|both)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,35 +37,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adversarial surrogate risk and its transport dual on "
                     "finite ground sets, with optimality certificates.")
     sub = ap.add_subparsers(dest="command", required=True)
+    losses = LOSS_CHOICES + ("all",)
+    exp_tol = "exponential gap tolerance the pipeline solves to (default 1e-4)"
 
     p = sub.add_parser("solve", help="solve primal and dual, certify, write result")
     p.add_argument("instance")
-    _add_shared(p)
+    p.add_argument("--loss", choices=losses, default="exp", help="surrogate loss")
+    p.add_argument("--tol", type=float,
+                   help="gap tolerance of every loss (default 1e-4 exp, 1e-3 other losses)")
+    p.add_argument("--out", help="result JSON path (default <instance>_result.json)")
 
     p = sub.add_parser("sweep", help="solve across an epsilon grid, emit CSV")
     p.add_argument("instance")
     p.add_argument("--eps", required=True,
                    help="comma-separated epsilon grid, e.g. 0,0.3,0.6")
-    _add_shared(p, loss_default="all")
+    p.add_argument("--loss", choices=losses, default="all", help="surrogate loss")
+    p.add_argument("--tol", type=float, help=exp_tol)
+    p.add_argument("--out", help="output stem (default <instance>_sweep)")
+    p.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
 
     p = sub.add_parser("winf", help="infinity-Wasserstein distance between "
                                     "the normalized class measures")
     p.add_argument("instance")
-    _add_shared(p)
 
     p = sub.add_parser("attack", help="emit the universal distribution-level attack")
     p.add_argument("instance")
-    _add_shared(p)
+    p.add_argument("--tol", type=float, help=exp_tol)
+    p.add_argument("--out", help="also write the couplings to this JSON path")
 
     p = sub.add_parser("verify", help="re-check a stored result against its instance")
     p.add_argument("instance")
     p.add_argument("result")
-    _add_shared(p)
 
     p = sub.add_parser("oracle", help="brute-force reference values (tiny instances)")
     p.add_argument("instance")
+    p.add_argument("--loss", choices=losses, default="exp", help="surrogate loss")
     p.add_argument("--grid-steps", type=int, default=60)
-    _add_shared(p)
     return ap
 
 
@@ -90,29 +86,25 @@ def _requested_losses(arg: str) -> list[str]:
     return ALL_LOSSES if arg == "all" else [arg]
 
 
-def _pipeline(g, measure, seed: int, tol: float):
+def _pipeline(g, measure, tol: float):
     """Exponential primal, then its dual read off complementary slackness;
     when that gap is loose, one Polyak polish of the primal against the dual
     bound and a second slackness solve on the sharper score field."""
     t0 = time.perf_counter()
-    pcfg = PrimalConfig(seed=seed)
-    ps = solve_exp_primal(g, measure, pcfg)
-    exp = get_loss("exp")
-    dcfg = DualConfig(seed=seed, tol=tol)
-    ds = solve_dual(exp, g, measure, dcfg, f_hint=ps.f)
+    ps = solve_exp_primal(g, measure)
+    ds = solve_dual(g, measure, ps.f, tol)
     if ps.risk - ds.objective > 0.25 * tol * max(1.0, abs(ps.risk)):
-        ps2 = solve_exp_primal(g, measure, pcfg, lower_bound=ds.objective)
+        ps2 = solve_exp_primal(g, measure, lower_bound=ds.objective)
         if ps2.risk < ps.risk:
             ps = ps2
-        ds2 = solve_dual(exp, g, measure, dcfg, f_hint=ps.f)
+        ds2 = solve_dual(g, measure, ps.f, tol)
         if ds2.objective > ds.objective:
             ds = ds2
     runtime_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     return ps, ds, runtime_ms
 
 
-def _result_dict(instance_path, g, measure, ps, ds, certs, seed, tol,
-                 runtime_ms) -> dict:
+def _result_dict(instance_path, g, ps, ds, certs, tol, runtime_ms) -> dict:
     eta = eta_hat(ps.f)
     return {
         "schema_version": adio.SCHEMA_VERSION,
@@ -123,7 +115,6 @@ def _result_dict(instance_path, g, measure, ps, ds, certs, seed, tol,
             "epsilon": float(g.epsilon),
         },
         "provenance": {
-            "seed": int(seed),
             "tol": float(tol),
             "primal_iterations": int(ps.iterations),
             "dual_iterations": int(ds.iterations),
@@ -148,16 +139,15 @@ def _print_cert_line(name: str, cert) -> None:
 
 
 def cmd_solve(args) -> int:
-    g, measure, _ = adio.load_instance(args.instance)
+    g, measure = adio.load_instance(args.instance)
     # the exponential certificate is always computed, and judged at its own
     # tolerance whatever --loss asks for
     tol = _loss_tol("exp", args.tol)
-    ps, ds, runtime_ms = _pipeline(g, measure, args.seed, tol)
+    ps, ds, runtime_ms = _pipeline(g, measure, tol)
     eta = eta_hat(ps.f)
     names = sorted(set(_requested_losses(args.loss)) | {"exp"})
     certs = universality_check(eta, ds, names, g, measure)
-    result = _result_dict(args.instance, g, measure, ps, ds, certs,
-                          args.seed, tol, runtime_ms)
+    result = _result_dict(args.instance, g, ps, ds, certs, tol, runtime_ms)
     out = args.out or os.path.splitext(args.instance)[0] + "_result.json"
     adio.save_result(out, result)
 
@@ -179,7 +169,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    g, measure, _ = adio.load_instance(args.instance)
+    g, measure = adio.load_instance(args.instance)
     try:
         eps_grid = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     except ValueError as e:
@@ -197,7 +187,7 @@ def cmd_sweep(args) -> int:
         try:
             ge = build_ground(g.points, g.norm, eps)
             tol = _loss_tol("exp", args.tol)
-            ps, ds, _ = _pipeline(ge, measure, args.seed, tol)
+            ps, ds, _ = _pipeline(ge, measure, tol)
             certs = universality_check(eta_hat(ps.f), ds, losses, ge, measure)
         except AdvdualError as e:
             print(f"warning: eps={eps:g} failed: {e}", file=sys.stderr)
@@ -216,18 +206,17 @@ def cmd_sweep(args) -> int:
                              runtime_ms=ms))
     stem = args.out or os.path.splitext(args.instance)[0] + "_sweep"
     stem = os.path.splitext(stem)[0] if stem.endswith(".csv") else stem
-    fmt = args.format or "csv"
-    if fmt in ("csv", "both"):
+    if args.format in ("csv", "both"):
         adio.save_sweep_csv(stem + ".csv", rows)
         print(f"sweep written to {stem}.csv")
-    if fmt in ("svg", "both"):
+    if args.format in ("svg", "both"):
         adio.save_sweep_svg(stem + ".svg", rows)
         print(f"chart written to {stem}.svg")
     return code
 
 
 def cmd_winf(args) -> int:
-    g, measure, _ = adio.load_instance(args.instance)
+    g, measure = adio.load_instance(args.instance)
     t0, t1 = float(measure.mass0.sum()), float(measure.mass1.sum())
     if t0 <= 0 or t1 <= 0:
         raise ValidationError("both classes need positive mass")
@@ -237,9 +226,9 @@ def cmd_winf(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    g, measure, _ = adio.load_instance(args.instance)
+    g, measure = adio.load_instance(args.instance)
     tol = _loss_tol("exp", args.tol)
-    ps, ds, runtime_ms = _pipeline(g, measure, args.seed, tol)
+    ps, ds, runtime_ms = _pipeline(g, measure, tol)
     for label, c in (("class0", ds.coupling0), ("class1", ds.coupling1)):
         for i, j, w in c.triples():
             print(f"{label} {i} -> {j} mass {w:.17g}")
@@ -248,14 +237,14 @@ def cmd_attack(args) -> int:
             "couplings": {"class0": ds.coupling0.triples(),
                           "class1": ds.coupling1.triples()},
             "m0": ds.m0, "m1": ds.m1,
-            "provenance": {"seed": int(args.seed), "runtime_ms": runtime_ms},
+            "provenance": {"runtime_ms": runtime_ms},
         })
         print(f"attack written to {args.out}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    g, measure, _ = adio.load_instance(args.instance)
+    g, measure = adio.load_instance(args.instance)
     data = adio.load_result(args.result)
 
     def fail(msg: str) -> int:
@@ -317,7 +306,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g, measure, _ = adio.load_instance(args.instance)
+    g, measure = adio.load_instance(args.instance)
     names = _requested_losses(args.loss)
     for loss_name in names:
         loss = get_loss(loss_name)

@@ -1,16 +1,13 @@
-"""Maximization of the dual objective over per-class couplings supported on
-the epsilon edge set.
-
-The objective sums, over ground points, the concave perspective of the
-optimal conditional risk applied to the pushforward masses of the two
-couplings.  The feasible set is a product of per-source simplices, so the
-Frank-Wolfe linear subproblem decomposes: each source sends all of its mass
-to its best target inside the epsilon-ball.
+"""The dual of the adversarial risk: couplings of each class measure along
+the epsilon edge set, scored by the concave perspective of the optimal
+conditional risk applied to their pushforward masses.
 
 Given an exponential-loss score field the dual needs no iteration at all:
 complementary slackness says which edges an optimal coupling may use and how
 the two pushforwards must balance at every point, and one sparse linear
-program over those edges returns the couplings.
+program over those edges returns the couplings.  By loss universality the
+same couplings are optimal for every loss; ``dual_objective`` scores their
+masses under any of them.
 """
 
 from __future__ import annotations
@@ -23,26 +20,12 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import InstanceTooLarge, NegativeMass
-from .ground import GroundSet
+from .ground import GroundSet, segment_argmax
 from .losses import Loss, mul0
 from .measures import Coupling, TwoClassMeasure, pushforward
 from .primalsolve import eta_hat, risk_adv
 
-# gradient shift keeping the square-root slope finite at the boundary,
-# scaled by total mass inside the solver
-BOUNDARY_DELTA = 1e-12
-
-
-@dataclass
-class DualConfig:
-    tol: float = 1e-6
-    max_iters: int = 20000
-    seed: int = 0
-    # iterative route without a score hint: fw | fw_away | best (= fw_away);
-    # attack_extract keeps only the greedy read-off of a hinted solve
-    method: str = "best"
-    step_rule: str = "linesearch"   # linesearch | harmonic
-    log_every: int = 50
+EXP = Loss("exponential")
 
 
 @dataclass(frozen=True)
@@ -80,19 +63,6 @@ def dual_objective(loss: Loss, m0, m1) -> float:
     return float(np.dot(s[mask], loss.cstar(eta)))
 
 
-def perspective_grads(loss: Loss, m0, m1, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Supergradients of the perspective objective in (m0, m1), evaluated on
-    delta-shifted arguments so the boundary slope stays finite."""
-    a = np.asarray(m0, dtype=float) + delta
-    b = np.asarray(m1, dtype=float) + delta
-    eta = b / (a + b)
-    c = loss.cstar(eta)
-    gsup = loss.cstar_supergrad(eta)
-    g0 = c - eta * gsup
-    g1 = c + (1.0 - eta) * gsup
-    return g0, g1
-
-
 class _EdgeSet:
     """CSR edge layout for one class: one simplex per positive-mass source."""
 
@@ -100,48 +70,16 @@ class _EdgeSet:
         self.n = g.n
         self.sources = np.flatnonzero(p > 0)
         self.p = p[self.sources]
-        segs = [g.neighbors(i) for i in self.sources]
-        lens = np.array([len(s) for s in segs], dtype=np.int64)
-        self.indptr = np.concatenate(([0], np.cumsum(lens)))
-        self.dst = np.concatenate(segs) if segs else np.empty(0, dtype=np.int64)
-        self.esrc = np.repeat(self.sources, lens)
+        self.indptr, self.dst = g.neighbor_csr(self.sources)
+        self.esrc = np.repeat(self.sources, np.diff(self.indptr))
         self.E = self.dst.size
-
-    def uniform_start(self) -> np.ndarray:
-        lens = np.diff(self.indptr)
-        return np.repeat(self.p / lens, lens)
 
     def vertex_from_point_grad(self, grad_pts: np.ndarray) -> np.ndarray:
         """Per source, all mass to the neighbor with the largest gradient,
         ties to the lowest target index."""
         w = np.zeros(self.E)
-        vals = grad_pts[self.dst]
-        segmax = np.maximum.reduceat(vals, self.indptr[:-1]) if self.E else np.empty(0)
-        widths = np.diff(self.indptr)
-        hit = vals == np.repeat(segmax, widths)
-        pos = np.where(hit, np.arange(self.E), self.E)
-        first = np.minimum.reduceat(pos, self.indptr[:-1]) if self.E else np.empty(0, dtype=int)
-        w[first] = self.p
+        w[segment_argmax(grad_pts[self.dst], self.indptr)] = self.p
         return w
-
-    def away_vertex(self, grad_pts: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Per source, all mass at the active edge with the smallest gradient."""
-        vals = np.where(w > 0, grad_pts[self.dst], np.inf)
-        segmin = np.minimum.reduceat(vals, self.indptr[:-1]) if self.E else np.empty(0)
-        widths = np.diff(self.indptr)
-        hit = vals == np.repeat(segmin, widths)
-        pos = np.where(hit, np.arange(self.E), self.E)
-        first = np.minimum.reduceat(pos, self.indptr[:-1]) if self.E else np.empty(0, dtype=int)
-        a = np.zeros(self.E)
-        a[first] = self.p
-        return a
-
-    def clean(self, w: np.ndarray) -> np.ndarray:
-        """Zero out vanishing weights and rescale each source back to its
-        marginal mass, so stray 1e-100-sized leftovers cannot throttle the
-        step-size bound of later pairwise moves."""
-        pe = np.repeat(self.p, np.diff(self.indptr))
-        return self.renormalize(np.where(w < 1e-12 * pe, 0.0, w), w)
 
     def restrict(self, score: np.ndarray, budget: float) -> "_EdgeSet":
         """Sub-polytope keeping, per source i, the edges to targets j with
@@ -150,13 +88,11 @@ class _EdgeSet:
         if not np.isfinite(budget):
             return self
         vals = score[self.dst]
-        segmax = np.maximum.reduceat(vals, self.indptr[:-1]) if self.E \
-            else np.empty(0)
+        segmax = np.maximum.reduceat(vals, self.indptr[:-1])
         keep = vals >= np.repeat(segmax - budget / self.p, np.diff(self.indptr))
         out = object.__new__(_EdgeSet)
         out.n, out.sources, out.p = self.n, self.sources, self.p
-        lens = np.add.reduceat(keep.astype(np.int64), self.indptr[:-1]) \
-            if self.E else np.zeros(0, dtype=np.int64)
+        lens = np.add.reduceat(keep.astype(np.int64), self.indptr[:-1])
         out.indptr = np.concatenate(([0], np.cumsum(lens)))
         out.dst = self.dst[keep]
         out.esrc = self.esrc[keep]
@@ -172,9 +108,9 @@ class _EdgeSet:
         source left with no weight takes its weights from ``fallback``."""
         w = np.maximum(w, 0.0)
         widths = np.diff(self.indptr)
-        seg = np.add.reduceat(w, self.indptr[:-1]) if self.E else np.empty(0)
+        seg = np.add.reduceat(w, self.indptr[:-1])
         w = np.where(np.repeat(seg > 0, widths), w, fallback)
-        seg = np.add.reduceat(w, self.indptr[:-1]) if self.E else np.empty(0)
+        seg = np.add.reduceat(w, self.indptr[:-1])
         return w * np.repeat(self.p / seg, widths)
 
     def push(self, w: np.ndarray) -> np.ndarray:
@@ -185,139 +121,20 @@ class _EdgeSet:
         return Coupling.build(self.esrc[keep], self.dst[keep], w[keep], self.n)
 
 
-def _fast_objective(loss: Loss, m0: np.ndarray, m1: np.ndarray) -> float:
-    """dual_objective without validation, for solver inner loops."""
+def _fast_objective(m0: np.ndarray, m1: np.ndarray) -> float:
+    """Exponential dual_objective without validation."""
     s = np.maximum(m0 + m1, 0.0)
     eta = np.divide(m1, s, out=np.zeros_like(s), where=s > 0)
-    return float(np.dot(s, loss.cstar(np.clip(eta, 0.0, 1.0))))
+    return float(np.dot(s, EXP.cstar(np.clip(eta, 0.0, 1.0))))
 
 
-def _line_search(loss: Loss, m0, m1, d0, d1, tmax: float = 1.0,
-                 iters: int = 24) -> float:
-    """Golden-section step in [0, tmax] along a feasible direction."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, tmax
-
-    def val(t):
-        return _fast_objective(loss, m0 + t * d0, m1 + t * d1)
-
-    v0 = val(0.0)
-    vmax = val(tmax)
-    for _ in range(iters):
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        if val(c) >= val(d):
-            hi = d
-        else:
-            lo = c
-    t = 0.5 * (lo + hi)
-    vt = val(t)
-    if vmax >= vt and vmax >= v0:
-        return tmax
-    if vt >= v0:
-        return t
-    # golden section can miss a thin improvement region near zero when the
-    # ascent direction is valid but the objective dips immediately after it;
-    # scan a geometric ladder of tiny steps before conceding
-    t = tmax
-    for _ in range(40):
-        t *= 0.25
-        if val(t) > v0:
-            return t
-    return 0.0
-
-
-def _max_step(w0, d0, w1, d1) -> float:
-    """Largest t with w + t*d nonnegative in both classes."""
-    tmax = np.inf
-    for w, d in ((w0, d0), (w1, d1)):
-        neg = d < 0
-        if neg.any():
-            tmax = min(tmax, float(np.min(w[neg] / -d[neg])))
-    return 0.0 if not np.isfinite(tmax) else tmax
-
-
-def _frank_wolfe(loss, e0, e1, w0, w1, cfg: DualConfig, delta: float,
-                 history: list, use_away: bool):
-    """Frank-Wolfe over the product of per-source simplices.
-
-    A plain step mixes the whole iterate toward a vertex (step 2/(k+2) or a
-    line search).  The away variant instead shifts mass, source by source,
-    from the active target with the smallest gradient to the target with the
-    largest gradient; such swap steps can empty bad edges in one move, which
-    avoids the slow sublinear tail of the vanilla method.
-    """
-    best = (_fast_objective(loss, e0.push(w0), e1.push(w1)), w0.copy(), w1.copy())
-    k_done = 0
-    converged = False
-    window = 25
-    marks = [best[0]]
-    for k in range(cfg.max_iters):
-        k_done = k
-        m0, m1 = e0.push(w0), e1.push(w1)
-        obj = _fast_objective(loss, m0, m1)
-        if obj > best[0]:
-            best = (obj, w0.copy(), w1.copy())
-        if k % cfg.log_every == 0:
-            history.append(best[0])
-        marks.append(best[0])
-        if len(marks) > window:
-            gain = marks[-1] - marks[-window - 1]
-            del marks[:-window - 1]
-            if gain <= cfg.tol * max(1.0, abs(best[0])):
-                converged = True
-                break
-        g0, g1 = perspective_grads(loss, m0, m1, delta)
-        v0 = e0.vertex_from_point_grad(g0)
-        v1 = e1.vertex_from_point_grad(g1)
-        fw_gap = float(np.dot(g0[e0.dst], v0 - w0) + np.dot(g1[e1.dst], v1 - w1))
-        if fw_gap <= cfg.tol * max(1.0, abs(best[0])):
-            converged = True
-            break
-        if use_away:
-            a0 = e0.away_vertex(g0, w0)
-            a1 = e1.away_vertex(g1, w1)
-            d0, d1 = v0 - a0, v1 - a1
-            tmax = _max_step(w0, d0, w1, d1)
-            dm0, dm1 = e0.push(d0), e1.push(d1)
-            if tmax > 0 and _fast_objective(loss, m0 + tmax * dm0,
-                                            m1 + tmax * dm1) >= obj:
-                t = tmax  # drop step: the away edge empties outright
-            else:
-                t = _line_search(loss, m0, m1, dm0, dm1, tmax)
-            swap_val = _fast_objective(loss, m0 + t * dm0, m1 + t * dm1)
-            if swap_val - obj <= 1e-9 * max(1.0, abs(obj)):
-                # the swap direction only moves mass off a single active edge
-                # per source and can stall while the vanilla direction still
-                # climbs; price the plain step whenever the swap goes nowhere
-                dp0, dp1 = v0 - w0, v1 - w1
-                dpm0, dpm1 = e0.push(dp0), e1.push(dp1)
-                tp = _line_search(loss, m0, m1, dpm0, dpm1, 1.0)
-                if _fast_objective(loss, m0 + tp * dpm0,
-                                   m1 + tp * dpm1) > swap_val:
-                    d0, d1, t = dp0, dp1, tp
-        else:
-            d0, d1 = v0 - w0, v1 - w1
-            if cfg.step_rule == "linesearch":
-                t = _line_search(loss, m0, m1, e0.push(d0), e1.push(d1), 1.0)
-            else:
-                t = 2.0 / (k + 2.0)
-        w0 = np.maximum(w0 + t * d0, 0.0)
-        w1 = np.maximum(w1 + t * d1, 0.0)
-        if use_away and k % 10 == 9:
-            w0 = e0.clean(w0)
-            w1 = e1.clean(w1)
-    return best, k_done + 1, converged
-
-
-def _pointwise_residual(loss: Loss, f: np.ndarray, m0: np.ndarray,
-                      m1: np.ndarray) -> float:
+def _pointwise_residual(h0: np.ndarray, h1: np.ndarray, m0: np.ndarray,
+                        m1: np.ndarray) -> float:
     """Part of the duality gap left by violations of m1 (1 - eta_hat) =
-    m0 eta_hat: the exponential pointwise slackness residual
-    sum (sqrt(m1 phi(f)) - sqrt(m0 phi(-f)))^2, zero exactly when the
-    pushforwards balance at every point."""
-    return float(np.sum((np.sqrt(mul0(m1, loss.phi(f)))
-                         - np.sqrt(mul0(m0, loss.phi(-f)))) ** 2))
+    m0 eta_hat: with h0 = phi(-f) and h1 = phi(f), the exponential pointwise
+    slackness residual sum (sqrt(m1 h1) - sqrt(m0 h0))^2, zero exactly when
+    the pushforwards balance at every point."""
+    return float(np.sum((np.sqrt(mul0(m1, h1)) - np.sqrt(mul0(m0, h0))) ** 2))
 
 
 def _support_lp(e0: _EdgeSet, e1: _EdgeSet, eta: np.ndarray):
@@ -345,72 +162,19 @@ def _support_lp(e0: _EdgeSet, e1: _EdgeSet, eta: np.ndarray):
                    bounds=(0.0, None), method="highs")
 
 
-def _solve_on_support(loss: Loss, g: GroundSet, measure: TwoClassMeasure,
-                      f: np.ndarray, cfg: DualConfig) -> DualSolution:
-    """Dual couplings read off complementary slackness with the score field
-    ``f`` (see ``solve_dual``)."""
-    if loss.kind != "exponential":
-        raise ValueError("a score field hint applies to the exponential loss only")
-    f = g.check_field(f)
-    h0, h1 = loss.phi(-f), loss.phi(f)
-    eta = eta_hat(f)
-    risk = risk_adv(loss, f, g, measure)
-    full0, full1 = _EdgeSet(g, measure.mass0), _EdgeSet(g, measure.mass1)
-    e0, e1 = full0, full1
-    # greedy read-off: every source to its lowest-index ball maximizer
-    w0, w1 = e0.vertex_from_point_grad(h0), e1.vertex_from_point_grad(h1)
-    best = _fast_objective(loss, e0.push(w0), e1.push(w1))
-    history = [best]
-    bound, iterations, solved = best, 0, True
-    while cfg.method != "attack_extract" and full0.E + full1.E:
-        budget = max(risk - bound, 0.0)
-        r0, r1 = full0.restrict(h0, budget), full1.restrict(h1, budget)
-        res = _support_lp(r0, r1, eta)
-        iterations += int(res.nit)
-        if res.status != 0:
-            solved = False
-            break
-        v0 = r0.renormalize(res.x[:r0.E], r0.vertex_from_point_grad(h0))
-        v1 = r1.renormalize(res.x[r0.E:r0.E + r1.E], r1.vertex_from_point_grad(h1))
-        history.append(_fast_objective(loss, r0.push(v0), r1.push(v1)))
-        if history[-1] > best:
-            e0, e1, w0, w1, best = r0, r1, v0, v1, history[-1]
-        if history[-1] <= bound:
-            break
-        bound = history[-1]
-    residual = _pointwise_residual(loss, f, e0.push(w0), e1.push(w1))
-    converged = solved and residual <= cfg.tol * max(1.0, best)
-    return _finish(loss, e0, e1, w0, w1, iterations, converged, history)
+def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
+               tol: float = 1e-6) -> DualSolution:
+    """Dual couplings read off complementary slackness with the exponential
+    score field ``f``.
 
-
-def _finish(loss, e0, e1, w0, w1, iterations, converged, history) -> DualSolution:
-    c0, c1 = e0.coupling(w0), e1.coupling(w1)
-    m0, m1 = pushforward(c0), pushforward(c1)
-    # recompute from the couplings actually returned
-    obj = dual_objective(loss, m0, m1)
-    history.append(obj)
-    return DualSolution(coupling0=c0, coupling1=c1, m0=m0, m1=m1,
-                        objective=obj, iterations=iterations,
-                        converged=converged, history=history)
-
-
-def solve_dual(loss: Loss, g: GroundSet, measure: TwoClassMeasure,
-               config: DualConfig | None = None, f_hint=None) -> DualSolution:
-    """Maximize the dual objective over couplings supported in the epsilon
-    edge set.
-
-    Without ``f_hint`` the maximization runs Frank-Wolfe from the uniform
-    coupling, with away/pairwise steps unless ``method`` is ``fw``.
-
-    ``f_hint``, an exponential-loss score field, replaces the iteration by
-    complementary slackness.  At eta_hat = sigmoid(2 f) the supergradient of
-    the exponential perspective is (phi(-f), phi(f)), so any coupling pair
-    that moves mass only to ball maximizers of phi(f) (class 1) and phi(-f)
-    (class 0), and whose pushforwards satisfy m1 (1 - eta_hat) = m0 eta_hat
-    everywhere, attains the primal risk of f and is therefore dual optimal.
-    A linear program (``_support_lp``) finds such couplings on the
-    near-tight edges: it enforces the source masses and minimizes the L1
-    violation of the balance.
+    At eta_hat = sigmoid(2 f) the supergradient of the exponential
+    perspective is (phi(-f), phi(f)), so any coupling pair that moves mass
+    only to ball maximizers of phi(f) (class 1) and phi(-f) (class 0), and
+    whose pushforwards satisfy m1 (1 - eta_hat) = m0 eta_hat everywhere,
+    attains the primal risk of f and is therefore dual optimal.  A linear
+    program (``_support_lp``) finds such couplings on the near-tight edges:
+    it enforces the source masses and minimizes the L1 violation of the
+    balance.
 
     The tightness tolerance is the duality gap already certified,
     G = risk(f) - D, with D the best dual value found so far, first that of
@@ -422,25 +186,49 @@ def solve_dual(loss: Loss, g: GroundSet, measure: TwoClassMeasure,
     program is solved again on the smaller edge set until D stops rising;
     the sets are nested, so this ends.
 
-    ``method="attack_extract"`` stops at the greedy read-off.  The best
-    couplings found are returned, and ``history`` lists the greedy and
-    every program objective.  ``converged`` says that HiGHS solved every
-    program and that the imbalance left in the returned pushforwards costs
-    at most ``tol * max(1, objective)`` of pointwise slackness residual.
+    The best couplings found are returned with their exponential dual value;
+    ``history`` lists the greedy, every program and the returned objective.
+    ``converged`` says that HiGHS solved every program and that the
+    imbalance left in the returned pushforwards costs at most
+    ``tol * max(1, objective)`` of pointwise slackness residual.
     """
-    cfg = config or DualConfig()
-    if f_hint is not None:
-        return _solve_on_support(loss, g, measure, np.asarray(f_hint, dtype=float), cfg)
-    if cfg.method == "attack_extract":
-        raise ValueError("attack_extract needs a primal score field hint")
-    e0, e1 = _EdgeSet(g, measure.mass0), _EdgeSet(g, measure.mass1)
-    delta = BOUNDARY_DELTA * max(measure.total, 1e-300)
-    history: list[float] = []
-    best, iterations, converged = _frank_wolfe(
-        loss, e0, e1, e0.uniform_start(), e1.uniform_start(), cfg, delta,
-        history, use_away=cfg.method in ("fw_away", "best"))
-    _, w0, w1 = best
-    return _finish(loss, e0, e1, w0, w1, iterations, converged, history)
+    f = g.check_field(f)
+    h0, h1 = EXP.phi(-f), EXP.phi(f)
+    eta = eta_hat(f)
+    risk = risk_adv(EXP, f, g, measure)
+    full0, full1 = _EdgeSet(g, measure.mass0), _EdgeSet(g, measure.mass1)
+    e0, e1 = full0, full1
+    # greedy read-off: every source to its lowest-index ball maximizer
+    w0, w1 = e0.vertex_from_point_grad(h0), e1.vertex_from_point_grad(h1)
+    best = _fast_objective(e0.push(w0), e1.push(w1))
+    history = [best]
+    bound, iterations, solved = best, 0, True
+    while full0.E + full1.E:
+        budget = max(risk - bound, 0.0)
+        r0, r1 = full0.restrict(h0, budget), full1.restrict(h1, budget)
+        res = _support_lp(r0, r1, eta)
+        iterations += int(res.nit)
+        if res.status != 0:
+            solved = False
+            break
+        v0 = r0.renormalize(res.x[:r0.E], r0.vertex_from_point_grad(h0))
+        v1 = r1.renormalize(res.x[r0.E:r0.E + r1.E], r1.vertex_from_point_grad(h1))
+        history.append(_fast_objective(r0.push(v0), r1.push(v1)))
+        if history[-1] > best:
+            e0, e1, w0, w1, best = r0, r1, v0, v1, history[-1]
+        if history[-1] <= bound:
+            break
+        bound = history[-1]
+    residual = _pointwise_residual(h0, h1, e0.push(w0), e1.push(w1))
+    converged = solved and residual <= tol * max(1.0, best)
+    c0, c1 = e0.coupling(w0), e1.coupling(w1)
+    m0, m1 = pushforward(c0), pushforward(c1)
+    # recompute from the couplings actually returned
+    obj = dual_objective(EXP, m0, m1)
+    history.append(obj)
+    return DualSolution(coupling0=c0, coupling1=c1, m0=m0, m1=m1,
+                        objective=obj, iterations=iterations,
+                        converged=converged, history=history)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ class GroundSet:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
+    def neighbor_csr(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """CSR layout ``(indptr, indices)`` of the neighbor lists of
+        ``rows``, in the order given."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lens = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        pos = np.repeat(starts - indptr[:-1], lens) + np.arange(indptr[-1])
+        return indptr, self.indices[pos]
+
     def check_field(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.n,):
@@ -160,6 +170,15 @@ def inf_ball(g: GroundSet, f: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(f[g.indices], g.indptr[:-1])
 
 
+def segment_argmax(vals: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Position in ``vals`` of the first maximum of each nonempty CSR
+    segment ``vals[indptr[k]:indptr[k+1]]``."""
+    starts = indptr[:-1]
+    segmax = np.maximum.reduceat(vals, starts)
+    hit = vals == np.repeat(segmax, np.diff(indptr))
+    return np.minimum.reduceat(np.where(hit, np.arange(vals.size), vals.size), starts)
+
+
 def ball_argmax(g: GroundSet, f: np.ndarray) -> np.ndarray:
     """Index of the ball maximum for each point, ties broken by lowest index.
 
@@ -167,32 +186,12 @@ def ball_argmax(g: GroundSet, f: np.ndarray) -> np.ndarray:
     maximum is the lowest attaining index.
     """
     f = g.check_field(f)
-    vals = f[g.indices]
-    segmax = np.maximum.reduceat(vals, g.indptr[:-1])
-    widths = np.diff(g.indptr)
-    hit = vals == np.repeat(segmax, widths)
-    pos = np.where(hit, np.arange(len(vals)), len(vals))
-    first = np.minimum.reduceat(pos, g.indptr[:-1])
-    return g.indices[first]
-
-
-def ball_argmin(g: GroundSet, f: np.ndarray) -> np.ndarray:
-    return ball_argmax(g, -g.check_field(f))
+    return g.indices[segment_argmax(f[g.indices], g.indptr)]
 
 
 def dilate(g: GroundSet, a) -> np.ndarray:
     """Indices within epsilon of the set ``a`` (Minkowski expansion)."""
-    a = np.asarray(sorted(a), dtype=np.int64)
-    if a.size == 0:
-        return a
-    parts = [g.neighbors(i) for i in a]
-    return np.unique(np.concatenate(parts))
-
-
-def ball_sum(g: GroundSet, w: np.ndarray) -> np.ndarray:
-    """Sum of ``w`` over each closed epsilon-ball (used for support masks)."""
-    w = g.check_field(w)
-    return np.add.reduceat(w[g.indices], g.indptr[:-1])
+    return np.unique(g.neighbor_csr(sorted(a))[1])
 
 
 def sliding_max_1d(values, k: int, count_ops: bool = False):

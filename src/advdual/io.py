@@ -130,13 +130,13 @@ def refine_points(points: np.ndarray, epsilon: float, r: int,
 
 
 def load_instance(path: str):
-    """Read an instance file; returns (GroundSet, TwoClassMeasure, config).
+    """Read an instance file; returns (GroundSet, TwoClassMeasure).
 
     Layout (schema_version 1): ``points`` (list of coordinate lists or bare
     numbers for 1-D), ``norm`` in {l1, l2, linf}, ``epsilon``, ``mass0``,
-    ``mass1`` (per original point), optional ``refinement`` level r, optional
-    ``primal``/``dual`` config blocks passed through untouched.  Refinement
-    happens before neighbor indexing; refined points carry zero mass.
+    ``mass1`` (per original point), optional ``refinement`` level r.
+    Refinement happens before neighbor indexing; refined points carry zero
+    mass.
     """
     data = loads(_read_text(path))
     if not isinstance(data, dict):
@@ -179,15 +179,11 @@ def load_instance(path: str):
     m0 = np.concatenate([m0, np.zeros(pad)])
     m1 = np.concatenate([m1, np.zeros(pad)])
 
-    g = build_ground(full, norm, epsilon)
-    measure = TwoClassMeasure.build(m0, m1)
-    config = {k: data[k] for k in ("primal", "dual", "tol", "seed")
-              if k in data}
-    return g, measure, config
+    return build_ground(full, norm, epsilon), TwoClassMeasure.build(m0, m1)
 
 
 def save_instance(path: str, points, norm: str, epsilon: float,
-                  mass0, mass1, refinement: int = 0, config=None) -> None:
+                  mass0, mass1, refinement: int = 0) -> None:
     data = {
         "schema_version": SCHEMA_VERSION,
         "points": np.asarray(points, dtype=float),
@@ -198,8 +194,6 @@ def save_instance(path: str, points, norm: str, epsilon: float,
     }
     if refinement:
         data["refinement"] = int(refinement)
-    if config:
-        data.update(config)
     _write_text(path, dumps(data))
 
 

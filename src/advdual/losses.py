@@ -95,20 +95,6 @@ class Loss:
             return np.asarray(out, dtype=float)
         raise ZeroOneHasNoPhi("zero-one has no score-valued minimizer")
 
-    # -- supergradient of cstar ------------------------------------------
-    def cstar_supergrad(self, eta) -> np.ndarray:
-        """One supergradient of the concave ``cstar`` at each interior eta;
-        at eta in {0, 1} the map diverges for exponential/logistic."""
-        eta = _check_eta(eta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.kind == "exponential":
-                return np.sqrt((1.0 - eta) / eta) - np.sqrt(eta / (1.0 - eta))
-            if self.kind == "logistic":
-                return np.log(1.0 - eta) - np.log(eta)
-            if self.kind == "hinge":
-                return np.where(eta < 0.5, 2.0, np.where(eta > 0.5, -2.0, 0.0))
-            return np.where(eta < 0.5, 1.0, np.where(eta > 0.5, -1.0, 0.0))
-
 
 def get_loss(name: str) -> Loss:
     key = _CLI_ALIASES.get(str(name).strip().lower())
@@ -117,23 +103,11 @@ def get_loss(name: str) -> Loss:
     return Loss(key)
 
 
-def phi(loss: Loss, alpha):
-    return loss.phi(alpha)
-
-
 def conditional_risk(loss: Loss, eta, alpha) -> np.ndarray:
     """eta * phi(alpha) + (1 - eta) * phi(-alpha), with 0 * inf = 0."""
     eta = _check_eta(eta)
     alpha = np.asarray(alpha, dtype=float)
     return mul0(eta, loss.phi(alpha)) + mul0(1.0 - eta, loss.phi(-alpha))
-
-
-def cstar(loss: Loss, eta):
-    return loss.cstar(eta)
-
-
-def alpha_opt(loss: Loss, eta):
-    return loss.alpha_opt(eta)
 
 
 def supergrad_cstar_exp(eta) -> np.ndarray:

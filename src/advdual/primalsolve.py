@@ -14,21 +14,20 @@ import numpy as np
 import scipy.optimize as opt
 
 from .errors import InfeasiblePair, InstanceTooLarge, ZeroOneHasNoPhi
-from .ground import GroundSet, build_ground, inf_ball, sup_ball
+from .ground import GroundSet, build_ground, segment_argmax, sup_ball
 from .losses import Loss, mul0
 from .measures import TwoClassMeasure
 
 CLAMP = 50.0
-
-
-@dataclass
-class PrimalConfig:
-    tol: float = 1e-9
-    max_iters: int = 6000
-    step_c: float = 0.25
-    smoothing: str = "on"        # on | off
-    seed: int = 0
-    log_every: int = 50
+# iteration budget shared by the smoothed stages (a sixth each) and the polish
+MAX_ITERS = 6000
+# relative progress below which the polish stops, and the Polyak stopping
+# distance to a lower bound
+POLISH_TOL = 1e-9
+# c in the c/sqrt(k) polish step used without a lower bound
+STEP_C = 0.25
+# the polish appends the best risk to ``history`` every this many iterations
+LOG_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,8 @@ class _ExpPrimalProblem:
         self.s0 = np.flatnonzero(self.p0 > 0)
         self.s1 = np.flatnonzero(self.p1 > 0)
         # CSR segments for the two source families
-        self.ip0, self.ix0 = _sub_csr(g, self.s0)
-        self.ip1, self.ix1 = _sub_csr(g, self.s1)
+        self.ip0, self.ix0 = g.neighbor_csr(self.s0)
+        self.ip1, self.ix1 = g.neighbor_csr(self.s1)
         self.w0 = self.p0[self.s0]
         self.w1 = self.p1[self.s1]
 
@@ -134,7 +133,7 @@ class _ExpPrimalProblem:
                 seg = np.maximum.reduceat(v, self.ip0[:-1])
                 term = np.exp(seg) * self.w0
                 val += float(term.sum())
-                first = _first_argmax(v, self.ip0)
+                first = segment_argmax(v, self.ip0)
                 grad += np.bincount(self.ix0[first], weights=term, minlength=n)
             else:
                 wts, seg = _segment_softweights(v, self.ip0, tau)
@@ -149,7 +148,7 @@ class _ExpPrimalProblem:
                 seg = np.maximum.reduceat(v, self.ip1[:-1])
                 term = np.exp(seg) * self.w1
                 val += float(term.sum())
-                first = _first_argmax(v, self.ip1)
+                first = segment_argmax(v, self.ip1)
                 grad -= np.bincount(self.ix1[first], weights=term, minlength=n)
             else:
                 wts, seg = _segment_softweights(v, self.ip1, tau)
@@ -161,24 +160,7 @@ class _ExpPrimalProblem:
         return val, grad
 
 
-def _sub_csr(g: GroundSet, rows):
-    segs = [g.neighbors(i) for i in rows]
-    lens = np.array([len(s) for s in segs], dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(lens)))
-    indices = np.concatenate(segs) if segs else np.empty(0, dtype=np.int64)
-    return indptr, indices
-
-
-def _first_argmax(vals, indptr):
-    widths = np.diff(indptr)
-    segmax = np.maximum.reduceat(vals, indptr[:-1])
-    hit = vals == np.repeat(segmax, widths)
-    pos = np.where(hit, np.arange(vals.size), vals.size)
-    return np.minimum.reduceat(pos, indptr[:-1])
-
-
 def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure,
-                     config: PrimalConfig | None = None,
                      lower_bound: float | None = None) -> PrimalSolution:
     """Minimize the exponential adversarial risk over score fields.
 
@@ -190,7 +172,6 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure,
     +inf (-inf) after the iteration; points with no mass at all within two
     epsilon get score zero.
     """
-    cfg = config or PrimalConfig()
     g2 = build_ground(g.points, g.norm, 2.0 * g.epsilon)
     near0 = np.add.reduceat(measure.mass0[g2.indices], g2.indptr[:-1]) > 0
     near1 = np.add.reduceat(measure.mass1[g2.indices], g2.indptr[:-1]) > 0
@@ -212,34 +193,29 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure,
     best_f = f.copy()
     best_val = prob.risk(f)
 
-    def record(val):
-        history.append(val)
-
     it_count = 0
-    if cfg.smoothing == "on":
-        # bound coordinates to the clamp box; frozen coordinates are pinned
-        lo = np.where(freeze, f, -CLAMP)
-        hi = np.where(freeze, f, CLAMP)
-        bounds = list(zip(lo, hi))
-        for tau in (1e-1, 1e-2, 1e-3):
-            res = opt.minimize(prob.value_grad, f, args=(tau,), jac=True,
-                               method="L-BFGS-B", bounds=bounds,
-                               options={"maxiter": cfg.max_iters // 6,
-                                        "ftol": 1e-14, "gtol": 1e-12})
-            it_count += int(getattr(res, "nit", 0))
-            f = np.asarray(res.x, dtype=float)
-            hard = prob.risk(f)
-            if hard < best_val:
-                best_val = hard
-                best_f = f.copy()
-            record(best_val)
-        f = best_f.copy()
+    # bound coordinates to the clamp box; frozen coordinates are pinned
+    lo = np.where(freeze, f, -CLAMP)
+    hi = np.where(freeze, f, CLAMP)
+    bounds = list(zip(lo, hi))
+    for tau in (1e-1, 1e-2, 1e-3):
+        res = opt.minimize(prob.value_grad, f, args=(tau,), jac=True,
+                           method="L-BFGS-B", bounds=bounds,
+                           options={"maxiter": MAX_ITERS // 6,
+                                    "ftol": 1e-14, "gtol": 1e-12})
+        it_count += int(getattr(res, "nit", 0))
+        f = np.asarray(res.x, dtype=float)
+        hard = prob.risk(f)
+        if hard < best_val:
+            best_val = hard
+            best_f = f.copy()
+        history.append(best_val)
+    f = best_f.copy()
 
     # hard-max polish: Polyak steps against the dual lower bound when
     # available, otherwise square-summable c/sqrt(k)
-    iters = cfg.max_iters - it_count if cfg.smoothing == "on" else cfg.max_iters
+    iters = MAX_ITERS - it_count
     stall_window = 120
-    step0 = cfg.step_c
     mark = best_val
     for k in range(1, max(iters, 1) + 1):
         it_count += 1
@@ -247,14 +223,14 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure,
         if hard < best_val:
             best_val = hard
             best_f = f.copy()
-        if it_count % cfg.log_every == 0:
-            record(best_val)
+        if it_count % LOG_EVERY == 0:
+            history.append(best_val)
         if k % stall_window == 0:
-            if mark - best_val <= cfg.tol * max(1.0, abs(best_val)):
+            if mark - best_val <= POLISH_TOL * max(1.0, abs(best_val)):
                 break
             mark = best_val
         if lower_bound is not None and \
-                best_val - lower_bound <= cfg.tol * max(1.0, abs(lower_bound)):
+                best_val - lower_bound <= POLISH_TOL * max(1.0, abs(lower_bound)):
             break
         grad[freeze] = 0.0
         gnorm2 = float(np.dot(grad, grad))
@@ -263,19 +239,19 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure,
         if lower_bound is not None and hard > lower_bound:
             step = min((hard - lower_bound) / gnorm2, 10.0)
         else:
-            step = step0 / np.sqrt(k)
+            step = STEP_C / np.sqrt(k)
         f = np.clip(f - step * grad, -CLAMP, CLAMP)
         f[freeze] = np.clip(best_f[freeze], -CLAMP, CLAMP)
 
     f = best_f
     final = prob.risk(f)
-    record(final)
+    history.append(final)
     out = f.copy()
     out[~near0 & near1] = np.inf
     out[near0 & ~near1] = -np.inf
     out[~near0 & ~near1] = 0.0
     converged = True
-    if lower_bound is not None and final > lower_bound + max(cfg.tol, 1e-12) \
+    if lower_bound is not None and final > lower_bound + POLISH_TOL \
             and final - lower_bound > 1e-3 * max(1.0, abs(final)):
         converged = False
     return PrimalSolution(f=out, risk=final, iterations=it_count,

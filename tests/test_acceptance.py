@@ -22,7 +22,7 @@ from advdual.losses import (
     transform_h,
 )
 from advdual.measures import TwoClassMeasure, greedy_attack, transported_integral, winf_distance
-from advdual.primalsolve import brute_primal, eta_hat, solve_exp_primal
+from advdual.primalsolve import brute_primal, eta_hat, risk_adv, solve_exp_primal
 
 from conftest import hall_winf
 
@@ -60,7 +60,7 @@ def random_suite():
     t0 = time.perf_counter()
     for _ in range(50):
         g, measure = _random_instance(rng)
-        ps, ds, _ = _pipeline(g, measure, 0, 1e-4)
+        ps, ds, _ = _pipeline(g, measure, 1e-4)
         out.append((g, measure, ps, ds))
     elapsed = time.perf_counter() - t0
     return out, elapsed
@@ -74,7 +74,7 @@ def test_criterion_01_strong_duality(random_suite, oracle_instances):
     t0 = time.perf_counter()
     diffs = []
     for name, g, measure in oracle_instances:
-        ps, ds, _ = _pipeline(g, measure, 0, 1e-4)
+        ps, ds, _ = _pipeline(g, measure, 1e-4)
         diffs.append(abs(ps.risk - brute_primal(EXP, g, measure)))
         diffs.append(abs(ds.objective - brute_dual(EXP, g, measure, 60)))
     runtime = elapsed + (time.perf_counter() - t0)
@@ -92,8 +92,7 @@ def test_criterion_02_weak_duality(random_suite, oracle_instances):
         ok = ok and min(ps.history) >= max(ds.history) - 1e-9
     rng = np.random.default_rng(77)
     for name, g, measure in oracle_instances:
-        ds = solve_dual(EXP, g, measure)
-        from advdual.primalsolve import risk_adv
+        ds = solve_dual(g, measure, solve_exp_primal(g, measure).f)
         for _ in range(40):
             f = rng.normal(scale=3.0, size=g.n)
             ok = ok and risk_adv(EXP, f, g, measure) >= ds.objective - 1e-9
@@ -112,7 +111,7 @@ def test_criterion_03_complementary_slackness(random_suite, oracle_instances):
         if g.epsilon == 0.0:
             continue
         ps = solve_exp_primal(g, measure)
-        ds = solve_dual(EXP, g, measure, f_hint=ps.f)
+        ds = solve_dual(g, measure, ps.f)
         s = ds.m0 + ds.m1
         best = 0.0
         for j in np.flatnonzero((s > 1e-12) & np.isfinite(ps.f)):
@@ -128,7 +127,7 @@ def test_criterion_04_loss_universality(oracle_instances):
     ok = True
     for name, g, measure in oracle_instances:
         ps = solve_exp_primal(g, measure)
-        ds = solve_dual(EXP, g, measure, f_hint=ps.f)
+        ds = solve_dual(g, measure, ps.f)
         certs = universality_check(eta_hat(ps.f), ds,
                                    ("logistic", "hinge"), g, measure)
         for cert in certs.values():
@@ -145,7 +144,7 @@ def test_criterion_05_support_conditions(random_suite, oracle_instances):
         ok = ok and cert.support_violation <= 1e-3 * measure.total
     for name, g, measure in oracle_instances:
         ps = solve_exp_primal(g, measure)
-        ds = solve_dual(EXP, g, measure, f_hint=ps.f)
+        ds = solve_dual(g, measure, ps.f)
         cert = certify(EXP, ps.f, ds, g, measure)
         ok = ok and cert.support_violation <= 1e-3 * measure.total
     _report(5, "coupling support violation <= 1e-3 of total mass", ok)
@@ -246,7 +245,7 @@ def test_criterion_12_epsilon_monotonicity(oracle_instances):
         cols = {get_loss(x).kind: [] for x in losses}
         for eps in (0.0, 0.15, 0.3, 0.45, 0.6):
             ge = build_ground(g.points, g.norm, eps)
-            ps, ds, _ = _pipeline(ge, measure, 0, 1e-4)
+            ps, ds, _ = _pipeline(ge, measure, 1e-4)
             certs = universality_check(eta_hat(ps.f), ds, losses, ge, measure)
             for kind, cert in certs.items():
                 cols[kind].append((cert.primal_value, cert.dual_value))

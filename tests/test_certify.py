@@ -26,7 +26,7 @@ HINGE = get_loss("hinge")
 
 def _solve_pair(g, measure):
     primal = solve_exp_primal(g, measure)
-    dual = solve_dual(EXP, g, measure, f_hint=primal.f)
+    dual = solve_dual(g, measure, primal.f)
     return primal, dual
 
 

@@ -46,8 +46,8 @@ def test_solve_all_losses(inst, tmp_path, capsys):
 
 def test_solve_deterministic_bytes(inst, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    main(["solve", inst, "--out", a, "--seed", "5"])
-    main(["solve", inst, "--out", b, "--seed", "5"])
+    main(["solve", inst, "--out", a])
+    main(["solve", inst, "--out", b])
     ra, rb = open(a).read(), open(b).read()
     # runtime differs between runs; everything else must match byte-for-byte
     da, db = json.loads(ra), json.loads(rb)
@@ -194,6 +194,23 @@ def test_sweep_bad_eps(inst, capsys):
     assert main(["sweep", inst, "--eps", ","]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eps", "0.3", "--format", "json"],  # would write no file
+    ["solve", "--format", "json"],
+    ["solve", "--seed", "1"],
+    ["sweep", "--eps", "0.3", "--seed", "1"],
+    ["attack", "--loss", "exp"],
+    ["attack", "--seed", "1"],
+    ["winf", "--tol", "1e-3"],
+    ["verify", "res.json", "--loss", "exp"],
+    ["oracle", "--out", "x.json"],
+])
+def test_unread_flags_rejected(inst, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], inst, *argv[1:]])
+    assert exc.value.code == 2
+
+
 def test_sweep_refined_instance_runs_clean(tmp_path):
     # the 15th draw of a seeded family of refined 1-D sweeps: a networkx
     # max-flow on its certificates raises ValueError under some string-hash
@@ -252,3 +269,8 @@ def test_broken_json(tmp_path, capsys):
     path = str(tmp_path / "broken.json")
     open(path, "w").write("{nope")
     assert main(["solve", path]) == 2
+
+
+def test_package_exports_resolve():
+    missing = [name for name in advdual.__all__ if not hasattr(advdual, name)]
+    assert not missing

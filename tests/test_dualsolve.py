@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from advdual.dualsolve import (
-    DualConfig,
-    brute_dual,
-    dual_objective,
-    perspective_grads,
-    solve_dual,
-)
+from advdual.dualsolve import brute_dual, dual_objective, solve_dual
 from advdual.errors import InstanceTooLarge, NegativeMass
 from advdual.ground import build_ground
 from advdual.losses import get_loss
@@ -19,6 +13,11 @@ EXP = get_loss("exp")
 LOG = get_loss("logistic")
 HINGE = get_loss("hinge")
 ZO = get_loss("zero-one")
+
+
+def _hinted(g, measure):
+    """The exponential dual pair read off the exponential primal's field."""
+    return solve_dual(g, measure, solve_exp_primal(g, measure).f)
 
 
 def test_dual_objective_half_collision():
@@ -57,31 +56,20 @@ def test_dual_objective_concave_along_segments():
                 (1 - t) * dual_objective(loss, b0, b1) - 1e-12
 
 
-def test_perspective_grads_supergradient_inequality():
-    rng = np.random.default_rng(4)
-    for loss in (EXP, LOG, HINGE):
-        m0, m1 = rng.uniform(0.05, 1, (2, 4))
-        g0, g1 = perspective_grads(loss, m0, m1, 1e-12)
-        val = dual_objective(loss, m0, m1)
-        for _ in range(20):
-            n0, n1 = rng.uniform(0, 1, (2, 4))
-            lin = val + g0 @ (n0 - m0) + g1 @ (n1 - m1)
-            assert dual_objective(loss, n0, n1) <= lin + 1e-9
-
-
 def test_weak_duality_random_fields(twopoint):
     g, measure = twopoint
     rng = np.random.default_rng(5)
+    sol = _hinted(g, measure)
     for loss in (EXP, LOG, HINGE):
-        sol = solve_dual(loss, g, measure)
+        dual = dual_objective(loss, sol.m0, sol.m1)
         for _ in range(20):
             f = rng.normal(scale=2.0, size=g.n)
-            assert risk_adv(loss, f, g, measure) >= sol.objective - 1e-9
+            assert risk_adv(loss, f, g, measure) >= dual - 1e-9
 
 
 def test_solve_dual_twopoint_exp(twopoint):
     g, measure = twopoint
-    sol = solve_dual(EXP, g, measure)
+    sol = _hinted(g, measure)
     assert sol.converged
     assert sol.objective == pytest.approx(1.0, abs=1e-8)
     # both class masses meet at the midpoint
@@ -91,8 +79,8 @@ def test_solve_dual_twopoint_exp(twopoint):
 
 def test_solve_dual_twopoint_zero_one(twopoint):
     g, measure = twopoint
-    sol = solve_dual(ZO, g, measure)
-    assert sol.objective == pytest.approx(0.5, abs=1e-8)
+    sol = _hinted(g, measure)
+    assert dual_objective(ZO, sol.m0, sol.m1) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_solve_dual_eps_zero_is_pointwise():
@@ -101,7 +89,7 @@ def test_solve_dual_eps_zero_is_pointwise():
     p0 = np.array([0.2, 0.1, 0.0])
     p1 = np.array([0.1, 0.3, 0.3])
     measure = TwoClassMeasure.build(p0, p1)
-    sol = solve_dual(EXP, g, measure)
+    sol = _hinted(g, measure)
     # no transport possible: marginals are the masses themselves
     assert np.allclose(sol.m0, p0, atol=1e-12)
     assert np.allclose(sol.m1, p1, atol=1e-12)
@@ -110,22 +98,23 @@ def test_solve_dual_eps_zero_is_pointwise():
 
 def test_solution_couplings_feasible(oracle_instances):
     for name, g, measure in oracle_instances:
-        for loss in (EXP, LOG, HINGE, ZO):
-            sol = solve_dual(loss, g, measure)
-            assert coupling_in_delta(g, sol.coupling0), name
-            assert coupling_in_delta(g, sol.coupling1), name
-            assert np.allclose(pushforward(sol.coupling0), sol.m0, atol=1e-12)
-            assert np.allclose(pushforward(sol.coupling1), sol.m1, atol=1e-12)
-            assert winf_feasible(g, measure.mass0, sol.m0, g.epsilon + 1e-9)
-            assert winf_feasible(g, measure.mass1, sol.m1, g.epsilon + 1e-9)
+        sol = _hinted(g, measure)
+        assert coupling_in_delta(g, sol.coupling0), name
+        assert coupling_in_delta(g, sol.coupling1), name
+        assert np.allclose(pushforward(sol.coupling0), sol.m0, atol=1e-12)
+        assert np.allclose(pushforward(sol.coupling1), sol.m1, atol=1e-12)
+        assert winf_feasible(g, measure.mass0, sol.m0, g.epsilon + 1e-9)
+        assert winf_feasible(g, measure.mass1, sol.m1, g.epsilon + 1e-9)
 
 
 def test_solve_dual_matches_brute(oracle_instances):
+    # loss universality: the one exponential pair is optimal for every loss
     for name, g, measure in oracle_instances:
+        sol = _hinted(g, measure)
         for loss in (EXP, LOG, HINGE, ZO):
-            sol = solve_dual(loss, g, measure)
             ref = brute_dual(loss, g, measure, grid_steps=60)
-            assert sol.objective >= ref - 2e-3, (name, loss.kind)
+            value = dual_objective(loss, sol.m0, sol.m1)
+            assert value >= ref - 2e-3, (name, loss.kind)
 
 
 def test_brute_dual_twopoint(twopoint):
@@ -143,28 +132,10 @@ def test_brute_dual_too_large():
 
 def test_solve_dual_deterministic(twopoint):
     g, measure = twopoint
-    a = solve_dual(LOG, g, measure, DualConfig(seed=7))
-    b = solve_dual(LOG, g, measure, DualConfig(seed=7))
+    a = _hinted(g, measure)
+    b = _hinted(g, measure)
     assert a.objective == b.objective
     assert np.array_equal(a.m0, b.m0) and np.array_equal(a.m1, b.m1)
-
-
-def test_method_variants_agree(twopoint):
-    g, measure = twopoint
-    f = np.array([-1.0, 1.0, 0.0])
-    vals = {}
-    for method in ("fw", "fw_away", "attack_extract", "best"):
-        cfg = DualConfig(method=method)
-        sol = solve_dual(EXP, g, measure, cfg, f_hint=f)
-        vals[method] = sol.objective
-    for method, v in vals.items():
-        assert v == pytest.approx(1.0, abs=1e-6), method
-
-
-def test_attack_extract_requires_hint(twopoint):
-    g, measure = twopoint
-    with pytest.raises(ValueError):
-        solve_dual(EXP, g, measure, DualConfig(method="attack_extract"))
 
 
 def _assert_feasible_dual(g, measure, sol):
@@ -179,7 +150,7 @@ def _assert_feasible_dual(g, measure, sol):
 def test_hinted_dual_matches_brute(oracle_instances):
     for name, g, measure in oracle_instances:
         ps = solve_exp_primal(g, measure)
-        sol = solve_dual(EXP, g, measure, f_hint=ps.f)
+        sol = solve_dual(g, measure, ps.f)
         assert sol.objective >= brute_dual(EXP, g, measure, 60) - 2e-3, name
         _assert_feasible_dual(g, measure, sol)
         assert sol.converged, name
@@ -195,7 +166,7 @@ def test_hinted_dual_splits_tied_source():
     measure = TwoClassMeasure.build([0.2, 0.0, 0.0, 0.0, 0.4],
                                     [0.0, 0.0, 0.3, 0.0, 0.0])
     ps = solve_exp_primal(g, measure)
-    sol = solve_dual(EXP, g, measure, f_hint=ps.f)
+    sol = solve_dual(g, measure, ps.f)
     assert sol.objective >= brute_dual(EXP, g, measure, 60) - 2e-3
     assert sol.objective == pytest.approx(2.0 * np.sqrt(0.3 * 0.6), abs=1e-6)
     assert sol.m1[1] == pytest.approx(0.1, abs=1e-3)
@@ -208,7 +179,7 @@ def test_hinted_dual_single_class():
     g = build_ground(np.array([[0.0], [0.5], [1.0]]), "l2", 0.6)
     measure = TwoClassMeasure.build([0.0, 0.0, 0.0], [0.3, 0.0, 0.2])
     ps = solve_exp_primal(g, measure)
-    sol = solve_dual(EXP, g, measure, f_hint=ps.f)
+    sol = solve_dual(g, measure, ps.f)
     assert sol.objective == 0.0
     assert sol.coupling0.w.size == 0
     _assert_feasible_dual(g, measure, sol)
@@ -223,7 +194,7 @@ def test_hinted_dual_infinite_scores():
                                     [0.0, 0.0, 0.0, 0.25, 0.3])
     ps = solve_exp_primal(g, measure)
     assert ps.f[0] == -np.inf and ps.f[4] == np.inf
-    sol = solve_dual(EXP, g, measure, f_hint=ps.f)
+    sol = solve_dual(g, measure, ps.f)
     assert sol.objective >= brute_dual(EXP, g, measure, 60) - 2e-3
     assert sol.objective == pytest.approx(0.5, abs=1e-6)
     _assert_feasible_dual(g, measure, sol)
@@ -234,13 +205,13 @@ def test_hinted_dual_flags_unbalanced_hint(twopoint):
     # sigmoid(0.6) at the meeting point cannot balance the equal masses that
     # meet there, so the hint and the optimal couplings leave slack
     g, measure = twopoint
-    sol = solve_dual(EXP, g, measure, f_hint=np.array([-1.0, 1.0, 0.3]))
+    sol = solve_dual(g, measure, np.array([-1.0, 1.0, 0.3]))
     assert sol.objective == pytest.approx(1.0, abs=1e-12)
     assert not sol.converged
 
 
 def test_eta_star_bounds(oracle_instances):
     for _, g, measure in oracle_instances:
-        sol = solve_dual(LOG, g, measure)
+        sol = _hinted(g, measure)
         eta = sol.eta_star()
         assert np.all(eta >= 0.0) and np.all(eta <= 1.0)

@@ -6,6 +6,7 @@ from advdual.ground import (
     build_ground,
     dilate,
     inf_ball,
+    segment_argmax,
     sliding_max_1d,
     sliding_max_field,
     sup_ball,
@@ -61,6 +62,28 @@ def test_accelerator_matches_brute():
             gg = build_ground(pts, norm, 0.8, accelerator="grid")
             assert np.array_equal(gb.indptr, gg.indptr)
             assert np.array_equal(gb.indices, gg.indices)
+
+
+def test_neighbor_csr_matches_row_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        g = build_ground(rng.uniform(0, 2, (n, 2)), "l1", float(rng.uniform(0, 1)))
+        rows = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+        indptr, indices = g.neighbor_csr(rows)
+        segs = [g.neighbors(i) for i in rows]
+        assert np.array_equal(indptr, np.cumsum([0] + [len(s) for s in segs]))
+        assert np.array_equal(indices, np.concatenate(segs) if segs else [])
+
+
+def test_segment_argmax_first_maximum():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        lens = rng.integers(1, 6, int(rng.integers(0, 8)))
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        vals = rng.integers(0, 3, indptr[-1]).astype(float)  # ties on purpose
+        ref = [a + int(np.argmax(vals[a:b])) for a, b in zip(indptr[:-1], indptr[1:])]
+        assert np.array_equal(segment_argmax(vals, indptr), ref)
 
 
 def test_build_ground_errors():

@@ -19,7 +19,7 @@ from advdual.io import (
 
 
 def test_load_bundled_twopoint_instance():
-    g, measure, config = load_instance("instances/twopoint.json")
+    g, measure = load_instance("instances/twopoint.json")
     # refinement level 1 inserts the midpoint of the single 2-epsilon edge
     assert g.n == 3
     assert np.allclose(sorted(g.points[:, 0]), [0.0, 0.5, 1.0])
@@ -31,12 +31,12 @@ def test_load_bundled_twopoint_instance():
 def test_instance_round_trip(tmp_path):
     path = str(tmp_path / "inst.json")
     pts = np.array([[0.0, 1.0], [2.0, -0.5]])
-    save_instance(path, pts, "linf", 0.25, [0.4, 0.0], [0.0, 0.6],
-                  config={"tol": 1e-7, "seed": 3})
-    g, measure, config = load_instance(path)
+    save_instance(path, pts, "linf", 0.25, [0.4, 0.0], [0.0, 0.6])
+    g, measure = load_instance(path)
     assert np.array_equal(g.points, pts)
     assert g.norm == "linf" and g.epsilon == 0.25
-    assert config == {"tol": 1e-7, "seed": 3}
+    assert np.array_equal(measure.mass0, [0.4, 0.0])
+    assert np.array_equal(measure.mass1, [0.0, 0.6])
 
 
 def test_instance_byte_stable(tmp_path):

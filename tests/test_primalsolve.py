@@ -8,7 +8,6 @@ from advdual.losses import get_loss
 from advdual.measures import TwoClassMeasure
 from advdual.primalsolve import (
     HPair,
-    PrimalConfig,
     brute_primal,
     classify_risk_adv,
     construct_f,
@@ -128,15 +127,15 @@ def test_solve_exp_primal_matches_brute(oracle_instances):
 def test_solve_exp_primal_matches_dual(oracle_instances):
     for name, g, measure in oracle_instances:
         sol = solve_exp_primal(g, measure)
-        dual = solve_dual(EXP, g, measure, f_hint=sol.f)
+        dual = solve_dual(g, measure, sol.f)
         assert sol.risk - dual.objective <= 1e-6 * max(1.0, sol.risk), name
         assert sol.risk >= dual.objective - 1e-9
 
 
 def test_solve_exp_primal_deterministic(twopoint):
     g, measure = twopoint
-    a = solve_exp_primal(g, measure, PrimalConfig(seed=3))
-    b = solve_exp_primal(g, measure, PrimalConfig(seed=3))
+    a = solve_exp_primal(g, measure)
+    b = solve_exp_primal(g, measure)
     assert np.array_equal(a.f, b.f)
     assert a.risk == b.risk
 
