@@ -2,17 +2,20 @@
 the epsilon edge set, scored by the concave perspective of the optimal
 conditional risk applied to their pushforward masses.
 
-Given an exponential-loss score field the dual needs no iteration at all:
-complementary slackness says which edges an optimal coupling may use and how
-the two pushforwards must balance at every point, and one sparse linear
-program over those edges returns the couplings.  By loss universality the
+For the exponential loss the perspective at a point is 2 sqrt(m0 m1), the
+minimum over t > 0 of the tangents t m0 + m1 / t.  A linear program over the
+couplings whose value at each point is capped by a few of these tangents
+therefore bounds the dual optimum from above.  Its couplings give a feasible
+dual value, and its cut multipliers give a feasible pair of the convex
+relaxation (``HPair``) and with it a score field whose risk is at most the
+program's value: one program certifies both sides.  By loss universality the
 same couplings are optimal for every loss; ``dual_objective`` scores their
 masses under any of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -20,16 +23,39 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import InstanceTooLarge, NegativeMass
-from .ground import GroundSet, segment_argmax
-from .losses import Loss, mul0
+from .ground import GroundSet
+from .losses import Loss
 from .measures import Coupling, TwoClassMeasure, pushforward
-from .primalsolve import eta_hat, risk_adv
+from .primalsolve import HPair, risk_adv
 
 EXP = Loss("exponential")
+
+# the first program cuts each point at t = exp(f + delta) around the score
+# field it is given (and at the pair of ``_seed_cuts``)
+SEED_DELTAS = (-0.05, -0.025, 0.0, 0.025, 0.05)
+# |log t| of every cut is clipped here so that the program stays scaled
+LOG_T_MAX = 10.0
+# no two cuts at a point lie within this distance in log t (relative 1e-3)
+CUT_RTOL = 1e-3
+# programs solved after the first, at most
+MAX_ROUNDS = 8
+# HiGHS's primal feasibility tolerance: the two cuts of the pair at t = 1
+# differ by only CUT_RTOL |m1 - m0| at a point, so at the default 1e-7 an
+# optimal vertex may leave balanced masses unbalanced
+FEAS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DualSolution:
+    """Couplings with their pushforward masses and exponential dual value.
+
+    A solve also returns the score field ``f`` read off the cut multipliers
+    of the same program (the given field, if no program was solved), its
+    exponential ``risk``, and the feasible pair ``hpair`` it comes from,
+    whose ``theta`` bounds ``risk`` from above.  ``converged`` says that
+    ``risk - objective <= tol * max(1, risk)``.
+    """
+
     coupling0: Coupling
     coupling1: Coupling
     m0: np.ndarray
@@ -37,7 +63,9 @@ class DualSolution:
     objective: float
     iterations: int
     converged: bool
-    history: list = field(repr=False, default_factory=list)
+    f: np.ndarray | None = None
+    risk: float | None = None
+    hpair: HPair | None = None
 
     def eta_star(self) -> np.ndarray:
         """m1 / (m0 + m1) where defined, 0.5 elsewhere (unused mass points)."""
@@ -71,47 +99,20 @@ class _EdgeSet:
         self.sources = np.flatnonzero(p > 0)
         self.p = p[self.sources]
         self.indptr, self.dst = g.neighbor_csr(self.sources)
-        self.esrc = np.repeat(self.sources, np.diff(self.indptr))
+        self.widths = np.diff(self.indptr)
+        self.esrc = np.repeat(self.sources, self.widths)
         self.E = self.dst.size
+        self.reach = np.zeros(self.n, dtype=bool)
+        self.reach[self.dst] = True
 
-    def vertex_from_point_grad(self, grad_pts: np.ndarray) -> np.ndarray:
-        """Per source, all mass to the neighbor with the largest gradient,
-        ties to the lowest target index."""
-        w = np.zeros(self.E)
-        w[segment_argmax(grad_pts[self.dst], self.indptr)] = self.p
-        return w
-
-    def restrict(self, score: np.ndarray, budget: float) -> "_EdgeSet":
-        """Sub-polytope keeping, per source i, the edges to targets j with
-        p_i * (max_ball score - score[j]) <= budget: moving the whole source
-        along a kept edge loses at most ``budget`` of transported score."""
-        if not np.isfinite(budget):
-            return self
-        vals = score[self.dst]
-        segmax = np.maximum.reduceat(vals, self.indptr[:-1])
-        keep = vals >= np.repeat(segmax - budget / self.p, np.diff(self.indptr))
-        out = object.__new__(_EdgeSet)
-        out.n, out.sources, out.p = self.n, self.sources, self.p
-        lens = np.add.reduceat(keep.astype(np.int64), self.indptr[:-1])
-        out.indptr = np.concatenate(([0], np.cumsum(lens)))
-        out.dst = self.dst[keep]
-        out.esrc = self.esrc[keep]
-        out.E = out.dst.size
-        return out
-
-    def source_rows(self) -> np.ndarray:
-        """Position of each edge's source among ``sources``."""
-        return np.repeat(np.arange(self.sources.size), np.diff(self.indptr))
-
-    def renormalize(self, w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    def renormalize(self, w: np.ndarray) -> np.ndarray:
         """Clip ``w`` at zero and rescale each source to its exact mass; a
-        source left with no weight takes its weights from ``fallback``."""
+        source left with no weight is split evenly over its edges."""
         w = np.maximum(w, 0.0)
-        widths = np.diff(self.indptr)
         seg = np.add.reduceat(w, self.indptr[:-1])
-        w = np.where(np.repeat(seg > 0, widths), w, fallback)
+        w = np.where(np.repeat(seg > 0, self.widths), w, 1.0)
         seg = np.add.reduceat(w, self.indptr[:-1])
-        return w * np.repeat(self.p / seg, widths)
+        return w * np.repeat(self.p / seg, self.widths)
 
     def push(self, w: np.ndarray) -> np.ndarray:
         return np.bincount(self.dst, weights=w, minlength=self.n)
@@ -120,115 +121,170 @@ class _EdgeSet:
         keep = w > 0
         return Coupling.build(self.esrc[keep], self.dst[keep], w[keep], self.n)
 
-
-def _fast_objective(m0: np.ndarray, m1: np.ndarray) -> float:
-    """Exponential dual_objective without validation."""
-    s = np.maximum(m0 + m1, 0.0)
-    eta = np.divide(m1, s, out=np.zeros_like(s), where=s > 0)
-    return float(np.dot(s, EXP.cstar(np.clip(eta, 0.0, 1.0))))
-
-
-def _pointwise_residual(h0: np.ndarray, h1: np.ndarray, m0: np.ndarray,
-                        m1: np.ndarray) -> float:
-    """Part of the duality gap left by violations of m1 (1 - eta_hat) =
-    m0 eta_hat: with h0 = phi(-f) and h1 = phi(f), the exponential pointwise
-    slackness residual sum (sqrt(m1 h1) - sqrt(m0 h0))^2, zero exactly when
-    the pushforwards balance at every point."""
-    return float(np.sum((np.sqrt(mul0(m1, h1)) - np.sqrt(mul0(m0, h0))) ** 2))
+    def cap(self, v: np.ndarray, on_k: np.ndarray) -> np.ndarray:
+        """Per point, the least over the balls of this class's sources that
+        hold it of the largest ``v`` on that ball's ``on_k`` points: the
+        largest value the point can take without raising any of those
+        maxima (inf where no source reaches it)."""
+        vals = np.where(on_k[self.dst], v[self.dst], -np.inf)
+        top = np.maximum.reduceat(vals, self.indptr[:-1])
+        out = np.full(self.n, np.inf)
+        np.minimum.at(out, self.dst, np.repeat(top, self.widths))
+        return out
 
 
-def _support_lp(e0: _EdgeSet, e1: _EdgeSet, eta: np.ndarray):
-    """Edge weights on the two edge sets that meet every source mass exactly
-    and the pushforward balance m1 (1 - eta) = m0 eta at each destination up
-    to an L1 slack, the total slack being minimized (so the program is always
-    feasible).  Solved by HiGHS; returns the scipy ``OptimizeResult``."""
-    dst = np.concatenate([e0.dst, e1.dst])
-    pts, row = np.unique(dst, return_inverse=True)
-    k, E = pts.size, dst.size
-    ident = np.arange(k)
-    nvar = E + 2 * k
-    bal = sp.csr_matrix(
-        (np.concatenate([-eta[e0.dst], 1.0 - eta[e1.dst], np.ones(k), -np.ones(k)]),
-         (np.concatenate([row, ident, ident]), np.arange(nvar))),
-        shape=(k, nvar))
-    ns0 = e0.sources.size
-    src = sp.csr_matrix(
-        (np.ones(E), (np.concatenate([e0.source_rows(), ns0 + e1.source_rows()]),
-                      np.arange(E))),
-        shape=(ns0 + e1.sources.size, nvar))
-    cost = np.concatenate([np.zeros(E), np.ones(2 * k)])
-    return linprog(cost, A_eq=sp.vstack([bal, src]).tocsr(),
-                   b_eq=np.concatenate([np.zeros(k), e0.p, e1.p]),
-                   bounds=(0.0, None), method="highs")
+class _CutLP:
+    """The tangent-cut program on the edges of both classes.
+
+    Variables are the edge weights of class 0 and class 1, then per point
+    both classes reach (``K``) its masses m0 and m1 and its value z.  The
+    equalities fix every source mass and tie each m to the edges into its
+    point; each cut z <= t m0 + m1 / t is one row with three nonzeros.
+    """
+
+    def __init__(self, e0: _EdgeSet, e1: _EdgeSet):
+        self.on_k = e0.reach & e1.reach
+        self.K = np.flatnonzero(self.on_k)
+        k, E0, E = self.K.size, e0.E, e0.E + e1.E
+        self.k, self.E, self.nvar = k, E, E + 3 * k
+        pos = np.full(e0.n, -1)
+        pos[self.K] = np.arange(k)
+        ns0, ns1 = e0.sources.size, e1.sources.size
+        src_rows = np.concatenate([np.repeat(np.arange(ns0), e0.widths),
+                                   ns0 + np.repeat(np.arange(ns1), e1.widths)])
+        dst_pos = pos[np.concatenate([e0.dst, e1.dst])]
+        into = dst_pos >= 0
+        edge = np.arange(E)
+        tie_rows = ns0 + ns1 + dst_pos + np.where(edge < E0, 0, k)
+        rows = np.concatenate([src_rows, tie_rows[into], ns0 + ns1 + np.arange(2 * k)])
+        cols = np.concatenate([edge, edge[into], E + np.arange(2 * k)])
+        vals = np.concatenate([np.ones(E), -np.ones(int(into.sum())), np.ones(2 * k)])
+        self.A_eq = sp.csr_matrix((vals, (rows, cols)), shape=(ns0 + ns1 + 2 * k, self.nvar))
+        self.b_eq = np.concatenate([e0.p, e1.p, np.zeros(2 * k)])
+        self.cost = np.concatenate([np.zeros(E + 2 * k), -np.ones(k)])
+
+    def solve(self, pt: np.ndarray, logt: np.ndarray):
+        """Solve with the cuts at K positions ``pt`` and tangent points
+        exp(``logt``) by HiGHS's dual simplex, presolve off.  The simplex
+        can end without a status on the degenerate programs of instances
+        whose optimum is one plateau; such a program is solved once more by
+        HiGHS's interior point method with crossover."""
+        c = pt.size
+        t = np.exp(logt)
+        E, k = self.E, self.k
+        A_ub = None if c == 0 else sp.csr_matrix(
+            (np.concatenate([np.ones(c), -t, -1.0 / t]),
+             (np.tile(np.arange(c), 3),
+              np.concatenate([E + 2 * k + pt, E + pt, E + k + pt]))),
+            shape=(c, self.nvar))
+        for method in ("highs-ds", "highs-ipm"):
+            res = linprog(self.cost, A_ub=A_ub, b_ub=None if c == 0 else np.zeros(c),
+                          A_eq=self.A_eq, b_eq=self.b_eq, bounds=(0.0, None),
+                          method=method, options={"presolve": False,
+                                                  "primal_feasibility_tolerance": FEAS_TOL})
+            if res.status == 0:
+                break
+        return res
+
+
+def _seed_cuts(seed: np.ndarray):
+    """Cut positions and log tangent points of the first program: log t =
+    seed + delta for the deltas in ``SEED_DELTAS``, and the pair log t =
+    +-CUT_RTOL / 2, whose kink makes balanced masses (eta = 1/2) a vertex
+    of the program at every point.  Seed cuts within CUT_RTOL of that pair
+    are left out, so no two cuts at a point lie within CUT_RTOL."""
+    k = seed.size
+    logt = np.clip(np.concatenate([seed + d for d in SEED_DELTAS]), -LOG_T_MAX, LOG_T_MAX)
+    keep = np.abs(logt) >= 1.5 * CUT_RTOL
+    pt = np.tile(np.arange(k), len(SEED_DELTAS))[keep]
+    half = np.full(k, 0.5 * CUT_RTOL)
+    return (np.concatenate([pt, np.arange(k), np.arange(k)]),
+            np.concatenate([logt[keep], -half, half]))
 
 
 def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
                tol: float = 1e-6) -> DualSolution:
-    """Dual couplings read off complementary slackness with the exponential
-    score field ``f``.
+    """Exponential dual couplings and a primal field certified together by
+    the tangent-cut program, seeded by the score field ``f``.
 
-    At eta_hat = sigmoid(2 f) the supergradient of the exponential
-    perspective is (phi(-f), phi(f)), so any coupling pair that moves mass
-    only to ball maximizers of phi(f) (class 1) and phi(-f) (class 0), and
-    whose pushforwards satisfy m1 (1 - eta_hat) = m0 eta_hat everywhere,
-    attains the primal risk of f and is therefore dual optimal.  A linear
-    program (``_support_lp``) finds such couplings on the near-tight edges:
-    it enforces the source masses and minimizes the L1 violation of the
-    balance.
+    K is the set of points both classes reach.  The first program cuts each
+    point of K as ``_seed_cuts`` says.  Its couplings give masses m0, m1 and
+    their dual value D; its cut multipliers lambda give, per point of K,
+    h0 = sum lambda t and h1 = sum lambda / t, a pair with h0 h1 >= 1 whose
+    relaxed risk ``theta`` is the program's value, so the field
+    1/2 (log h0 - log h1) has at most that risk.  A point reached by one
+    class only takes the largest score that raises no ball maximum of that
+    class (the smallest that lowers no ball minimum, for class 1), unless
+    ``f`` is already infinite there in the same direction; points no class
+    reaches keep ``f``.
 
-    The tightness tolerance is the duality gap already certified,
-    G = risk(f) - D, with D the best dual value found so far, first that of
-    the greedy ball attack.  An edge from source i is kept when moving all
-    of p_i along it loses at most G of transported loss against the ball
-    maximum, so on the kept edges no source's share of the sup residuals
-    r1 + r0 exceeds the certified gap.  The exact argmax edges always
-    survive.  Each program whose couplings raise D shrinks G, and the
-    program is solved again on the smaller edge set until D stops rising;
-    the sets are nested, so this ends.
-
-    The best couplings found are returned with their exponential dual value;
-    ``history`` lists the greedy, every program and the returned objective.
-    ``converged`` says that HiGHS solved every program and that the
-    imbalance left in the returned pushforwards costs at most
-    ``tol * max(1, objective)`` of pointwise slackness residual.
+    While risk - D > tol * max(1, risk), the next program adds the exact
+    tangent t = sqrt(m1 / m0) at each point of K with no cut within
+    ``CUT_RTOL`` in log t, for at most ``MAX_ROUNDS`` more programs.  The
+    field and couplings of the program with the least gap are returned; a
+    program HiGHS does not solve to optimality ends the loop.
     """
     f = g.check_field(f)
-    h0, h1 = EXP.phi(-f), EXP.phi(f)
-    eta = eta_hat(f)
-    risk = risk_adv(EXP, f, g, measure)
-    full0, full1 = _EdgeSet(g, measure.mass0), _EdgeSet(g, measure.mass1)
-    e0, e1 = full0, full1
-    # greedy read-off: every source to its lowest-index ball maximizer
-    w0, w1 = e0.vertex_from_point_grad(h0), e1.vertex_from_point_grad(h1)
-    best = _fast_objective(e0.push(w0), e1.push(w1))
-    history = [best]
-    bound, iterations, solved = best, 0, True
-    while full0.E + full1.E:
-        budget = max(risk - bound, 0.0)
-        r0, r1 = full0.restrict(h0, budget), full1.restrict(h1, budget)
-        res = _support_lp(r0, r1, eta)
+    e0, e1 = _EdgeSet(g, measure.mass0), _EdgeSet(g, measure.mass1)
+    lp = _CutLP(e0, e1)
+    K, k, E, on_k = lp.K, lp.k, lp.E, lp.on_k
+    only0 = e0.reach & ~e1.reach & (f != -np.inf)
+    only1 = e1.reach & ~e0.reach & (f != np.inf)
+
+    # the pair of least gap so far; without a solved program, the given
+    # field and evenly split couplings
+    best = (np.inf, f, HPair(h0=EXP.phi(-f), h1=EXP.phi(f)),
+            e0.renormalize(np.zeros(e0.E)), e1.renormalize(np.zeros(e1.E)))
+    pt, logt = _seed_cuts(f[K])
+    iterations = 0
+    for _ in range(MAX_ROUNDS + 1):
+        res = lp.solve(pt, logt)
         iterations += int(res.nit)
         if res.status != 0:
-            solved = False
             break
-        v0 = r0.renormalize(res.x[:r0.E], r0.vertex_from_point_grad(h0))
-        v1 = r1.renormalize(res.x[r0.E:r0.E + r1.E], r1.vertex_from_point_grad(h1))
-        history.append(_fast_objective(r0.push(v0), r1.push(v1)))
-        if history[-1] > best:
-            e0, e1, w0, w1, best = r0, r1, v0, v1, history[-1]
-        if history[-1] <= bound:
+        w0, w1 = e0.renormalize(res.x[:e0.E]), e1.renormalize(res.x[e0.E:E])
+        m0, m1 = e0.push(w0), e1.push(w1)
+        # per point, multipliers normalized to sum one (z >= 0 makes the
+        # sum at least one): h0 h1 >= 1 by Cauchy-Schwarz
+        lam = np.maximum(-res.ineqlin.marginals, 0.0)
+        lam /= np.bincount(pt, lam, k)[pt]
+        t = np.exp(logt)
+        h0k, h1k = np.bincount(pt, lam * t, k), np.bincount(pt, lam / t, k)
+        field = f.copy()
+        field[K] = 0.5 * np.log(h0k / h1k)
+        field[only0] = e0.cap(field, on_k)[only0]
+        field[only1] = -e1.cap(-field, on_k)[only1]
+        risk = risk_adv(EXP, field, g, measure)
+        gap = risk - dual_objective(EXP, m0, m1)
+        if gap < best[0]:
+            h0, h1 = EXP.phi(-field), EXP.phi(field)
+            h0[K], h1[K] = h0k, h1k
+            best = (gap, field, HPair(h0=h0, h1=h1), w0, w1)
+        if gap <= tol * max(1.0, risk):
             break
-        bound = history[-1]
-    residual = _pointwise_residual(h0, h1, e0.push(w0), e1.push(w1))
-    converged = solved and residual <= tol * max(1.0, best)
+        # the exact tangent at each mass ratio that no cut lies within CUT_RTOL of
+        mk0, mk1 = m0[K], m1[K]
+        both = (mk0 > 0) & (mk1 > 0)
+        want = np.clip(0.5 * (np.log(mk1, where=both, out=np.zeros(k))
+                              - np.log(mk0, where=both, out=np.zeros(k))),
+                       -LOG_T_MAX, LOG_T_MAX)
+        near = np.full(k, np.inf)
+        np.minimum.at(near, pt, np.abs(logt - want[pt]))
+        new = np.flatnonzero(both & (near > CUT_RTOL))
+        if new.size == 0:
+            break
+        pt, logt = np.concatenate([pt, new]), np.concatenate([logt, want[new]])
+
+    _, field, hpair, w0, w1 = best
     c0, c1 = e0.coupling(w0), e1.coupling(w1)
     m0, m1 = pushforward(c0), pushforward(c1)
-    # recompute from the couplings actually returned
+    # recompute both values from the pair actually returned
     obj = dual_objective(EXP, m0, m1)
-    history.append(obj)
+    risk = risk_adv(EXP, field, g, measure)
     return DualSolution(coupling0=c0, coupling1=c1, m0=m0, m1=m1,
                         objective=obj, iterations=iterations,
-                        converged=converged, history=history)
+                        converged=bool(risk - obj <= tol * max(1.0, risk)),
+                        f=field, risk=risk, hpair=hpair)
 
 
 # ---------------------------------------------------------------------------

@@ -2,32 +2,26 @@
 
 The exponential primal is minimized in the score parametrization: the map
 f -> sum p1 * exp(-ball_min(f)) + sum p0 * exp(ball_max(f)) is convex in the
-value vector.  A temperature-continuation smoothed stage precedes plain
-subgradient polishing; the reported risk always uses the hard ball max.
+value vector.  Temperature-continuation smoothed stages give a seed field
+that the tangent-cut dual (``dualsolve.solve_dual``) certifies; the reported
+risk always uses the hard ball max.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize as opt
 
 from .errors import InfeasiblePair, InstanceTooLarge, ZeroOneHasNoPhi
-from .ground import GroundSet, build_ground, segment_argmax, sup_ball
+from .ground import GroundSet, build_ground, sup_ball
 from .losses import Loss, mul0
 from .measures import TwoClassMeasure
 
 CLAMP = 50.0
-# iteration budget shared by the smoothed stages (a sixth each) and the polish
-MAX_ITERS = 6000
-# relative progress below which the polish stops, and the Polyak stopping
-# distance to a lower bound
-POLISH_TOL = 1e-9
-# c in the c/sqrt(k) polish step used without a lower bound
-STEP_C = 0.25
-# the polish appends the best risk to ``history`` every this many iterations
-LOG_EVERY = 50
+# L-BFGS-B iteration cap of each smoothed stage
+STAGE_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -35,8 +29,6 @@ class PrimalSolution:
     f: np.ndarray
     risk: float
     iterations: int
-    converged: bool
-    history: list = field(repr=False, default_factory=list)
 
 
 def risk_adv(loss: Loss, f, g: GroundSet, measure: TwoClassMeasure) -> float:
@@ -101,7 +93,7 @@ def _segment_softweights(vals, indptr, tau):
 
 
 class _ExpPrimalProblem:
-    """Risk and (sub)gradient evaluation restricted to the free points."""
+    """Hard-max risk, and the soft-max objective with its gradient."""
 
     def __init__(self, g: GroundSet, measure: TwoClassMeasure):
         self.g = g
@@ -121,56 +113,32 @@ class _ExpPrimalProblem:
         with np.errstate(over="ignore"):
             return float(np.dot(self.w0, np.exp(hi)) + np.dot(self.w1, np.exp(-lo)))
 
-    def value_grad(self, f: np.ndarray, tau: float | None):
-        """Objective and gradient; ``tau`` None means hard max with the
-        lowest-index tie rule, otherwise the temperature-tau soft maximum."""
-        n = f.size
-        grad = np.zeros(n)
+    def value_grad(self, f: np.ndarray, tau: float):
+        """Objective and gradient with the temperature-tau soft maximum over
+        each ball in place of the hard one."""
+        grad = np.zeros(f.size)
         val = 0.0
-        if self.ix0.size:
-            v = f[self.ix0]
-            if tau is None:
-                seg = np.maximum.reduceat(v, self.ip0[:-1])
-                term = np.exp(seg) * self.w0
-                val += float(term.sum())
-                first = segment_argmax(v, self.ip0)
-                grad += np.bincount(self.ix0[first], weights=term, minlength=n)
-            else:
-                wts, seg = _segment_softweights(v, self.ip0, tau)
-                term = np.exp(seg) * self.w0
-                val += float(term.sum())
-                widths = np.diff(self.ip0)
-                grad += np.bincount(self.ix0, weights=np.repeat(term, widths) * wts,
-                                    minlength=n)
-        if self.ix1.size:
-            v = -f[self.ix1]
-            if tau is None:
-                seg = np.maximum.reduceat(v, self.ip1[:-1])
-                term = np.exp(seg) * self.w1
-                val += float(term.sum())
-                first = segment_argmax(v, self.ip1)
-                grad -= np.bincount(self.ix1[first], weights=term, minlength=n)
-            else:
-                wts, seg = _segment_softweights(v, self.ip1, tau)
-                term = np.exp(seg) * self.w1
-                val += float(term.sum())
-                widths = np.diff(self.ip1)
-                grad -= np.bincount(self.ix1, weights=np.repeat(term, widths) * wts,
-                                    minlength=n)
+        for ix, ip, w, sign in ((self.ix0, self.ip0, self.w0, 1.0),
+                                (self.ix1, self.ip1, self.w1, -1.0)):
+            if not ix.size:
+                continue
+            wts, seg = _segment_softweights(sign * f[ix], ip, tau)
+            term = np.exp(seg) * w
+            val += float(term.sum())
+            grad += sign * np.bincount(ix, weights=np.repeat(term, np.diff(ip)) * wts,
+                                       minlength=f.size)
         return val, grad
 
 
-def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure,
-                     lower_bound: float | None = None) -> PrimalSolution:
-    """Minimize the exponential adversarial risk over score fields.
+def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
+    """Minimize a smoothed exponential adversarial risk over score fields.
 
-    Smoothed stages (temperature continuation 1e-1, 1e-2, 1e-3 on a soft
-    maximum over each ball, each stage solved by L-BFGS-B) followed by
-    hard-max subgradient polishing; when ``lower_bound`` (a dual value) is
-    supplied the polish uses Polyak steps, otherwise c/sqrt(k).  Points whose
-    two-epsilon neighborhood carries no class-0 (class-1) mass are snapped to
-    +inf (-inf) after the iteration; points with no mass at all within two
-    epsilon get score zero.
+    Temperature continuation 1e-1, 1e-2, 1e-3 on a soft maximum over each
+    ball, each stage solved by L-BFGS-B; the field of least hard-max risk is
+    returned.  It is a seed: ``dualsolve.solve_dual`` certifies and sharpens
+    it.  Points whose two-epsilon neighborhood carries no class-0 (class-1)
+    mass are snapped to +inf (-inf) after the iteration; points with no mass
+    at all within two epsilon get score zero.
     """
     g2 = build_ground(g.points, g.norm, 2.0 * g.epsilon)
     near0 = np.add.reduceat(measure.mass0[g2.indices], g2.indptr[:-1]) > 0
@@ -188,20 +156,17 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure,
     f[~near0 & near1] = CLAMP
     f[near0 & ~near1] = -CLAMP
 
-    freeze = ~free
-    history: list[float] = []
     best_f = f.copy()
     best_val = prob.risk(f)
-
     it_count = 0
     # bound coordinates to the clamp box; frozen coordinates are pinned
-    lo = np.where(freeze, f, -CLAMP)
-    hi = np.where(freeze, f, CLAMP)
+    lo = np.where(free, -CLAMP, f)
+    hi = np.where(free, CLAMP, f)
     bounds = list(zip(lo, hi))
     for tau in (1e-1, 1e-2, 1e-3):
         res = opt.minimize(prob.value_grad, f, args=(tau,), jac=True,
                            method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": MAX_ITERS // 6,
+                           options={"maxiter": STAGE_ITERS,
                                     "ftol": 1e-14, "gtol": 1e-12})
         it_count += int(getattr(res, "nit", 0))
         f = np.asarray(res.x, dtype=float)
@@ -209,53 +174,12 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure,
         if hard < best_val:
             best_val = hard
             best_f = f.copy()
-        history.append(best_val)
-    f = best_f.copy()
 
-    # hard-max polish: Polyak steps against the dual lower bound when
-    # available, otherwise square-summable c/sqrt(k)
-    iters = MAX_ITERS - it_count
-    stall_window = 120
-    mark = best_val
-    for k in range(1, max(iters, 1) + 1):
-        it_count += 1
-        hard, grad = prob.value_grad(f, None)
-        if hard < best_val:
-            best_val = hard
-            best_f = f.copy()
-        if it_count % LOG_EVERY == 0:
-            history.append(best_val)
-        if k % stall_window == 0:
-            if mark - best_val <= POLISH_TOL * max(1.0, abs(best_val)):
-                break
-            mark = best_val
-        if lower_bound is not None and \
-                best_val - lower_bound <= POLISH_TOL * max(1.0, abs(lower_bound)):
-            break
-        grad[freeze] = 0.0
-        gnorm2 = float(np.dot(grad, grad))
-        if gnorm2 <= 1e-30:
-            break
-        if lower_bound is not None and hard > lower_bound:
-            step = min((hard - lower_bound) / gnorm2, 10.0)
-        else:
-            step = STEP_C / np.sqrt(k)
-        f = np.clip(f - step * grad, -CLAMP, CLAMP)
-        f[freeze] = np.clip(best_f[freeze], -CLAMP, CLAMP)
-
-    f = best_f
-    final = prob.risk(f)
-    history.append(final)
-    out = f.copy()
+    out = best_f.copy()
     out[~near0 & near1] = np.inf
     out[near0 & ~near1] = -np.inf
     out[~near0 & ~near1] = 0.0
-    converged = True
-    if lower_bound is not None and final > lower_bound + POLISH_TOL \
-            and final - lower_bound > 1e-3 * max(1.0, abs(final)):
-        converged = False
-    return PrimalSolution(f=out, risk=final, iterations=it_count,
-                          converged=converged, history=history)
+    return PrimalSolution(f=out, risk=best_val, iterations=it_count)
 
 
 def eta_hat(f) -> np.ndarray:

@@ -22,7 +22,14 @@ from advdual.losses import (
     transform_h,
 )
 from advdual.measures import TwoClassMeasure, greedy_attack, transported_integral, winf_distance
-from advdual.primalsolve import brute_primal, eta_hat, risk_adv, solve_exp_primal
+from advdual.primalsolve import (
+    brute_primal,
+    eta_hat,
+    hpair_feasible,
+    risk_adv,
+    solve_exp_primal,
+    theta,
+)
 
 from conftest import hall_winf
 
@@ -89,7 +96,7 @@ def test_criterion_02_weak_duality(random_suite, oracle_instances):
     suite, _ = random_suite
     for g, measure, ps, ds in suite:
         ok = ok and ps.risk >= ds.objective - 1e-9
-        ok = ok and min(ps.history) >= max(ds.history) - 1e-9
+        ok = ok and theta(EXP, ds.hpair, g, measure) >= ds.objective - 1e-9
     rng = np.random.default_rng(77)
     for name, g, measure in oracle_instances:
         ds = solve_dual(g, measure, solve_exp_primal(g, measure).f)
@@ -255,3 +262,49 @@ def test_criterion_12_epsilon_monotonicity(oracle_instances):
                 ok = ok and all(b >= a - 1e-6 for a, b in zip(seq, seq[1:]))
     _report(12, "sweep primal and dual values non-decreasing in epsilon "
                 "within 1e-6", ok)
+
+
+def _scatter_l2(n=400, eps=0.3, seed=1):
+    """n uniform points in [0, 2]^2, each given mass 1/n in class 1 with
+    probability sigmoid(4 (x - 1)) and in class 0 otherwise, under l2."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 2.0, (n, 2))
+    label = rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-4.0 * (pts[:, 0] - 1.0)))
+    m1 = np.where(label, 1.0 / n, 0.0)
+    return build_ground(pts, "l2", eps), TwoClassMeasure.build(1.0 / n - m1, m1)
+
+
+def _assert_certified(g, measure, ps, ds, tol, name):
+    """``converged`` holds exactly when the returned pair's exponential gap
+    is within tolerance, and the multiplier pair bounds the field's risk."""
+    risk = risk_adv(EXP, ps.f, g, measure)
+    assert risk == ps.risk, name
+    assert ds.converged == (risk - ds.objective <= tol * max(1.0, risk)), name
+    assert hpair_feasible(EXP, ds.hpair.h0, ds.hpair.h1), name
+    assert theta(EXP, ds.hpair, g, measure) >= risk - 1e-12 * max(1.0, risk), name
+
+
+def test_pipeline_convergence_is_certified(random_suite, oracle_instances):
+    suite, _ = random_suite
+    for k, (g, measure, ps, ds) in enumerate(suite):
+        _assert_certified(g, measure, ps, ds, 1e-4, f"suite {k}")
+    for name, g, measure in oracle_instances:
+        ps, ds, _ = _pipeline(g, measure, 1e-4)
+        _assert_certified(g, measure, ps, ds, 1e-4, name)
+    g, measure = _scatter_l2()
+    ps, ds, _ = _pipeline(g, measure, 1e-4)
+    _assert_certified(g, measure, ps, ds, 1e-4, "scatter l2")
+    assert ds.converged
+
+
+@pytest.mark.parametrize("seed, draw", [(3, 106), (2, 105), (5, 112)])
+def test_fresh_draw_exponential_certificate(seed, draw):
+    # draws of the suite family on which an earlier dual stopped short (the
+    # 106th from seed 3 reported a gap of 0.095 as converged)
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        g, measure = _random_instance(rng)
+    ps, ds, _ = _pipeline(g, measure, 1e-4)
+    cert = universality_check(eta_hat(ps.f), ds, ["exp"], g, measure)["exponential"]
+    assert cert.gap <= 1e-4
+    _assert_certified(g, measure, ps, ds, 1e-4, f"seed {seed} draw {draw}")

@@ -1,19 +1,24 @@
+import dataclasses
+import importlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import advdual
+from advdual import cli
 from advdual.cli import main
 from advdual.io import load_result, save_instance, save_result
 
 from test_acceptance import _random_instance
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INSTANCE = "instances/twopoint.json"
 
 
@@ -253,6 +258,47 @@ def test_attack_triples(inst, capsys):
     out = capsys.readouterr().out
     assert "class0 0 -> 2 mass 0.5" in out
     assert "class1 1 -> 2 mass 0.5" in out
+
+
+@pytest.mark.parametrize("bend", [
+    lambda ps, ds: (ps, dataclasses.replace(ds, converged=False)),
+    lambda ps, ds: (dataclasses.replace(ps, risk=ps.risk + 1e-3), ds),
+], ids=["not-converged", "loose-gap"])
+def test_attack_exits_3_when_not_certified(inst, monkeypatch, capsys, bend):
+    real = cli._pipeline
+
+    def pipeline(g, measure, tol):
+        ps, ds, ms = real(g, measure, tol)
+        return (*bend(ps, ds), ms)
+
+    monkeypatch.setattr(cli, "_pipeline", pipeline)
+    assert main(["attack", inst]) == 3
+    assert "not certified" in capsys.readouterr().err
+
+
+def test_benchmark_patch_names_resolve(inst, tmp_path):
+    # bench/spans.py wraps these module attributes by name; each must exist
+    # and the solve path must go through them
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        from spans import Tracer
+    finally:
+        sys.path.remove(os.path.join(ROOT, "bench"))
+    tracer = Tracer()
+    tracer.install(types.SimpleNamespace(
+        cli=cli, **{name: importlib.import_module(f"advdual.{name}")
+                    for name in ("io", "primalsolve", "certify")}))
+    try:
+        code = main(["solve", inst, "--loss", "all", "--out", str(tmp_path / "r.json")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    names = {s.name for s in tracer.spans}
+    assert {"cli.solve", "cli.pipeline", "primalsolve.solve", "dualsolve.solve",
+            "certify.universality", "certify.certify", "io.load_instance",
+            "io.save_result", "ground.build_ground"} <= names
+    assert cli._pipeline.__module__ == "advdual.cli"
+    assert cli._COMMANDS["solve"] is cli.cmd_solve
 
 
 def test_oracle(inst, capsys):

@@ -154,8 +154,8 @@ def test_hinted_dual_matches_brute(oracle_instances):
         assert sol.objective >= brute_dual(EXP, g, measure, 60) - 2e-3, name
         _assert_feasible_dual(g, measure, sol)
         assert sol.converged, name
-        assert sol.history[-1] == sol.objective
-        assert max(sol.history) <= ps.risk + 1e-9, name
+        assert sol.objective == dual_objective(EXP, sol.m0, sol.m1)
+        assert sol.objective <= min(ps.risk, sol.risk) + 1e-9, name
 
 
 def test_hinted_dual_splits_tied_source():
@@ -201,13 +201,29 @@ def test_hinted_dual_infinite_scores():
     assert sol.converged
 
 
-def test_hinted_dual_flags_unbalanced_hint(twopoint):
+def test_solve_dual_replaces_unbalanced_hint(twopoint):
     # sigmoid(0.6) at the meeting point cannot balance the equal masses that
-    # meet there, so the hint and the optimal couplings leave slack
+    # meet there, so the hint leaves slack against the optimal couplings;
+    # the field read off the cut multipliers does not
     g, measure = twopoint
-    sol = solve_dual(g, measure, np.array([-1.0, 1.0, 0.3]))
+    hint = np.array([-1.0, 1.0, 0.3])
+    sol = solve_dual(g, measure, hint)
     assert sol.objective == pytest.approx(1.0, abs=1e-12)
-    assert not sol.converged
+    assert risk_adv(EXP, hint, g, measure) - sol.objective > 1e-6
+    assert sol.risk == risk_adv(EXP, sol.f, g, measure)
+    assert sol.risk - sol.objective <= 1e-6
+    assert sol.converged
+
+
+def test_one_sided_point_gets_binding_score(twopoint):
+    # point 0 is reached by class 0 only; its score is the largest that
+    # raises no class-0 ball maximum, so raising it raises the risk
+    g, measure = twopoint
+    sol = _hinted(g, measure)
+    assert sol.f[0] == pytest.approx(sol.f[2], abs=1e-12)
+    bent = sol.f.copy()
+    bent[0] += 0.25
+    assert risk_adv(EXP, bent, g, measure) > sol.risk + 1e-3
 
 
 def test_eta_star_bounds(oracle_instances):
