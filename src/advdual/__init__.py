@@ -22,7 +22,6 @@ from .ground import (
     dilate,
     inf_ball,
     sliding_max_1d,
-    sliding_max_field,
     sup_ball,
 )
 from .io import load_instance, load_result, save_instance, save_result
@@ -80,7 +79,6 @@ __all__ = [
     "save_result",
     "slackness",
     "sliding_max_1d",
-    "sliding_max_field",
     "solve_dual",
     "solve_exp_primal",
     "sup_ball",

@@ -31,6 +31,16 @@ from .primalsolve import classify_risk_adv, construct_f, risk_adv, threshold_cla
 TOL_EXP = 1e-4
 TOL_UNIVERSAL = 1e-3
 
+
+def gap_tol(kind: str, tol: float | None) -> float:
+    """Gap tolerance a certificate of loss ``kind`` is judged at: ``tol``
+    when one was given, else TOL_EXP for the exponential loss and
+    TOL_UNIVERSAL for the others."""
+    if tol is not None:
+        return float(tol)
+    return TOL_EXP if kind == "exponential" else TOL_UNIVERSAL
+
+
 # eta values this close to one half are treated as exactly one half before
 # applying a discontinuous pointwise minimizer (the hinge one jumps there)
 ETA_HALF_SNAP = 1e-6

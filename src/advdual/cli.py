@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import io as adio
-from .certify import TOL_EXP, TOL_UNIVERSAL, universality_check
+from .certify import gap_tol, universality_check
 from .dualsolve import DualSolution, brute_dual, dual_objective, solve_dual
 from .errors import AdvdualError, InstanceTooLarge, ParseError, ValidationError
 from .ground import build_ground
@@ -76,12 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _loss_tol(name: str, tol) -> float:
-    if tol is not None:
-        return float(tol)
-    return TOL_EXP if name == "exp" else TOL_UNIVERSAL
-
-
 def _requested_losses(arg: str) -> list[str]:
     return ALL_LOSSES if arg == "all" else [arg]
 
@@ -101,6 +95,9 @@ def _pipeline(g, measure, tol: float):
 
 
 def _result_dict(instance_path, g, ps, ds, certs, tol, runtime_ms) -> dict:
+    """Result file contents; ``tol`` is the --tol the solve was given, or
+    None, and ``verify`` judges every certificate through ``gap_tol`` with
+    it."""
     eta = eta_hat(ps.f)
     return {
         "schema_version": adio.SCHEMA_VERSION,
@@ -111,7 +108,7 @@ def _result_dict(instance_path, g, ps, ds, certs, tol, runtime_ms) -> dict:
             "epsilon": float(g.epsilon),
         },
         "provenance": {
-            "tol": float(tol),
+            "tol": None if tol is None else float(tol),
             "primal_iterations": int(ps.iterations),
             "dual_iterations": int(ds.iterations),
             "runtime_ms": int(runtime_ms),
@@ -138,12 +135,11 @@ def cmd_solve(args) -> int:
     g, measure = adio.load_instance(args.instance)
     # the exponential certificate is always computed, and judged at its own
     # tolerance whatever --loss asks for
-    tol = _loss_tol("exp", args.tol)
-    ps, ds, runtime_ms = _pipeline(g, measure, tol)
+    ps, ds, runtime_ms = _pipeline(g, measure, gap_tol("exponential", args.tol))
     eta = eta_hat(ps.f)
     names = sorted(set(_requested_losses(args.loss)) | {"exp"})
     certs = universality_check(eta, ds, names, g, measure)
-    result = _result_dict(args.instance, g, ps, ds, certs, tol, runtime_ms)
+    result = _result_dict(args.instance, g, ps, ds, certs, args.tol, runtime_ms)
     out = args.out or os.path.splitext(args.instance)[0] + "_result.json"
     adio.save_result(out, result)
 
@@ -156,7 +152,7 @@ def cmd_solve(args) -> int:
             print("warning: zero-one gap is diagnostic only; optimality of "
                   "the thresholded classifier is not certified")
             continue
-        if cert.gap > _loss_tol(loss_name, args.tol):
+        if cert.gap > gap_tol(kind, args.tol):
             code = 3
     if not ds.converged:
         code = 3
@@ -182,8 +178,7 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         try:
             ge = build_ground(g.points, g.norm, eps)
-            tol = _loss_tol("exp", args.tol)
-            ps, ds, _ = _pipeline(ge, measure, tol)
+            ps, ds, _ = _pipeline(ge, measure, gap_tol("exponential", args.tol))
             certs = universality_check(eta_hat(ps.f), ds, losses, ge, measure)
         except AdvdualError as e:
             print(f"warning: eps={eps:g} failed: {e}", file=sys.stderr)
@@ -223,7 +218,7 @@ def cmd_winf(args) -> int:
 
 def cmd_attack(args) -> int:
     g, measure = adio.load_instance(args.instance)
-    tol = _loss_tol("exp", args.tol)
+    tol = gap_tol("exponential", args.tol)
     ps, ds, runtime_ms = _pipeline(g, measure, tol)
     for label, c in (("class0", ds.coupling0), ("class1", ds.coupling1)):
         for i, j, w in c.triples():
@@ -260,8 +255,12 @@ def cmd_verify(args) -> int:
         m0 = np.asarray(data["m0"], dtype=float)
         m1 = np.asarray(data["m1"], dtype=float)
         stored = data["certificates"]
+        solve_tol = data["provenance"]["tol"]
     except KeyError as e:
         raise ValidationError(f"result file missing field {e}") from e
+    if solve_tol is not None and not isinstance(solve_tol, (int, float)):
+        raise ValidationError(f"provenance.tol must be a number or null, "
+                              f"got {solve_tol!r}")
     if any(v.shape != (g.n,) for v in (f, eta, m0, m1)):
         return fail(f"stored vector lengths do not match the instance "
                     f"ground set ({g.n} points)")
@@ -299,7 +298,7 @@ def cmd_verify(args) -> int:
                 return fail(f"{kind}.{key}: stored {cert.get(key)!r} vs "
                             f"recomputed {got[key]!r}")
         if not got["diagnostic"]:
-            tol = TOL_EXP if kind == "exponential" else TOL_UNIVERSAL
+            tol = gap_tol(kind, solve_tol)
             if not float(cert["gap"]) <= tol:
                 return fail(f"{kind}.gap {cert['gap']!r} exceeds tolerance {tol}")
     print("verify OK")

@@ -13,10 +13,6 @@ class NegativeEpsilon(AdvdualError):
     pass
 
 
-class NonUniformGrid(AdvdualError):
-    """The 1-D fast path requires a uniformly spaced grid."""
-
-
 class ZeroOneHasNoPhi(AdvdualError):
     """The zero-one loss exposes only its optimal conditional risk and
     threshold classification; it has no margin function."""

@@ -12,35 +12,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .errors import NegativeEpsilon, NonFiniteCoordinate, NonUniformGrid
+from .errors import NegativeEpsilon, NonFiniteCoordinate
 
 NORMS = ("l1", "l2", "linf")
+_TREE_P = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
+# relative padding of the tree's query radius; the exact filter after the
+# query decides ties at distance epsilon
+TREE_PAD = 1e-9
 
 
-def _pairwise_leq(points: np.ndarray, norm: str, eps: float) -> np.ndarray:
-    """Boolean adjacency matrix of the closed-ball relation (brute force)."""
-    diff = points[:, None, :] - points[None, :, :]
+def distances(a, b, norm: str) -> np.ndarray:
+    """Distances between the points ``a`` and ``b`` under ``norm``; the last
+    axis holds the coordinates and the others broadcast.  Every "within
+    epsilon" decision of the package compares this value with epsilon."""
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     if norm == "l1":
-        d = np.abs(diff).sum(axis=2)
-    elif norm == "l2":
-        d = np.sqrt((diff * diff).sum(axis=2))
-    elif norm == "linf":
-        d = np.abs(diff).max(axis=2)
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-    return d <= eps
-
-
-def pair_distances(points: np.ndarray, norm: str) -> np.ndarray:
-    """Full matrix of pairwise distances under the given norm."""
-    diff = points[:, None, :] - points[None, :, :]
-    if norm == "l1":
-        return np.abs(diff).sum(axis=2)
+        return np.abs(diff).sum(axis=-1)
     if norm == "l2":
-        return np.sqrt((diff * diff).sum(axis=2))
+        return np.sqrt((diff * diff).sum(axis=-1))
     if norm == "linf":
-        return np.abs(diff).max(axis=2)
+        return np.abs(diff).max(axis=-1)
     raise ValueError(f"unknown norm {norm!r}")
 
 
@@ -63,10 +56,6 @@ class GroundSet:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
@@ -87,48 +76,13 @@ class GroundSet:
         return f
 
 
-def _neighbor_pairs_bruteforce(points, norm, eps):
-    adj = _pairwise_leq(points, norm, eps)
-    return [np.flatnonzero(row) for row in adj]
-
-
-def _neighbor_pairs_grid(points, norm, eps):
-    """Uniform-bucket accelerator for d <= 3: cell size eps, scan 3^d cells.
-
-    Any two points within eps (for l1/l2/linf alike) differ by at most eps
-    per coordinate, so candidates live in adjacent cells.
-    """
-    n, d = points.shape
-    cell = np.floor(points / eps).astype(np.int64)
-    buckets: dict[tuple, list] = {}
-    for i in range(n):
-        buckets.setdefault(tuple(cell[i]), []).append(i)
-    offsets = np.stack(np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"),
-                       axis=-1).reshape(-1, d)
-    out = []
-    for i in range(n):
-        cand = []
-        ci = cell[i]
-        for off in offsets:
-            cand.extend(buckets.get(tuple(ci + off), ()))
-        cand = np.sort(np.asarray(cand, dtype=np.int64))
-        diff = points[cand] - points[i]
-        if norm == "l1":
-            dist = np.abs(diff).sum(axis=1)
-        elif norm == "l2":
-            dist = np.sqrt((diff * diff).sum(axis=1))
-        else:
-            dist = np.abs(diff).max(axis=1)
-        out.append(cand[dist <= eps])
-    return out
-
-
-def build_ground(points, norm: str = "l2", epsilon: float = 0.0,
-                 accelerator: str = "auto") -> GroundSet:
+def build_ground(points, norm: str = "l2", epsilon: float = 0.0) -> GroundSet:
     """Build a ground set and its closed-ball neighbor index.
 
-    ``accelerator`` is one of ``auto`` (grid buckets when d <= 3 and eps > 0),
-    ``grid``, or ``brute``; the brute path is also the oracle in tests.
+    A k-d tree proposes the pairs within a radius padded by a relative
+    ``TREE_PAD``, so that no pair at distance exactly epsilon is lost to the
+    tree's own rounding; :func:`distances` then keeps the pairs within
+    epsilon.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -141,16 +95,16 @@ def build_ground(points, norm: str = "l2", epsilon: float = 0.0,
     if epsilon < 0 or not np.isfinite(epsilon):
         raise NegativeEpsilon(f"epsilon must be a finite nonnegative real, got {epsilon}")
 
-    use_grid = accelerator == "grid" or (
-        accelerator == "auto" and pts.shape[1] <= 3 and epsilon > 0 and pts.shape[0] > 256)
-    if use_grid:
-        neigh = _neighbor_pairs_grid(pts, norm, epsilon)
-    else:
-        neigh = _neighbor_pairs_bruteforce(pts, norm, epsilon)
-
-    lengths = np.fromiter((len(a) for a in neigh), dtype=np.int64, count=len(neigh))
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    indices = np.concatenate(neigh) if len(neigh) else np.empty(0, dtype=np.int64)
+    n = pts.shape[0]
+    i, j = cKDTree(pts).query_pairs(epsilon * (1.0 + TREE_PAD), p=_TREE_P[norm],
+                                    output_type="ndarray").T
+    keep = distances(pts[i], pts[j], norm) <= epsilon
+    i, j = i[keep], j[keep]
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    # sorting the row-major keys orders the rows and each row's neighbors
+    indices = np.sort(rows * n + cols) % n
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     pts.setflags(write=False)
     indptr.setflags(write=False)
     indices.setflags(write=False)
@@ -227,25 +181,3 @@ def sliding_max_1d(values, k: int, count_ops: bool = False):
         ops = 2 * nblocks * (w - 1) + n
         return out, ops
     return out
-
-
-def sliding_max_field(g: GroundSet, f: np.ndarray) -> np.ndarray:
-    """Fast sup_ball for 1-D uniformly spaced, sorted ground sets.
-
-    Raises NonUniformGrid when the layout does not qualify; callers fall
-    back to :func:`sup_ball`.
-    """
-    f = g.check_field(f)
-    if g.dim != 1:
-        raise NonUniformGrid("fast path requires a 1-D ground set")
-    xs = g.points[:, 0]
-    if g.n == 1:
-        return f.copy()
-    steps = np.diff(xs)
-    if np.any(steps <= 0):
-        raise NonUniformGrid("points must be sorted strictly ascending")
-    spacing = steps[0]
-    if not np.allclose(steps, spacing, rtol=1e-12, atol=1e-12):
-        raise NonUniformGrid("points are not uniformly spaced")
-    k = int(np.floor(g.epsilon / spacing + 1e-12))
-    return sliding_max_1d(f, k)

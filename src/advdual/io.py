@@ -129,6 +129,19 @@ def refine_points(points: np.ndarray, epsilon: float, r: int,
     return allpts[keep]
 
 
+def _parse(key: str, value, convert):
+    """``convert(value)``, with a value it cannot convert (a word where a
+    number belongs, ragged nesting) reported as a ValidationError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"malformed field {key!r}: {e}") from e
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def load_instance(path: str):
     """Read an instance file; returns (GroundSet, TwoClassMeasure).
 
@@ -148,22 +161,27 @@ def load_instance(path: str):
     for key in ("points", "norm", "epsilon", "mass0", "mass1"):
         if key not in data:
             raise ValidationError(f"missing required field {key!r}")
-    pts = np.asarray(data["points"], dtype=float)
+    pts = _parse("points", data["points"], _floats)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValidationError("points must be a non-empty list of coordinates")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("points contain non-finite coordinates")
     norm = str(data["norm"])
     if norm not in NORMS:
         raise ValidationError(f"norm must be one of {NORMS}, got {norm!r}")
-    epsilon = float(data["epsilon"])
-    m0 = np.asarray(data["mass0"], dtype=float)
-    m1 = np.asarray(data["mass1"], dtype=float)
+    epsilon = _parse("epsilon", data["epsilon"], float)
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValidationError(f"epsilon must be a finite nonnegative number, "
+                              f"got {epsilon}")
+    m0 = _parse("mass0", data["mass0"], _floats)
+    m1 = _parse("mass1", data["mass1"], _floats)
     n = pts.shape[0]
     if m0.shape != (n,) or m1.shape != (n,):
         raise ValidationError(
             f"mass arrays must have one entry per point ({n}); got "
-            f"{m0.shape[0]} and {m1.shape[0]}")
+            f"shapes {m0.shape} and {m1.shape}")
     for name, m in (("mass0", m0), ("mass1", m1)):
         bad = np.flatnonzero(~np.isfinite(m) | (m < 0))
         if bad.size:
@@ -171,7 +189,7 @@ def load_instance(path: str):
                 f"{name}[{int(bad[0])}] = {m[bad[0]]} is not a finite "
                 "nonnegative mass")
 
-    r = int(data.get("refinement", 0))
+    r = _parse("refinement", data.get("refinement", 0), int)
     if r < 0:
         raise ValidationError("refinement level must be nonnegative")
     full = refine_points(pts, epsilon, r, norm)

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from advdual.ground import GroundSet, build_ground, pair_distances
+from advdual.ground import GroundSet, build_ground
 from advdual.measures import TwoClassMeasure
 
 
@@ -47,8 +47,26 @@ def oracle_instances():
 
 
 # ---------------------------------------------------------------------------
-# independent infinity-Wasserstein reference (no flow solver involved)
+# independent references: brute distances and infinity-Wasserstein (no
+# tree, no flow solver and no linear program involved)
 # ---------------------------------------------------------------------------
+
+def brute_distances(points: np.ndarray, norm: str) -> np.ndarray:
+    """Full matrix of pairwise distances under the given norm."""
+    diff = points[:, None, :] - points[None, :, :]
+    if norm == "l1":
+        return np.abs(diff).sum(axis=2)
+    if norm == "l2":
+        return np.sqrt((diff * diff).sum(axis=2))
+    if norm == "linf":
+        return np.abs(diff).max(axis=2)
+    raise ValueError(f"unknown norm {norm!r}")
+
+
+def brute_neighbors(points: np.ndarray, norm: str, eps: float) -> list[np.ndarray]:
+    """Sorted closed-ball neighbor lists from the full distance matrix."""
+    return [np.flatnonzero(row) for row in brute_distances(points, norm) <= eps]
+
 
 def hall_feasible(dist: np.ndarray, p: np.ndarray, q: np.ndarray,
                   eps: float) -> bool:
@@ -71,7 +89,7 @@ def hall_winf(g: GroundSet, p, q) -> float:
     at most ~6 points keep the enumeration tiny."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    dist = pair_distances(g.points, g.norm)
+    dist = brute_distances(g.points, g.norm)
     cand = np.unique(dist[np.ix_(p > 0, q > 0)])
     for t in cand:
         if hall_feasible(dist, p, q, float(t)):

@@ -140,6 +140,27 @@ def test_solve_all_losses_default_tol_suite_instance(tmp_path, capsys):
     assert main(["verify", path, out]) == 0
 
 
+def test_solve_and_verify_judge_at_one_tolerance(tmp_path, capsys):
+    # the first suite instance certifies its exponential gap at about
+    # 1.5e-5: a file solved at --tol 1e-12 fails solve and verify alike, and
+    # one solved at a looser --tol verifies at that tolerance
+    g, measure = _random_instance(np.random.default_rng(12345))
+    path = str(tmp_path / "suite0.json")
+    save_instance(path, g.points, g.norm, g.epsilon, measure.mass0,
+                  measure.mass1)
+    out = str(tmp_path / "res.json")
+    assert main(["solve", path, "--loss", "all", "--tol", "1e-12", "--out", out]) == 3
+    assert load_result(out)["provenance"]["tol"] == 1e-12
+    capsys.readouterr()
+    assert main(["verify", path, out]) == 4
+    assert "exponential.gap" in capsys.readouterr().out
+    assert main(["solve", path, "--tol", "0.5", "--out", out]) == 0
+    assert main(["verify", path, out]) == 0
+    assert main(["solve", path, "--out", out]) == 0
+    assert load_result(out)["provenance"]["tol"] is None
+    assert main(["verify", path, out]) == 0
+
+
 def test_verify_tampered_certificate(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--out", out])
@@ -217,9 +238,9 @@ def test_unread_flags_rejected(inst, argv, capsys):
 
 
 def test_sweep_refined_instance_runs_clean(tmp_path):
-    # the 15th draw of a seeded family of refined 1-D sweeps: a networkx
-    # max-flow on its certificates raises ValueError under some string-hash
-    # seeds, so the sweep must not run one
+    # the 15th draw of a seeded family of refined 1-D sweeps: a max-flow on
+    # its certificates once raised ValueError under some string-hash seeds;
+    # the sweep must finish every epsilon under any seed
     rng = np.random.default_rng(10)
     for _ in range(15):
         pts = rng.uniform(0.0, 2.0, (12, 1))
@@ -315,6 +336,37 @@ def test_broken_json(tmp_path, capsys):
     path = str(tmp_path / "broken.json")
     open(path, "w").write("{nope")
     assert main(["solve", path]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", "abc"),
+    ("points", [[0.0], [1.0, 2.0]]),
+    ("refinement", "x"),
+    ("epsilon", -0.1),
+    ("epsilon", "nan"),
+    ("points", [[0.0], ["inf"]]),
+], ids=["word-epsilon", "ragged-points", "word-refinement", "negative-epsilon",
+        "nan-epsilon", "infinite-coordinate"])
+def test_malformed_instance_field_exits_2(inst, field, value, capsys):
+    with open(inst) as fh:
+        data = json.load(fh)
+    data[field] = value
+    with open(inst, "w") as fh:
+        json.dump(data, fh)
+    assert main(["solve", inst]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_import_leaves_networkx_out():
+    src = os.path.dirname(os.path.dirname(advdual.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, advdual.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_package_exports_resolve():

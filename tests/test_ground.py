@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from advdual.errors import NegativeEpsilon, NonFiniteCoordinate, NonUniformGrid
+from advdual.errors import NegativeEpsilon, NonFiniteCoordinate
 from advdual.ground import (
     build_ground,
     dilate,
+    distances,
     inf_ball,
     segment_argmax,
     sliding_max_1d,
-    sliding_max_field,
     sup_ball,
 )
 
-from conftest import naive_window_max
+from conftest import brute_distances, brute_neighbors, naive_window_max
 
 LINE = np.array([[0.0], [0.5], [1.0]])
 
@@ -53,15 +53,60 @@ def test_neighbor_symmetry_random():
             assert i in sets[j]
 
 
-def test_accelerator_matches_brute():
+def _assert_matches_brute(pts, norm, eps):
+    g = build_ground(pts, norm, eps)
+    ref = brute_neighbors(np.asarray(pts, dtype=float), norm, eps)
+    assert np.array_equal(g.indptr, np.cumsum([0] + [len(r) for r in ref]))
+    assert np.array_equal(g.indices, np.concatenate(ref))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_neighbor_index_matches_brute_oracle(d, norm):
     rng = np.random.default_rng(5)
-    for d in (1, 2, 3):
-        pts = rng.uniform(0, 3, (60, d))
-        for norm in ("l1", "l2", "linf"):
-            gb = build_ground(pts, norm, 0.8, accelerator="brute")
-            gg = build_ground(pts, norm, 0.8, accelerator="grid")
-            assert np.array_equal(gb.indptr, gg.indptr)
-            assert np.array_equal(gb.indices, gg.indices)
+    for n in (1, 60, 300):
+        pts = rng.uniform(0, 3, (n, d))
+        for eps in (0.0, 0.3, 0.8):
+            _assert_matches_brute(pts, norm, eps)
+    # a lattice at radii equal to lattice distances: every tie is kept
+    h = 0.1
+    axes = np.meshgrid(*([np.arange(5) * h] * d), indexing="ij")
+    lattice = np.stack(axes, axis=-1).reshape(-1, d)
+    for eps in (h, 2 * h, np.sqrt(2) * h, np.sqrt(3) * h):
+        _assert_matches_brute(lattice, norm, eps)
+
+
+def test_neighbor_index_keeps_l2_diagonal_ties():
+    # at eps = sqrt(2) h the diagonal neighbors of a lattice sit at distance
+    # eps to within a rounding error, which an unpadded tree query drops
+    h = 0.1
+    lattice = np.stack(np.meshgrid(np.arange(6) * h, np.arange(6) * h,
+                                   indexing="ij"), axis=-1).reshape(-1, 2)
+    _assert_matches_brute(lattice, "l2", np.sqrt(2) * h)
+
+
+def test_neighbor_index_refined_and_duplicate_points():
+    from advdual.io import refine_points
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        pts = rng.uniform(0, 2, (12, 1))
+        for eps in (0.1, 0.3, 0.6):
+            full = refine_points(pts, 0.6, 1, "l2")
+            _assert_matches_brute(full, "l2", eps)
+    dup = np.array([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]])
+    for norm in ("l1", "l2", "linf"):
+        _assert_matches_brute(dup, norm, 0.0)
+        assert list(build_ground(dup, norm, 0.0).neighbors(0)) == [0, 2, 3]
+
+
+def test_distances_broadcast_matches_brute():
+    rng = np.random.default_rng(15)
+    pts = rng.uniform(-1, 1, (9, 3))
+    for norm in ("l1", "l2", "linf"):
+        assert np.array_equal(distances(pts[:, None], pts[None], norm),
+                              brute_distances(pts, norm))
+    with pytest.raises(ValueError):
+        distances(pts, pts, "l3")
 
 
 def test_neighbor_csr_matches_row_loop():
@@ -192,20 +237,6 @@ def test_sliding_max_matches_naive():
     rng = np.random.default_rng(11)
     v = rng.normal(size=1000)
     assert np.array_equal(sliding_max_1d(v, 7), naive_window_max(v, 7))
-
-
-def test_sliding_max_matches_sup_ball_on_uniform_grid():
-    rng = np.random.default_rng(12)
-    xs = np.arange(50) * 0.1
-    g = build_ground(xs.reshape(-1, 1), "l2", 0.35)
-    f = rng.normal(size=50)
-    assert np.array_equal(sliding_max_field(g, f), sup_ball(g, f))
-
-
-def test_sliding_max_field_rejects_nonuniform():
-    g = build_ground(np.array([[0.0], [0.1], [0.5]]), "l2", 0.2)
-    with pytest.raises(NonUniformGrid):
-        sliding_max_field(g, np.zeros(3))
 
 
 def test_sliding_max_operation_budget():

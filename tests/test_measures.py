@@ -104,6 +104,22 @@ def test_winf_matches_hall_oracle():
         assert winf_distance(g, p, q) == hall_winf(g, p, q)
 
 
+def test_winf_unbalanced_target_matches_hall_oracle():
+    # targets drawn independently of the sources, not as a permutation of
+    # them, so the transport program meets partial matchings and split mass
+    rng = np.random.default_rng(16)
+    for t in range(120):
+        n = int(rng.integers(2, 7))
+        g = build_ground(rng.uniform(0, 2, (n, int(rng.integers(1, 3)))),
+                         ("l1", "l2", "linf")[t % 3], 0.0)
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.full(n, rng.uniform(0.2, 2.0)))
+        if t % 4 == 0:
+            p[rng.integers(n)] = 0.0
+            p /= p.sum()
+        assert winf_distance(g, p, q) == hall_winf(g, p, q)
+
+
 def test_greedy_attack_example(twopoint):
     g, _ = twopoint
     field = np.array([0.0, 2.0, 1.0])  # values at points 0, 1, 0.5
