@@ -4,9 +4,9 @@ metric ground sets, with machine-checkable optimality certificates."""
 from .certify import (
     Certificate,
     certify,
-    duality_gap,
     slackness,
     support_conditions,
+    uncertified,
     universality_check,
 )
 from .dualsolve import (
@@ -66,7 +66,6 @@ __all__ = [
     "construct_f",
     "dilate",
     "dual_objective",
-    "duality_gap",
     "eta_hat",
     "get_loss",
     "greedy_attack",
@@ -86,6 +85,7 @@ __all__ = [
     "threshold_classifier",
     "transform_h",
     "transported_integral",
+    "uncertified",
     "universality_check",
     "winf_distance",
     "winf_feasible",

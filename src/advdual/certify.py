@@ -9,12 +9,13 @@ flags record that the pushforwards stay inside the infinity-Wasserstein
 ball.  The flags are read off the coupling witness, which every certificate
 validates first, so no max-flow runs.
 The residual identity r1 + r0 + r_pt = gap makes the triple a decomposition
-of the gap into interpretable parts.
+of the gap into interpretable parts.  ``uncertified`` is the one verdict:
+the losses whose gap misses its tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .ground import GroundSet, inf_ball, sup_ball
 from .losses import Loss, get_loss, mul0
 from .measures import TwoClassMeasure, coupling_in_delta, pushforward
 from .measures import winf_feasible  # noqa: F401  unused; bench/spans.py patches this name
-from .primalsolve import classify_risk_adv, construct_f, risk_adv, threshold_classifier
+from .primalsolve import classify_risk_adv, construct_f, eta_hat, threshold_classifier
 
 #: default gap tolerances: the exponential pipeline is solved directly, the
 #: other losses inherit a constructed minimizer and a re-scored dual
@@ -60,10 +61,6 @@ class Certificate:
     support_violation: float | None = None
     winf_ok: tuple[bool, bool] | None = None
     diagnostic: bool = False
-    extras: dict = field(default_factory=dict, repr=False)
-
-    def passes(self, tol: float) -> bool:
-        return self.gap <= tol
 
     def as_dict(self) -> dict:
         return {
@@ -102,19 +99,22 @@ def _check_dual_feasible(dual: DualSolution, g: GroundSet,
                                  "pushforward")
 
 
-def duality_gap(loss: Loss, f, dual: DualSolution, g: GroundSet,
-                measure: TwoClassMeasure) -> Certificate:
-    """Certificate carrying the primal/dual values and their gap.
-
-    The slackness and support fields are left unset; ``certify`` fills
-    everything in one pass.  The W-infinity flags come from the validated
-    coupling witness.
-    """
-    _check_dual_feasible(dual, g, measure)
-    primal = risk_adv(loss, f, g, measure)
-    dual_val = dual_objective(loss, dual.m0, dual.m1)
-    return Certificate(loss=loss.kind, primal_value=primal, dual_value=dual_val,
-                       gap=primal - dual_val, winf_ok=(True, True))
+def _residuals(loss: Loss, f, dual: DualSolution, g: GroundSet,
+               measure: TwoClassMeasure) -> tuple[float, float, float, float]:
+    """Primal value and residual triple (r1, r0, r_pt) from one evaluation
+    of phi(f), phi(-f) and their ball suprema, for a validated witness.
+    The primal value is summed exactly as ``risk_adv`` sums it."""
+    f = g.check_field(f)
+    phi_f = loss.phi(f)
+    phi_nf = loss.phi(-f)
+    worst1 = mul0(measure.mass1, sup_ball(g, phi_f)).sum()
+    worst0 = mul0(measure.mass0, sup_ball(g, phi_nf)).sum()
+    r1 = float(worst1 - mul0(dual.m1, phi_f).sum())
+    r0 = float(worst0 - mul0(dual.m0, phi_nf).sum())
+    eta = np.clip(dual.eta_star(), 0.0, 1.0)
+    cond = mul0(eta, phi_f) + mul0(1.0 - eta, phi_nf) - loss.cstar(eta)
+    r_pt = float(mul0(dual.m0 + dual.m1, cond).sum())
+    return float(worst1 + worst0), r1, r0, r_pt
 
 
 def slackness(loss: Loss, f, dual: DualSolution, g: GroundSet,
@@ -129,21 +129,7 @@ def slackness(loss: Loss, f, dual: DualSolution, g: GroundSet,
     their sum equals the duality gap.
     """
     _check_dual_feasible(dual, g, measure)
-    f = g.check_field(f)
-    phi_f = loss.phi(f)
-    phi_nf = loss.phi(-f)
-
-    r1 = float(mul0(measure.mass1, sup_ball(g, phi_f)).sum()
-               - mul0(dual.m1, phi_f).sum())
-    r0 = float(mul0(measure.mass0, sup_ball(g, phi_nf)).sum()
-               - mul0(dual.m0, phi_nf).sum())
-
-    s = dual.m0 + dual.m1
-    eta = np.divide(dual.m1, s, out=np.full_like(s, 0.5), where=s > 0)
-    eta = np.clip(eta, 0.0, 1.0)
-    cond = mul0(eta, phi_f) + mul0(1.0 - eta, phi_nf) - loss.cstar(eta)
-    r_pt = float(mul0(s, cond).sum())
-    return r1, r0, r_pt
+    return _residuals(loss, f, dual, g, measure)[1:]
 
 
 def support_conditions(eta, dual: DualSolution, g: GroundSet,
@@ -176,18 +162,24 @@ def support_conditions(eta, dual: DualSolution, g: GroundSet,
 def certify(loss: Loss, f, dual: DualSolution, g: GroundSet,
             measure: TwoClassMeasure, eta=None) -> Certificate:
     """Full certificate: gap, slackness residuals, support check, W-infinity
-    feasibility flags."""
-    base = duality_gap(loss, f, dual, g, measure)
-    r1, r0, r_pt = slackness(loss, f, dual, g, measure)
-    if eta is None:
-        with np.errstate(over="ignore"):
-            eta = 1.0 / (1.0 + np.exp(-2.0 * g.check_field(f)))
-    support = support_conditions(eta, dual, g)
-    return Certificate(loss=loss.kind, primal_value=base.primal_value,
-                       dual_value=base.dual_value, gap=base.gap,
-                       slack_sup_r1=r1, slack_sup_r0=r0,
+    feasibility flags.  The witness is validated once and the support check
+    reads ``eta`` (default ``eta_hat(f)``)."""
+    _check_dual_feasible(dual, g, measure)
+    primal, r1, r0, r_pt = _residuals(loss, f, dual, g, measure)
+    dual_val = dual_objective(loss, dual.m0, dual.m1)
+    support = support_conditions(eta_hat(f) if eta is None else eta, dual, g)
+    return Certificate(loss=loss.kind, primal_value=primal, dual_value=dual_val,
+                       gap=primal - dual_val, slack_sup_r1=r1, slack_sup_r0=r0,
                        slack_pointwise=r_pt, support_violation=support,
-                       winf_ok=base.winf_ok)
+                       winf_ok=(True, True))
+
+
+def uncertified(certs: dict[str, Certificate], tol: float | None) -> list[str]:
+    """Kinds of the non-diagnostic certificates whose gap is not within
+    ``gap_tol(kind, tol)``; a NaN gap counts as uncertified.  Every command
+    judges a solve by this list alone."""
+    return [kind for kind, c in certs.items()
+            if not c.diagnostic and not c.gap <= gap_tol(kind, tol)]
 
 
 def snap_eta(eta) -> np.ndarray:

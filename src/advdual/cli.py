@@ -5,13 +5,18 @@ CSV/SVG), winf (infinity-Wasserstein distance between the class measures),
 attack (emit the distribution-level universal attack), verify (re-check a
 stored result), oracle (brute-force reference values for tiny fixtures).
 
-Exit codes: 0 success, 2 parse/validation failure, 3 nonconvergence or an
-uncertified gap, 4 certificate mismatch in verify.
+Every command that solves judges the solve by ``certify.uncertified``: the
+losses whose certificate gap exceeds its tolerance.
+
+Exit codes: 0 success, 2 parse/validation failure, 3 an uncertified gap in
+solve, sweep or attack (or a solver error), 4 a stored result that verify
+rejects, an uncertified gap included.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -19,7 +24,7 @@ import time
 import numpy as np
 
 from . import io as adio
-from .certify import gap_tol, universality_check
+from .certify import Certificate, gap_tol, uncertified, universality_check
 from .dualsolve import DualSolution, brute_dual, dual_objective, solve_dual
 from .errors import AdvdualError, InstanceTooLarge, ParseError, ValidationError
 from .ground import build_ground
@@ -38,13 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite ground sets, with optimality certificates.")
     sub = ap.add_subparsers(dest="command", required=True)
     losses = LOSS_CHOICES + ("all",)
-    exp_tol = "exponential gap tolerance the pipeline solves to (default 1e-4)"
+    tol_help = "gap tolerance of every loss (default 1e-4 exp, 1e-3 other losses)"
 
     p = sub.add_parser("solve", help="solve primal and dual, certify, write result")
     p.add_argument("instance")
     p.add_argument("--loss", choices=losses, default="exp", help="surrogate loss")
-    p.add_argument("--tol", type=float,
-                   help="gap tolerance of every loss (default 1e-4 exp, 1e-3 other losses)")
+    p.add_argument("--tol", type=float, help=tol_help)
     p.add_argument("--out", help="result JSON path (default <instance>_result.json)")
 
     p = sub.add_parser("sweep", help="solve across an epsilon grid, emit CSV")
@@ -52,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True,
                    help="comma-separated epsilon grid, e.g. 0,0.3,0.6")
     p.add_argument("--loss", choices=losses, default="all", help="surrogate loss")
-    p.add_argument("--tol", type=float, help=exp_tol)
+    p.add_argument("--tol", type=float, help=tol_help)
     p.add_argument("--out", help="output stem (default <instance>_sweep)")
     p.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
 
@@ -62,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="emit the universal distribution-level attack")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, help=exp_tol)
+    p.add_argument("--tol", type=float,
+                   help="exponential gap tolerance (default 1e-4)")
     p.add_argument("--out", help="also write the couplings to this JSON path")
 
     p = sub.add_parser("verify", help="re-check a stored result against its instance")
@@ -81,11 +86,11 @@ def _requested_losses(arg: str) -> list[str]:
 
 
 def _pipeline(g, measure, tol: float):
-    """Smoothed L-BFGS exponential primal, then one tangent-cut program
-    (``solve_dual``) seeded by its field.  The program's couplings and the
-    field read off its cut multipliers are returned as the primal and dual
-    solutions, and ``ds.converged`` says that their exponential gap is at
-    most ``tol * max(1, risk)``."""
+    """Smoothed L-BFGS exponential primal, then the tangent-cut programs
+    (``solve_dual``) seeded by its field, until their exponential gap is at
+    most ``tol`` or they stop improving.  The programs' couplings and the
+    field read off their cut multipliers are returned as the primal and dual
+    solutions; their certificates judge them."""
     t0 = time.perf_counter()
     ps = solve_exp_primal(g, measure)
     ds = solve_dual(g, measure, ps.f, tol)
@@ -131,6 +136,16 @@ def _print_cert_line(name: str, cert) -> None:
           f"dual={cert.dual_value:.12g} gap={cert.gap:.6g}{tag}")
 
 
+def _warn_uncertified(certs: dict[str, Certificate], tol: float | None,
+                      where: str = "") -> list[str]:
+    """``uncertified(certs, tol)``, with one warning on stderr per kind."""
+    bad = uncertified(certs, tol)
+    for kind in bad:
+        print(f"warning: {where}{kind} gap {certs[kind].gap:.6g} is not "
+              f"certified at tol {gap_tol(kind, tol):g}", file=sys.stderr)
+    return bad
+
+
 def cmd_solve(args) -> int:
     g, measure = adio.load_instance(args.instance)
     # the exponential certificate is always computed, and judged at its own
@@ -143,21 +158,14 @@ def cmd_solve(args) -> int:
     out = args.out or os.path.splitext(args.instance)[0] + "_result.json"
     adio.save_result(out, result)
 
-    code = 0
     for loss_name in _requested_losses(args.loss):
-        kind = get_loss(loss_name).kind
-        cert = certs[kind]
+        cert = certs[get_loss(loss_name).kind]
         _print_cert_line(loss_name, cert)
         if cert.diagnostic:
             print("warning: zero-one gap is diagnostic only; optimality of "
                   "the thresholded classifier is not certified")
-            continue
-        if cert.gap > gap_tol(kind, args.tol):
-            code = 3
-    if not ds.converged:
-        code = 3
     print(f"result written to {out}")
-    return code
+    return 3 if _warn_uncertified(certs, args.tol) else 0
 
 
 def cmd_sweep(args) -> int:
@@ -168,6 +176,10 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"bad --eps value: {e}") from e
     if not eps_grid:
         raise ValidationError("empty epsilon grid")
+    bad = [eps for eps in eps_grid if not (math.isfinite(eps) and eps >= 0)]
+    if bad:
+        raise ValidationError(f"--eps values must be finite and nonnegative, "
+                              f"got {bad[0]}")
     uniq = sorted(set(eps_grid))
     if len(uniq) < len(eps_grid):
         print("warning: duplicate epsilon values removed", file=sys.stderr)
@@ -189,6 +201,8 @@ def cmd_sweep(args) -> int:
             code = 3
             continue
         ms = int(round(1000.0 * (time.perf_counter() - t0)))
+        if _warn_uncertified(certs, args.tol, f"eps={eps:g}: "):
+            code = 3
         for loss_name in losses:
             cert = certs[get_loss(loss_name).kind]
             rows.append(dict(eps=eps, loss=loss_name, primal=cert.primal_value,
@@ -218,8 +232,7 @@ def cmd_winf(args) -> int:
 
 def cmd_attack(args) -> int:
     g, measure = adio.load_instance(args.instance)
-    tol = gap_tol("exponential", args.tol)
-    ps, ds, runtime_ms = _pipeline(g, measure, tol)
+    ps, ds, runtime_ms = _pipeline(g, measure, gap_tol("exponential", args.tol))
     for label, c in (("class0", ds.coupling0), ("class1", ds.coupling1)):
         for i, j, w in c.triples():
             print(f"{label} {i} -> {j} mass {w:.17g}")
@@ -231,10 +244,9 @@ def cmd_attack(args) -> int:
             "provenance": {"runtime_ms": runtime_ms},
         })
         print(f"attack written to {args.out}")
-    gap = ps.risk - ds.objective
-    if not ds.converged or gap > tol:
-        print(f"warning: exponential gap {gap:.6g} is not certified at tol {tol:g}; "
-              "the couplings are not an optimal attack", file=sys.stderr)
+    certs = universality_check(eta_hat(ps.f), ds, ["exp"], g, measure)
+    if _warn_uncertified(certs, args.tol):
+        print("warning: the couplings are not an optimal attack", file=sys.stderr)
         return 3
     return 0
 
@@ -278,7 +290,7 @@ def cmd_verify(args) -> int:
         # pushforwards before it scores each loss
         dual = DualSolution(coupling0=c0, coupling1=c1, m0=m0, m1=m1,
                             objective=dual_objective(get_loss("exp"), m0, m1),
-                            iterations=0, converged=True)
+                            iterations=0)
         fresh = universality_check(eta, dual, list(stored), g, measure)
     except AdvdualError as e:
         return fail(str(e))
@@ -297,10 +309,10 @@ def cmd_verify(args) -> int:
             if cert.get(key) != got[key]:
                 return fail(f"{kind}.{key}: stored {cert.get(key)!r} vs "
                             f"recomputed {got[key]!r}")
-        if not got["diagnostic"]:
-            tol = gap_tol(kind, solve_tol)
-            if not float(cert["gap"]) <= tol:
-                return fail(f"{kind}.gap {cert['gap']!r} exceeds tolerance {tol}")
+    bad = uncertified(fresh, solve_tol)
+    if bad:
+        return fail(f"{bad[0]}.gap {stored[bad[0]]['gap']!r} exceeds tolerance "
+                    f"{gap_tol(bad[0], solve_tol)}")
     print("verify OK")
     return 0
 
@@ -334,10 +346,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except InstanceTooLarge as e:
+    except (ParseError, ValidationError, InstanceTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AdvdualError as e:

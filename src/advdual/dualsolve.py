@@ -52,8 +52,8 @@ class DualSolution:
     A solve also returns the score field ``f`` read off the cut multipliers
     of the same program (the given field, if no program was solved), its
     exponential ``risk``, and the feasible pair ``hpair`` it comes from,
-    whose ``theta`` bounds ``risk`` from above.  ``converged`` says that
-    ``risk - objective <= tol * max(1, risk)``.
+    whose ``theta`` bounds ``risk`` from above.  Whether the pair is
+    optimal enough is for its certificate to say.
     """
 
     coupling0: Coupling
@@ -62,7 +62,6 @@ class DualSolution:
     m1: np.ndarray
     objective: float
     iterations: int
-    converged: bool
     f: np.ndarray | None = None
     risk: float | None = None
     hpair: HPair | None = None
@@ -218,9 +217,10 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     ``f`` is already infinite there in the same direction; points no class
     reaches keep ``f``.
 
-    While risk - D > tol * max(1, risk), the next program adds the exact
-    tangent t = sqrt(m1 / m0) at each point of K with no cut within
-    ``CUT_RTOL`` in log t, for at most ``MAX_ROUNDS`` more programs.  The
+    While risk - D > tol, the absolute gap a certificate is judged at, the
+    next program adds the exact tangent t = sqrt(m1 / m0) at each point of K
+    with no cut within ``CUT_RTOL`` in log t, for at most ``MAX_ROUNDS`` more
+    programs.  The
     field and couplings of the program with the least gap are returned; a
     program HiGHS does not solve to optimality ends the loop.
     """
@@ -260,7 +260,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
             h0, h1 = EXP.phi(-field), EXP.phi(field)
             h0[K], h1[K] = h0k, h1k
             best = (gap, field, HPair(h0=h0, h1=h1), w0, w1)
-        if gap <= tol * max(1.0, risk):
+        if gap <= tol:
             break
         # the exact tangent at each mass ratio that no cut lies within CUT_RTOL of
         mk0, mk1 = m0[K], m1[K]
@@ -283,7 +283,6 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     risk = risk_adv(EXP, field, g, measure)
     return DualSolution(coupling0=c0, coupling1=c1, m0=m0, m1=m1,
                         objective=obj, iterations=iterations,
-                        converged=bool(risk - obj <= tol * max(1.0, risk)),
                         f=field, risk=risk, hpair=hpair)
 
 

@@ -56,16 +56,8 @@ class TwoClassMeasure:
         return self.mass0.shape[0]
 
     @property
-    def total0(self) -> float:
-        return float(self.mass0.sum())
-
-    @property
-    def total1(self) -> float:
-        return float(self.mass1.sum())
-
-    @property
     def total(self) -> float:
-        return self.total0 + self.total1
+        return float(self.mass0.sum()) + float(self.mass1.sum())
 
 
 @dataclass(frozen=True)
@@ -103,12 +95,6 @@ class Coupling:
     def source_marginal(self) -> np.ndarray:
         return np.bincount(self.src, weights=self.w, minlength=self.n)
 
-    def target_marginal(self) -> np.ndarray:
-        return np.bincount(self.dst, weights=self.w, minlength=self.n)
-
-    def total(self) -> float:
-        return float(self.w.sum())
-
     def triples(self):
         return [(int(i), int(j), float(v)) for i, j, v in zip(self.src, self.dst, self.w)]
 
@@ -116,7 +102,7 @@ class Coupling:
 def pushforward(c: Coupling) -> np.ndarray:
     """Target marginal of a coupling; total mass is preserved exactly up to
     float summation order."""
-    return c.target_marginal()
+    return np.bincount(c.dst, weights=c.w, minlength=c.n)
 
 
 def coupling_in_delta(g: GroundSet, c: Coupling, epsilon: float | None = None,

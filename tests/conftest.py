@@ -72,9 +72,10 @@ def hall_feasible(dist: np.ndarray, p: np.ndarray, q: np.ndarray,
                   eps: float) -> bool:
     """Feasibility of moving p onto q within distance eps, decided by the
     marriage-theorem condition: every subset of target mass must be covered
-    by the source mass that can reach it."""
+    by the source mass that can reach it.  A pair is within reach when its
+    distance is at most eps, the package's own relation, with no slack."""
     tgt = np.flatnonzero(q > 0)
-    reach = dist <= eps + 1e-12
+    reach = dist <= eps
     for r in range(1, tgt.size + 1):
         for sub in combinations(tgt, r):
             need = q[list(sub)].sum()

@@ -275,11 +275,11 @@ def _scatter_l2(n=400, eps=0.3, seed=1):
 
 
 def _assert_certified(g, measure, ps, ds, tol, name):
-    """``converged`` holds exactly when the returned pair's exponential gap
-    is within tolerance, and the multiplier pair bounds the field's risk."""
+    """The returned pair's exponential gap is within tolerance, and the
+    multiplier pair bounds the field's risk."""
     risk = risk_adv(EXP, ps.f, g, measure)
     assert risk == ps.risk, name
-    assert ds.converged == (risk - ds.objective <= tol * max(1.0, risk)), name
+    assert risk - ds.objective <= tol, name
     assert hpair_feasible(EXP, ds.hpair.h0, ds.hpair.h1), name
     assert theta(EXP, ds.hpair, g, measure) >= risk - 1e-12 * max(1.0, risk), name
 
@@ -294,13 +294,12 @@ def test_pipeline_convergence_is_certified(random_suite, oracle_instances):
     g, measure = _scatter_l2()
     ps, ds, _ = _pipeline(g, measure, 1e-4)
     _assert_certified(g, measure, ps, ds, 1e-4, "scatter l2")
-    assert ds.converged
 
 
 @pytest.mark.parametrize("seed, draw", [(3, 106), (2, 105), (5, 112)])
 def test_fresh_draw_exponential_certificate(seed, draw):
     # draws of the suite family on which an earlier dual stopped short (the
-    # 106th from seed 3 reported a gap of 0.095 as converged)
+    # 106th from seed 3 reported a gap of 0.095 as certified)
     rng = np.random.default_rng(seed)
     for _ in range(draw):
         g, measure = _random_instance(rng)

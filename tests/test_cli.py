@@ -220,6 +220,14 @@ def test_sweep_bad_eps(inst, capsys):
     assert main(["sweep", inst, "--eps", ","]) == 2
 
 
+@pytest.mark.parametrize("grid", ["-0.1,0.3", "nan", "0.3,inf"])
+def test_sweep_rejects_eps_outside_range(inst, tmp_path, grid, capsys):
+    stem = str(tmp_path / "sw")
+    assert main(["sweep", inst, f"--eps={grid}", "--out", stem]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(stem + ".csv")
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--eps", "0.3", "--format", "json"],  # would write no file
     ["solve", "--format", "json"],
@@ -281,20 +289,32 @@ def test_attack_triples(inst, capsys):
     assert "class1 1 -> 2 mass 0.5" in out
 
 
-@pytest.mark.parametrize("bend", [
-    lambda ps, ds: (ps, dataclasses.replace(ds, converged=False)),
-    lambda ps, ds: (dataclasses.replace(ps, risk=ps.risk + 1e-3), ds),
-], ids=["not-converged", "loose-gap"])
-def test_attack_exits_3_when_not_certified(inst, monkeypatch, capsys, bend):
+def _bend_pipeline(monkeypatch):
+    """Make every solve return its field shifted by 0.1: a sound witness
+    whose certificate gap is far above any default tolerance."""
     real = cli._pipeline
 
     def pipeline(g, measure, tol):
         ps, ds, ms = real(g, measure, tol)
-        return (*bend(ps, ds), ms)
+        return dataclasses.replace(ps, f=ps.f + 0.1), ds, ms
 
     monkeypatch.setattr(cli, "_pipeline", pipeline)
+
+
+@pytest.mark.parametrize("bend", [_bend_pipeline], ids=["loose-gap"])
+def test_attack_exits_3_when_not_certified(inst, monkeypatch, capsys, bend):
+    bend(monkeypatch)
     assert main(["attack", inst]) == 3
     assert "not certified" in capsys.readouterr().err
+
+
+def test_sweep_exits_3_when_not_certified(inst, tmp_path, monkeypatch, capsys):
+    _bend_pipeline(monkeypatch)
+    stem = str(tmp_path / "sw")
+    assert main(["sweep", inst, "--eps", "0.3,0.6", "--out", stem]) == 3
+    assert "eps=0.6: exponential gap" in capsys.readouterr().err
+    # the rows are still written, with the gaps that failed
+    assert len(open(stem + ".csv").read().splitlines()) == 1 + 2 * 4
 
 
 def test_benchmark_patch_names_resolve(inst, tmp_path):

@@ -102,6 +102,15 @@ def test_winf_matches_hall_oracle():
         q = np.zeros(n)
         q[rng.permutation(n)] = p
         assert winf_distance(g, p, q) == hall_winf(g, p, q)
+    # coordinates on a 0.1 grid: many pairs tie at one distance up to the
+    # last bit, so the oracle must decide "within" exactly as the package
+    for t in range(60):
+        n = int(rng.integers(2, 7))
+        g = build_ground(np.round(rng.uniform(0, 2, (n, 2)), 1),
+                         ("l1", "l2", "linf")[t % 3], 1.0)
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.ones(n))
+        assert winf_distance(g, p, q) == hall_winf(g, p, q)
 
 
 def test_winf_unbalanced_target_matches_hall_oracle():

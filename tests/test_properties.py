@@ -1,11 +1,18 @@
 """Property-based invariants over randomly generated inputs."""
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+import os
+import tempfile
 
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from advdual.certify import universality_check
+from advdual.cli import _pipeline, main
 from advdual.ground import build_ground, inf_ball, sliding_max_1d, sup_ball
+from advdual.io import save_instance
 from advdual.losses import get_loss
-from advdual.measures import greedy_attack, pushforward, winf_distance
+from advdual.measures import TwoClassMeasure, greedy_attack, pushforward, winf_distance
+from advdual.primalsolve import eta_hat
 
 from conftest import naive_window_max
 
@@ -72,3 +79,46 @@ def test_cstar_dominated_by_conditional_risk(etas):
         alpha = rng.normal(scale=3.0, size=eta.size)
         cond = eta * loss.phi(alpha) + (1.0 - eta) * loss.phi(-alpha)
         assert np.all(cond >= loss.cstar(eta) - 1e-12)
+
+
+@st.composite
+def tiny_instance(draw):
+    """Up to five points on a coarse 2-D grid, so duplicate points and pairs
+    exactly epsilon apart are common; epsilon may be 0; masses come from a
+    few values including 0, and either class may be empty."""
+    n = draw(st.integers(1, 5))
+    coord = st.sampled_from([0.0, 0.5, 1.0])
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    norm = draw(st.sampled_from(["l1", "l2", "linf"]))
+    eps = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    mass = st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n, max_size=n)
+    m0, m1 = np.array(draw(mass)), np.array(draw(mass))
+    if draw(st.booleans()):
+        (m0 if draw(st.booleans()) else m1)[:] = 0.0
+    if m0.sum() + m1.sum() == 0.0:
+        m1[0] = 1.0
+    return pts, norm, eps, m0, m1
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_instance())
+# total mass 2 on one point repeated: a loop stopping at a gap relative to
+# the risk (1.3e-4 here) passed the tolerance that solve then judges as
+# absolute
+@example((np.zeros((4, 2)), "l1", 0.0, np.array([0.0, 0.25, 0.25, 1.0]),
+          np.array([0.0, 0.0, 0.25, 0.25])))
+def test_residuals_sum_to_gap_and_round_trip_verifies(inst):
+    pts, norm, eps, m0, m1 = inst
+    g = build_ground(pts, norm, eps)
+    measure = TwoClassMeasure.build(m0, m1)
+    ps, ds, _ = _pipeline(g, measure, 1e-4)
+    certs = universality_check(eta_hat(ps.f), ds, ["exp", "logistic", "hinge"],
+                               g, measure)
+    for kind, c in certs.items():
+        total = c.slack_sup_r1 + c.slack_sup_r0 + c.slack_pointwise
+        assert abs(total - c.gap) <= 1e-12, (kind, total, c.gap)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "inst.json"), os.path.join(tmp, "res.json")
+        save_instance(path, pts, norm, eps, m0, m1)
+        assert main(["solve", path, "--loss", "all", "--out", out]) == 0
+        assert main(["verify", path, out]) == 0
