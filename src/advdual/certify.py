@@ -15,7 +15,7 @@ the losses whose gap misses its tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,24 +27,31 @@ from .measures import TwoClassMeasure, coupling_in_delta, pushforward
 from .measures import winf_feasible  # noqa: F401  unused; bench/spans.py patches this name
 from .primalsolve import classify_risk_adv, construct_f, eta_hat, threshold_classifier
 
-#: default gap tolerances: the exponential pipeline is solved directly, the
-#: other losses inherit a constructed minimizer and a re-scored dual
+#: default gap tolerances per unit of total mass: the exponential pipeline
+#: is solved directly, the other losses inherit a constructed minimizer and a
+#: re-scored dual
 TOL_EXP = 1e-4
 TOL_UNIVERSAL = 1e-3
 
 
-def gap_tol(kind: str, tol: float | None) -> float:
-    """Gap tolerance a certificate of loss ``kind`` is judged at: ``tol``
-    when one was given, else TOL_EXP for the exponential loss and
-    TOL_UNIVERSAL for the others."""
-    if tol is not None:
-        return float(tol)
-    return TOL_EXP if kind == "exponential" else TOL_UNIVERSAL
+def gap_tol(kind: str, tol: float | None, total: float) -> float:
+    """Gap a certificate of loss ``kind`` is judged at on an instance of total
+    mass ``total``: ``tol`` (default TOL_EXP for the exponential loss,
+    TOL_UNIVERSAL for the others) times ``total``.  Risks and dual values
+    scale with the masses, so the verdict does not depend on their scale."""
+    if tol is None:
+        tol = TOL_EXP if kind == "exponential" else TOL_UNIVERSAL
+    return float(tol) * total
 
 
 # eta values this close to one half are treated as exactly one half before
 # applying a discontinuous pointwise minimizer (the hinge one jumps there)
 ETA_HALF_SNAP = 1e-6
+# a support destination violates when its eta differs from the ball extremum
+# at its source by more than this: well above the flat-direction noise of a
+# polished score field (about 2e-3 in eta) and well below the mismatch of a
+# genuinely wrong destination (0.1 and up)
+SUPPORT_MATCH_TOL = 5e-3
 
 
 @dataclass(frozen=True)
@@ -63,18 +70,12 @@ class Certificate:
     diagnostic: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "loss": self.loss,
-            "primal_value": self.primal_value,
-            "dual_value": self.dual_value,
-            "gap": self.gap,
-            "slack_sup_r1": self.slack_sup_r1,
-            "slack_sup_r0": self.slack_sup_r0,
-            "slack_pointwise": self.slack_pointwise,
-            "support_violation": self.support_violation,
-            "winf_ok": list(self.winf_ok) if self.winf_ok is not None else None,
-            "diagnostic": self.diagnostic,
-        }
+        """Every field by name, as a result file stores it and ``verify``
+        compares it (``winf_ok`` as a list, the form JSON reads back)."""
+        out = asdict(self)
+        if self.winf_ok is not None:
+            out["winf_ok"] = list(self.winf_ok)
+        return out
 
 
 def _check_dual_feasible(dual: DualSolution, g: GroundSet,
@@ -132,17 +133,13 @@ def slackness(loss: Loss, f, dual: DualSolution, g: GroundSet,
     return _residuals(loss, f, dual, g, measure)[1:]
 
 
-def support_conditions(eta, dual: DualSolution, g: GroundSet,
-                       match_tol: float = 5e-3) -> float:
+def support_conditions(eta, dual: DualSolution, g: GroundSet) -> float:
     """Total coupling mass violating the extremizer-support conditions.
 
     Class-1 mass may only flow to ball minimizers of the
     conditional-probability field, class-0 mass only to ball maximizers;
     a destination counts as violating when its eta value differs from the
-    ball extremum at the source by more than ``match_tol``.  The default
-    tolerance sits well above the flat-direction noise of a polished score
-    field (about 2e-3 in eta) and well below the mismatch of a genuinely
-    wrong destination (0.1 and up).
+    ball extremum at the source by more than ``SUPPORT_MATCH_TOL``.
     """
     eta = np.clip(g.check_field(eta), 0.0, 1.0)
     lo = inf_ball(g, eta)
@@ -150,11 +147,11 @@ def support_conditions(eta, dual: DualSolution, g: GroundSet,
     bad = 0.0
     c1 = dual.coupling1
     if c1.n:
-        viol = np.abs(lo[c1.src] - eta[c1.dst]) > match_tol
+        viol = np.abs(lo[c1.src] - eta[c1.dst]) > SUPPORT_MATCH_TOL
         bad += float(c1.w[viol].sum())
     c0 = dual.coupling0
     if c0.n:
-        viol = np.abs(hi[c0.src] - eta[c0.dst]) > match_tol
+        viol = np.abs(hi[c0.src] - eta[c0.dst]) > SUPPORT_MATCH_TOL
         bad += float(c0.w[viol].sum())
     return bad
 
@@ -174,12 +171,13 @@ def certify(loss: Loss, f, dual: DualSolution, g: GroundSet,
                        winf_ok=(True, True))
 
 
-def uncertified(certs: dict[str, Certificate], tol: float | None) -> list[str]:
+def uncertified(certs: dict[str, Certificate], tol: float | None,
+                total: float) -> list[str]:
     """Kinds of the non-diagnostic certificates whose gap is not within
-    ``gap_tol(kind, tol)``; a NaN gap counts as uncertified.  Every command
-    judges a solve by this list alone."""
+    ``gap_tol(kind, tol, total)``; a NaN gap counts as uncertified.  Every
+    command judges a solve by this list alone."""
     return [kind for kind, c in certs.items()
-            if not c.diagnostic and not c.gap <= gap_tol(kind, tol)]
+            if not c.diagnostic and not c.gap <= gap_tol(kind, tol, total)]
 
 
 def snap_eta(eta) -> np.ndarray:

@@ -28,7 +28,7 @@ from .certify import Certificate, gap_tol, uncertified, universality_check
 from .dualsolve import DualSolution, brute_dual, dual_objective, solve_dual
 from .errors import AdvdualError, InstanceTooLarge, ParseError, ValidationError
 from .ground import build_ground
-from .losses import get_loss
+from .losses import LOSS_KINDS, get_loss
 from .measures import Coupling, winf_distance
 from .primalsolve import PrimalSolution, brute_primal, eta_hat, solve_exp_primal
 
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite ground sets, with optimality certificates.")
     sub = ap.add_subparsers(dest="command", required=True)
     losses = LOSS_CHOICES + ("all",)
-    tol_help = "gap tolerance of every loss (default 1e-4 exp, 1e-3 other losses)"
+    tol_help = "gap tolerance per unit of total mass (default 1e-4 exp, 1e-3 others)"
 
     p = sub.add_parser("solve", help="solve primal and dual, certify, write result")
     p.add_argument("instance")
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="emit the universal distribution-level attack")
     p.add_argument("instance")
     p.add_argument("--tol", type=float,
-                   help="exponential gap tolerance (default 1e-4)")
+                   help="exponential gap tolerance per unit of mass (default 1e-4)")
     p.add_argument("--out", help="also write the couplings to this JSON path")
 
     p = sub.add_parser("verify", help="re-check a stored result against its instance")
@@ -85,15 +85,16 @@ def _requested_losses(arg: str) -> list[str]:
     return ALL_LOSSES if arg == "all" else [arg]
 
 
-def _pipeline(g, measure, tol: float):
+def _pipeline(g, measure, tol: float | None):
     """Smoothed L-BFGS exponential primal, then the tangent-cut programs
-    (``solve_dual``) seeded by its field, until their exponential gap is at
-    most ``tol`` or they stop improving.  The programs' couplings and the
-    field read off their cut multipliers are returned as the primal and dual
-    solutions; their certificates judge them."""
+    (``solve_dual``) seeded by its field, until their exponential gap is
+    within ``gap_tol("exponential", tol, measure.total)``, the gap its
+    certificate is judged at, or they stop improving.  The programs'
+    couplings and the field read off their cut multipliers are returned as
+    the primal and dual solutions; their certificates judge them."""
     t0 = time.perf_counter()
     ps = solve_exp_primal(g, measure)
-    ds = solve_dual(g, measure, ps.f, tol)
+    ds = solve_dual(g, measure, ps.f, gap_tol("exponential", tol, measure.total))
     ps = PrimalSolution(f=ds.f, risk=ds.risk, iterations=ps.iterations)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     return ps, ds, runtime_ms
@@ -102,7 +103,7 @@ def _pipeline(g, measure, tol: float):
 def _result_dict(instance_path, g, ps, ds, certs, tol, runtime_ms) -> dict:
     """Result file contents; ``tol`` is the --tol the solve was given, or
     None, and ``verify`` judges every certificate through ``gap_tol`` with
-    it."""
+    it and the instance's total mass."""
     eta = eta_hat(ps.f)
     return {
         "schema_version": adio.SCHEMA_VERSION,
@@ -137,12 +138,12 @@ def _print_cert_line(name: str, cert) -> None:
 
 
 def _warn_uncertified(certs: dict[str, Certificate], tol: float | None,
-                      where: str = "") -> list[str]:
-    """``uncertified(certs, tol)``, with one warning on stderr per kind."""
-    bad = uncertified(certs, tol)
+                      total: float, where: str = "") -> list[str]:
+    """``uncertified(certs, tol, total)``, with one stderr warning per kind."""
+    bad = uncertified(certs, tol, total)
     for kind in bad:
         print(f"warning: {where}{kind} gap {certs[kind].gap:.6g} is not "
-              f"certified at tol {gap_tol(kind, tol):g}", file=sys.stderr)
+              f"certified at tol {gap_tol(kind, tol, total):g}", file=sys.stderr)
     return bad
 
 
@@ -150,7 +151,7 @@ def cmd_solve(args) -> int:
     g, measure = adio.load_instance(args.instance)
     # the exponential certificate is always computed, and judged at its own
     # tolerance whatever --loss asks for
-    ps, ds, runtime_ms = _pipeline(g, measure, gap_tol("exponential", args.tol))
+    ps, ds, runtime_ms = _pipeline(g, measure, args.tol)
     eta = eta_hat(ps.f)
     names = sorted(set(_requested_losses(args.loss)) | {"exp"})
     certs = universality_check(eta, ds, names, g, measure)
@@ -165,7 +166,7 @@ def cmd_solve(args) -> int:
             print("warning: zero-one gap is diagnostic only; optimality of "
                   "the thresholded classifier is not certified")
     print(f"result written to {out}")
-    return 3 if _warn_uncertified(certs, args.tol) else 0
+    return 3 if _warn_uncertified(certs, args.tol, measure.total) else 0
 
 
 def cmd_sweep(args) -> int:
@@ -190,7 +191,7 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         try:
             ge = build_ground(g.points, g.norm, eps)
-            ps, ds, _ = _pipeline(ge, measure, gap_tol("exponential", args.tol))
+            ps, ds, _ = _pipeline(ge, measure, args.tol)
             certs = universality_check(eta_hat(ps.f), ds, losses, ge, measure)
         except AdvdualError as e:
             print(f"warning: eps={eps:g} failed: {e}", file=sys.stderr)
@@ -201,7 +202,7 @@ def cmd_sweep(args) -> int:
             code = 3
             continue
         ms = int(round(1000.0 * (time.perf_counter() - t0)))
-        if _warn_uncertified(certs, args.tol, f"eps={eps:g}: "):
+        if _warn_uncertified(certs, args.tol, measure.total, f"eps={eps:g}: "):
             code = 3
         for loss_name in losses:
             cert = certs[get_loss(loss_name).kind]
@@ -232,7 +233,7 @@ def cmd_winf(args) -> int:
 
 def cmd_attack(args) -> int:
     g, measure = adio.load_instance(args.instance)
-    ps, ds, runtime_ms = _pipeline(g, measure, gap_tol("exponential", args.tol))
+    ps, ds, runtime_ms = _pipeline(g, measure, args.tol)
     for label, c in (("class0", ds.coupling0), ("class1", ds.coupling1)):
         for i, j, w in c.triples():
             print(f"{label} {i} -> {j} mass {w:.17g}")
@@ -245,10 +246,19 @@ def cmd_attack(args) -> int:
         })
         print(f"attack written to {args.out}")
     certs = universality_check(eta_hat(ps.f), ds, ["exp"], g, measure)
-    if _warn_uncertified(certs, args.tol):
+    if _warn_uncertified(certs, args.tol, measure.total):
         print("warning: the couplings are not an optimal attack", file=sys.stderr)
         return 3
     return 0
+
+
+def _stored_matches(stored, fresh) -> bool:
+    """A stored certificate value against its recomputation: floats within
+    1e-9 (a NaN never matches), everything else exactly."""
+    if isinstance(fresh, float):
+        return (isinstance(stored, (int, float)) and not isinstance(stored, bool)
+                and abs(stored - fresh) <= 1e-9)
+    return stored == fresh
 
 
 def cmd_verify(args) -> int:
@@ -273,6 +283,10 @@ def cmd_verify(args) -> int:
     if solve_tol is not None and not isinstance(solve_tol, (int, float)):
         raise ValidationError(f"provenance.tol must be a number or null, "
                               f"got {solve_tol!r}")
+    unknown = [k for k, c in stored.items()
+               if k not in LOSS_KINDS or not isinstance(c, dict)]
+    if unknown:
+        return fail(f"unknown or malformed certificate entry {unknown[0]!r}")
     if any(v.shape != (g.n,) for v in (f, eta, m0, m1)):
         return fail(f"stored vector lengths do not match the instance "
                     f"ground set ({g.n} points)")
@@ -295,24 +309,15 @@ def cmd_verify(args) -> int:
     except AdvdualError as e:
         return fail(str(e))
     for kind, cert in stored.items():
-        if kind not in fresh:
-            return fail(f"unknown certificate entry {kind!r}")
         got = fresh[kind].as_dict()
-        for key in ("primal_value", "dual_value", "gap", "slack_sup_r1",
-                    "slack_sup_r0", "slack_pointwise", "support_violation"):
-            a, b = cert.get(key), got.get(key)
-            if (a is None) != (b is None):
-                return fail(f"{kind}.{key}: stored {a!r} vs recomputed {b!r}")
-            if a is not None and not abs(float(a) - float(b)) <= 1e-9:
-                return fail(f"{kind}.{key}: stored {a!r} vs recomputed {b!r}")
-        for key in ("winf_ok", "diagnostic"):
-            if cert.get(key) != got[key]:
+        for key in sorted(set(cert) | set(got)):
+            if not _stored_matches(cert.get(key), got.get(key)):
                 return fail(f"{kind}.{key}: stored {cert.get(key)!r} vs "
-                            f"recomputed {got[key]!r}")
-    bad = uncertified(fresh, solve_tol)
+                            f"recomputed {got.get(key)!r}")
+    bad = uncertified(fresh, solve_tol, measure.total)
     if bad:
         return fail(f"{bad[0]}.gap {stored[bad[0]]['gap']!r} exceeds tolerance "
-                    f"{gap_tol(bad[0], solve_tol)}")
+                    f"{gap_tol(bad[0], solve_tol, measure.total)}")
     print("verify OK")
     return 0
 

@@ -217,12 +217,12 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     ``f`` is already infinite there in the same direction; points no class
     reaches keep ``f``.
 
-    While risk - D > tol, the absolute gap a certificate is judged at, the
-    next program adds the exact tangent t = sqrt(m1 / m0) at each point of K
-    with no cut within ``CUT_RTOL`` in log t, for at most ``MAX_ROUNDS`` more
-    programs.  The
-    field and couplings of the program with the least gap are returned; a
-    program HiGHS does not solve to optimality ends the loop.
+    While risk - D > tol (the CLI passes ``certify.gap_tol``, the gap the
+    certificate is judged at), the next program adds the exact tangent
+    t = sqrt(m1 / m0) at each point of K with no cut within ``CUT_RTOL`` in
+    log t, for at most ``MAX_ROUNDS`` more programs.  The field and couplings
+    of the program with the least gap are returned; a program HiGHS does not
+    solve to optimality ends the loop.
     """
     f = g.check_field(f)
     e0, e1 = _EdgeSet(g, measure.mass0), _EdgeSet(g, measure.mass1)

@@ -5,11 +5,15 @@ class AdvdualError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonFiniteCoordinate(AdvdualError):
+class ValidationError(AdvdualError):
+    """Input that is malformed or out of range; the CLI exits 2 on it."""
+
+
+class NonFiniteCoordinate(ValidationError):
     pass
 
 
-class NegativeEpsilon(AdvdualError):
+class NegativeEpsilon(ValidationError):
     pass
 
 
@@ -34,7 +38,7 @@ class MassMismatch(AdvdualError):
     """Transport requires equal total masses."""
 
 
-class NegativeMass(AdvdualError):
+class NegativeMass(ValidationError):
     pass
 
 
@@ -51,10 +55,6 @@ class InfeasibleDual(AdvdualError):
 
 
 class ParseError(AdvdualError):
-    pass
-
-
-class ValidationError(AdvdualError):
     pass
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NegativeEpsilon, NonFiniteCoordinate
+from .errors import NegativeEpsilon, NonFiniteCoordinate, ValidationError
 
 NORMS = ("l1", "l2", "linf")
 _TREE_P = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
@@ -84,13 +84,16 @@ def build_ground(points, norm: str = "l2", epsilon: float = 0.0) -> GroundSet:
     tree's own rounding; :func:`distances` then keeps the pairs within
     epsilon.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a nonempty list of coordinate vectors")
+    try:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"malformed points: {e}") from e
+    if pts.ndim != 2 or pts.size == 0:
+        raise ValidationError("points must be a nonempty list of coordinate vectors")
     if not np.all(np.isfinite(pts)):
         raise NonFiniteCoordinate("points contain non-finite coordinates")
     if norm not in NORMS:
-        raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
+        raise ValidationError(f"norm must be one of {NORMS}, got {norm!r}")
     epsilon = float(epsilon)
     if epsilon < 0 or not np.isfinite(epsilon):
         raise NegativeEpsilon(f"epsilon must be a finite nonnegative real, got {epsilon}")

@@ -17,12 +17,13 @@ import math
 import numpy as np
 
 from .errors import ParseError, ValidationError, WriteError
-from .ground import NORMS, GroundSet, build_ground
+from .ground import GroundSet, build_ground
 from .measures import TwoClassMeasure
 
 SCHEMA_VERSION = 1
 
 SWEEP_HEADER = ["eps", "loss", "primal", "dual", "gap", "iters", "runtime_ms"]
+SVG_WIDTH, SVG_HEIGHT = 640, 400
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +167,8 @@ def load_instance(path: str):
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValidationError("points must be a non-empty list of coordinates")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("points contain non-finite coordinates")
     norm = str(data["norm"])
-    if norm not in NORMS:
-        raise ValidationError(f"norm must be one of {NORMS}, got {norm!r}")
     epsilon = _parse("epsilon", data["epsilon"], float)
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValidationError(f"epsilon must be a finite nonnegative number, "
-                              f"got {epsilon}")
     m0 = _parse("mass0", data["mass0"], _floats)
     m1 = _parse("mass1", data["mass1"], _floats)
     n = pts.shape[0]
@@ -182,13 +176,6 @@ def load_instance(path: str):
         raise ValidationError(
             f"mass arrays must have one entry per point ({n}); got "
             f"shapes {m0.shape} and {m1.shape}")
-    for name, m in (("mass0", m0), ("mass1", m1)):
-        bad = np.flatnonzero(~np.isfinite(m) | (m < 0))
-        if bad.size:
-            raise ValidationError(
-                f"{name}[{int(bad[0])}] = {m[bad[0]]} is not a finite "
-                "nonnegative mass")
-
     r = _parse("refinement", data.get("refinement", 0), int)
     if r < 0:
         raise ValidationError("refinement level must be nonnegative")
@@ -258,9 +245,10 @@ def save_sweep_csv(path: str, rows) -> None:
     _write_text(path, buf.getvalue())
 
 
-def sweep_svg(rows, width: int = 640, height: int = 400) -> str:
+def sweep_svg(rows) -> str:
     """Static SVG line chart of primal and dual values against epsilon,
     one primal/dual pair of polylines per loss."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     losses = sorted({r["loss"] for r in rows})
     eps = sorted({float(r["eps"]) for r in rows})
     if not rows or not eps:

@@ -1,12 +1,12 @@
 """Surrogate-loss toolkit.
 
 Each loss bundles the margin function phi, the conditional risk, its optimal
-value ``cstar``, and the smallest-minimizer map ``alpha_opt``.  Closed forms
-are used where available; a grid-plus-golden-section 1-D search provides the
-numeric fallback (and the independent oracle in tests).  The zero-one loss is
-exposed only through ``cstar`` and threshold classification: its margin
-function fails the lower semi-continuity assumption the rest of the theory
-depends on.
+value ``cstar``, and the smallest-minimizer map ``alpha_opt``, all in
+closed form, as is the cstar-transform ``transform_h``.  A grid-plus-golden-
+section 1-D search over alpha is the independent oracle tests compare them
+with.  The zero-one loss is exposed only through ``cstar`` and threshold
+classification: its margin function fails the lower semi-continuity
+assumption the rest of the theory depends on.
 """
 
 from __future__ import annotations
@@ -123,9 +123,17 @@ def supergrad_cstar_exp(eta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ITERS = 90
+# the oracles search alpha in [-ORACLE_BRACKET, ORACLE_BRACKET]
+ORACLE_BRACKET = 50.0
+CSTAR_GRID = 512
+ALPHA_GRID = 2048
+# a margin slope below this at the bracket edge counts as flat, so a
+# minimum there is snapped to +-inf
+SNAP_SLOPE = 1e-12
 
 
-def _golden_max(fun, lo, hi, iters: int = 90):
+def _golden_max(fun, lo, hi):
     """Vectorized golden-section maximization on per-point brackets.
 
     ``fun`` maps an array of abscissae to an array of values; ``lo``/``hi``
@@ -133,7 +141,7 @@ def _golden_max(fun, lo, hi, iters: int = 90):
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         c = hi - _INVPHI * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
         take_left = fun(c) >= fun(d)
@@ -143,14 +151,14 @@ def _golden_max(fun, lo, hi, iters: int = 90):
     return mid, fun(mid)
 
 
-def cstar_numeric(loss: Loss, eta, bracket: float = 50.0, grid: int = 512) -> np.ndarray:
+def cstar_numeric(loss: Loss, eta) -> np.ndarray:
     """Independent evaluation of cstar by 1-D minimization over alpha.
 
     Coarse grid then golden-section refinement around the best cell; used as
     the test oracle against the closed forms.
     """
     eta = np.atleast_1d(_check_eta(eta))
-    alphas = np.linspace(-bracket, bracket, grid)
+    alphas = np.linspace(-ORACLE_BRACKET, ORACLE_BRACKET, CSTAR_GRID)
     vals = conditional_risk(loss, eta[:, None], alphas[None, :])
     best = np.argmin(vals, axis=1)
     step = alphas[1] - alphas[0]
@@ -167,20 +175,19 @@ def cstar_numeric(loss: Loss, eta, bracket: float = 50.0, grid: int = 512) -> np
     return np.minimum(-fmax, ends)
 
 
-def alpha_opt_numeric(loss: Loss, eta, bracket: float = 50.0,
-                      grid: int = 2048, snap_slope: float = 1e-12) -> np.ndarray:
+def alpha_opt_numeric(loss: Loss, eta) -> np.ndarray:
     """Numeric smallest minimizer: leftmost grid cell within tolerance of the
     minimum, golden-refined; snapped to +-inf when the minimum sits at the
     bracket edge with a flat margin slope."""
     eta = np.atleast_1d(_check_eta(eta))
-    alphas = np.linspace(-bracket, bracket, grid)
+    alphas = np.linspace(-ORACLE_BRACKET, ORACLE_BRACKET, ALPHA_GRID)
     vals = conditional_risk(loss, eta[:, None], alphas[None, :])
     vmin = vals.min(axis=1)
     near = vals <= vmin[:, None] + 1e-12
     first = np.argmax(near, axis=1)
     step = alphas[1] - alphas[0]
-    lo = np.maximum(alphas[first] - step, -bracket)
-    hi = np.minimum(alphas[first] + step, bracket)
+    lo = np.maximum(alphas[first] - step, -ORACLE_BRACKET)
+    hi = np.minimum(alphas[first] + step, ORACLE_BRACKET)
 
     def neg(a):
         return -conditional_risk(loss, eta, a)
@@ -188,99 +195,37 @@ def alpha_opt_numeric(loss: Loss, eta, bracket: float = 50.0,
     amid, _ = _golden_max(neg, lo, hi)
     # at either bracket edge, a flat margin slope at +bracket means the
     # conditional risk keeps descending forever on that side
-    flat = _flat_at(loss, bracket, snap_slope)
-    out = amid
+    h = 1e-4
+    slope = abs(float(loss.phi(ORACLE_BRACKET + h) - loss.phi(ORACLE_BRACKET - h))) / (2 * h)
+    edge = np.inf if slope < SNAP_SLOPE else ORACLE_BRACKET
     hit_left = vals[:, 0] <= vmin + 1e-12
     hit_right = (vals[:, -1] <= vmin + 1e-12) & ~hit_left
-    out = np.where(hit_left, -np.inf if flat else -bracket, out)
-    out = np.where(hit_right, np.inf if flat else bracket, out)
-    return out
-
-
-def _flat_at(loss: Loss, alpha: float, tol: float) -> bool:
-    h = 1e-4
-    slope = abs(float(loss.phi(alpha + h) - loss.phi(alpha - h))) / (2 * h)
-    return slope < tol
+    return np.where(hit_left, -edge, np.where(hit_right, edge, amid))
 
 
 # ---------------------------------------------------------------------------
 # the cstar-transform: smallest h0 completing h1 to a feasible pair
 # ---------------------------------------------------------------------------
 
-def _transform_at_zero(loss: Loss) -> float:
-    """sup over eta of cstar(eta) / (1 - eta): the transform of h1 = 0."""
-    if loss.kind in ("exponential", "logistic"):
-        return np.inf
-    if loss.kind == "hinge":
-        return 2.0
-    return 1.0
+def transform_h(loss: Loss, h1) -> np.ndarray:
+    """Pointwise smallest h0 for which (h0, h1) is a feasible pair: the sup
+    over eta in [0, 1) of (cstar(eta) - eta * h1) / (1 - eta).
 
-
-def transform_ratio(loss: Loss, eta, t):
-    """(cstar(eta) - eta * t) / (1 - eta), the quantity whose sup over
-    eta in [0, 1) defines the transform."""
-    eta = np.asarray(eta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return (loss.cstar(eta) - eta * t) / (1.0 - eta)
-
-
-def transform_bracket(loss: Loss, c: float, tol: float = 1e-12) -> float:
-    """Upper bracket k(c) < 1: beyond it the transform ratio is nonpositive
-    for every argument >= c > 0, so the sup may ignore eta > k."""
-    if c <= 0:
-        raise ValueError("bracket requires a positive lower bound")
-    lo, hi = 0.0, 1.0 - 1e-15
-    if transform_ratio(loss, hi, c) > 0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if transform_ratio(loss, mid, c) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return hi
-
-
-def transform_h(loss: Loss, h1, grid: int = 2001) -> np.ndarray:
-    """Pointwise smallest h0 for which (h0, h1) is a feasible pair.
-
-    Evaluates the sup over eta by a grid restricted to the bracket implied
-    by the smallest positive h1 value, then golden-section refinement;
-    grid argmax takes the first maximizer, breaking ties toward smaller eta.
+    For a margin loss it is phi(-alpha) at the alpha where phi(alpha) = h1:
+    1 / h1 (exponential), -log(1 - exp(-h1)) (logistic) and max(0, 2 - h1)
+    (hinge); for the zero-one cstar it is max(0, 1 - h1).  h1 = 0 maps to
+    inf, inf, 2 and 1.
     """
     h1 = np.atleast_1d(np.asarray(h1, dtype=float))
     if np.any(h1 < 0):
         raise NegativeH("transform requires h1 >= 0 pointwise")
-    out = np.empty_like(h1)
-    zero = h1 == 0
-    out[zero] = _transform_at_zero(loss)
-    pos = ~zero
-    if not np.any(pos):
-        return out
-    t = h1[pos]
-    k = transform_bracket(loss, float(t.min()))
-    etas = np.linspace(0.0, k, grid)
-    vals = transform_ratio(loss, etas[None, :], t[:, None])
-    best = np.argmax(vals, axis=1)
-    step = etas[1] - etas[0] if grid > 1 else k
-    lo = np.maximum(etas[best] - step, 0.0)
-    hi = np.minimum(etas[best] + step, 1.0 - 1e-12)
-
-    def fun(e):
-        return transform_ratio(loss, e, t)
-
-    _, fmax = _golden_max(fun, lo, hi)
-    # eta = 0 always yields 0, so the transform is never negative
-    out[pos] = np.maximum(fmax, 0.0)
-    return out
-
-
-def transform_h_exponential_closed(h1) -> np.ndarray:
-    """Closed form of the transform for the exponential loss: h0 = 1 / h1."""
-    h1 = np.atleast_1d(np.asarray(h1, dtype=float))
-    if np.any(h1 < 0):
-        raise NegativeH("transform requires h1 >= 0 pointwise")
     with np.errstate(divide="ignore"):
-        return np.where(h1 == 0, np.inf, 1.0 / h1)
+        if loss.kind == "exponential":
+            return 1.0 / h1
+        if loss.kind == "logistic":
+            # 1 - exp(-h1) by expm1 below log 2, log(1 - x) by log1p above
+            return np.where(h1 < np.log(2.0), -np.log(-np.expm1(-h1)),
+                            -np.log1p(-np.exp(-h1)))
+    if loss.kind == "hinge":
+        return np.maximum(0.0, 2.0 - h1)
+    return np.maximum(0.0, 1.0 - h1)

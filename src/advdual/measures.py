@@ -15,6 +15,8 @@ from .ground import GroundSet, ball_argmax, distances
 # absolute feasibility slack per unit of transported mass
 FLOW_SLACK = 1e-10
 TOTAL_TOL = 1e-9
+# absolute distance slack of the coupling-support check
+DELTA_TOL = 1e-12
 
 
 def _check_mass(m, n: int, name: str) -> np.ndarray:
@@ -105,14 +107,12 @@ def pushforward(c: Coupling) -> np.ndarray:
     return np.bincount(c.dst, weights=c.w, minlength=c.n)
 
 
-def coupling_in_delta(g: GroundSet, c: Coupling, epsilon: float | None = None,
-                      tol: float = 1e-12) -> bool:
-    """True when every supported pair lies within epsilon."""
+def coupling_in_delta(g: GroundSet, c: Coupling) -> bool:
+    """True when every supported pair lies within the ground's epsilon."""
     if c.src.size == 0:
         return True
-    eps = g.epsilon if epsilon is None else float(epsilon)
     d = distances(g.points[c.src], g.points[c.dst], g.norm)
-    return bool(np.all(d[c.w > 0] <= eps + tol))
+    return bool(np.all(d[c.w > 0] <= g.epsilon + DELTA_TOL))
 
 
 def winf_feasible(g: GroundSet, p, q, epsilon: float | None = None) -> bool:

@@ -16,12 +16,19 @@ import scipy.optimize as opt
 
 from .errors import InfeasiblePair, InstanceTooLarge, ZeroOneHasNoPhi
 from .ground import GroundSet, build_ground, sup_ball
-from .losses import Loss, mul0
+from .losses import Loss, mul0, transform_h
 from .measures import TwoClassMeasure
 
 CLAMP = 50.0
 # L-BFGS-B iteration cap of each smoothed stage
 STAGE_ITERS = 1000
+# relative slack of the pair test: h0 may fall this far below the transform
+PAIR_RTOL = 1e-9
+# brute_primal's score grid: [-BRUTE_SPAN, BRUTE_SPAN] in BRUTE_COARSE steps,
+# then windows of 30 steps of each BRUTE_REFINE size around the best field
+BRUTE_SPAN = 4.0
+BRUTE_COARSE = 0.1
+BRUTE_REFINE = (0.01, 0.001)
 
 
 @dataclass(frozen=True)
@@ -51,21 +58,16 @@ class HPair:
     h1: np.ndarray
 
 
-def hpair_feasible(loss: Loss, h0, h1, grid: int = 101, tol: float = 1e-9) -> bool:
-    """Membership check: eta * h1 + (1 - eta) * h0 >= cstar(eta) on an eta
-    grid; for the exponential loss the exact product form h0 * h1 >= 1."""
+def hpair_feasible(loss: Loss, h0, h1) -> bool:
+    """Membership check: eta * h1 + (1 - eta) * h0 >= cstar(eta) for every
+    eta, decided exactly as h0 >= (1 - PAIR_RTOL) * transform_h(loss, h1);
+    for the exponential loss this is h0 * h1 >= 1 - PAIR_RTOL."""
     h0 = np.asarray(h0, dtype=float)
     h1 = np.asarray(h1, dtype=float)
-    if np.any(h0 < 0) or np.any(h1 < 0):
+    if np.any(h1 < 0):
         return False
-    if loss.kind == "exponential":
-        with np.errstate(invalid="ignore"):
-            prod = mul0(h0, h1)
-        ok = (prod >= 1.0 - tol) | np.isinf(h0) | np.isinf(h1)
-        return bool(np.all(ok))
-    etas = np.linspace(0.0, 1.0, grid)
-    lhs = mul0(etas[:, None], h1[None, :]) + mul0(1.0 - etas[:, None], h0[None, :])
-    return bool(np.all(lhs >= loss.cstar(etas)[:, None] - tol))
+    # the transform is nonnegative, so a negative h0 fails the comparison
+    return bool(np.all(h0 >= (1.0 - PAIR_RTOL) * transform_h(loss, h1)))
 
 
 def theta(loss: Loss, hp: HPair, g: GroundSet, measure: TwoClassMeasure) -> float:
@@ -222,16 +224,14 @@ def classify_risk_adv(f, g: GroundSet, measure: TwoClassMeasure) -> float:
 # brute-force primal oracle (tiny instances only)
 # ---------------------------------------------------------------------------
 
-def brute_primal(loss: Loss, g: GroundSet, measure: TwoClassMeasure,
-                 span: float = 4.0, coarse: float = 0.1,
-                 refine: tuple = (0.01, 0.001)) -> float:
+def brute_primal(loss: Loss, g: GroundSet, measure: TwoClassMeasure) -> float:
     """Coarse-to-fine grid search over score fields on <= 3 ground points."""
     if g.n > 3:
         raise InstanceTooLarge("brute primal accepts at most 3 ground points")
-    values = np.concatenate(([-np.inf], np.arange(-span, span + coarse / 2, coarse),
-                             [np.inf]))
+    values = np.concatenate(([-np.inf], np.arange(-BRUTE_SPAN, BRUTE_SPAN + BRUTE_COARSE / 2,
+                                                  BRUTE_COARSE), [np.inf]))
     centers = _best_field(loss, g, measure, [values] * g.n)
-    for step in refine:
+    for step in BRUTE_REFINE:
         grids = []
         for c in centers:
             if np.isinf(c):

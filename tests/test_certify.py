@@ -232,6 +232,9 @@ def test_uncertified_verdict():
              "zero_one_dual": cert("zero_one_dual", 1.0, diagnostic=True)}
     # default tolerances: 1e-4 for the exponential loss, 1e-3 for the others;
     # a NaN gap is never certified and a diagnostic entry is never judged
-    assert uncertified(certs, None) == ["exponential", "hinge"]
-    assert uncertified(certs, 1e-3) == ["hinge"]
-    assert uncertified(certs, 1e-4) == ["exponential", "logistic", "hinge"]
+    assert uncertified(certs, None, 1.0) == ["exponential", "hinge"]
+    assert uncertified(certs, 1e-3, 1.0) == ["hinge"]
+    assert uncertified(certs, 1e-4, 1.0) == ["exponential", "logistic", "hinge"]
+    # the tolerance is per unit of total mass
+    assert uncertified(certs, None, 5.0) == ["hinge"]
+    assert uncertified(certs, 1e-3, 0.1) == ["exponential", "logistic", "hinge"]

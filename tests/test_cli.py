@@ -140,6 +140,20 @@ def test_solve_all_losses_default_tol_suite_instance(tmp_path, capsys):
     assert main(["verify", path, out]) == 0
 
 
+@pytest.mark.parametrize("scale", [100.0, 0.01])
+def test_verdict_does_not_depend_on_mass_scale(scale, tmp_path, capsys):
+    # the first 8 suite draws with both masses scaled: judged at an absolute
+    # gap, 5 of them exited 3 at scale 100
+    rng = np.random.default_rng(12345)
+    for k in range(8):
+        g, measure = _random_instance(rng)
+        path, out = str(tmp_path / f"suite{k}.json"), str(tmp_path / f"res{k}.json")
+        save_instance(path, g.points, g.norm, g.epsilon, scale * measure.mass0,
+                      scale * measure.mass1)
+        assert main(["solve", path, "--loss", "all", "--out", out]) == 0, k
+        assert main(["verify", path, out]) == 0, k
+
+
 def test_solve_and_verify_judge_at_one_tolerance(tmp_path, capsys):
     # the first suite instance certifies its exponential gap at about
     # 1.5e-5: a file solved at --tol 1e-12 fails solve and verify alike, and
@@ -171,6 +185,19 @@ def test_verify_tampered_certificate(inst, tmp_path, capsys):
         save_result(bad, data)
         capsys.readouterr()
         assert main(["verify", inst, bad]) == 4, value
+
+
+def test_verify_unknown_certificate_entry(inst, tmp_path, capsys):
+    # an entry under a name that is no loss once raised ValueError
+    out = str(tmp_path / "res.json")
+    main(["solve", inst, "--out", out])
+    for name, entry in (("brier", {}), ("exp", {}), ("logistic", 0.5)):
+        data = load_result(out)
+        data["certificates"][name] = entry
+        save_result(out + ".bad", data)
+        capsys.readouterr()
+        assert main(["verify", inst, out + ".bad"]) == 4, name
+        assert "unknown or malformed certificate entry" in capsys.readouterr().out
 
 
 def test_verify_tampered_flags(inst, tmp_path, capsys):

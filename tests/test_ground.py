@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advdual.errors import NegativeEpsilon, NonFiniteCoordinate
+from advdual.errors import NegativeEpsilon, NonFiniteCoordinate, ValidationError
 from advdual.ground import (
     build_ground,
     dilate,
@@ -136,6 +136,12 @@ def test_build_ground_errors():
         build_ground(np.array([[0.0], [np.nan]]), "l2", 0.1)
     with pytest.raises(NegativeEpsilon):
         build_ground(LINE, "l2", -0.1)
+    # every rejection is a ValidationError, which the CLI turns into exit 2
+    for points, norm, eps in ((LINE, "l3", 0.1), ([[0.0], [1.0, 2.0]], "l2", 0.1),
+                              ([], "l2", 0.1), ([[]], "l2", 0.1), (LINE, "l2", -0.1),
+                              ([[0.0], [np.inf]], "l2", 0.1)):
+        with pytest.raises(ValidationError):
+            build_ground(points, norm, eps)
 
 
 def test_sup_ball_example():

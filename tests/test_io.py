@@ -74,6 +74,16 @@ def test_instance_validation_errors(tmp_path):
         load_instance(path)
 
 
+def test_nonfinite_mass_is_a_validation_error(tmp_path):
+    # load_instance leaves mass sign and finiteness to TwoClassMeasure.build
+    path = str(tmp_path / "bad.json")
+    for bad in (float("nan"), float("inf")):
+        save_result(path, {"schema_version": 1, "points": [[0], [1]], "norm": "l2",
+                           "epsilon": 0.1, "mass0": [1, bad], "mass1": [0, 0]})
+        with pytest.raises(ValidationError, match="mass0"):
+            load_instance(path)
+
+
 def test_refine_points_levels():
     pts = np.array([[0.0], [1.0]])
     # distance 1 <= 2 * 0.6: the pair is refinable

@@ -3,6 +3,7 @@ import pytest
 
 from advdual.errors import EtaAtBoundary, EtaOutOfRange, NegativeH, ZeroOneHasNoPhi
 from advdual.losses import (
+    _golden_max,
     alpha_opt_numeric,
     conditional_risk,
     cstar_numeric,
@@ -10,7 +11,6 @@ from advdual.losses import (
     mul0,
     supergrad_cstar_exp,
     transform_h,
-    transform_h_exponential_closed,
 )
 
 ALL = ["exp", "logistic", "hinge", "zero-one"]
@@ -159,7 +159,36 @@ def test_transform_product_identity():
     t = np.logspace(-2, 2, 41)
     h0 = transform_h(exp, t)
     assert np.allclose(h0 * t, 1.0, atol=1e-8)
-    assert np.allclose(h0, transform_h_exponential_closed(t))
+
+
+def _brute_transform(loss, t):
+    """sup over eta in [0, 1) of (cstar(eta) - eta t) / (1 - eta), searched
+    in s = 1 - eta (cstar is symmetric, so cstar(eta) = cstar(s)) on a grid
+    refined toward eta = 1, where the exponential maximizer 1 / (1 + t^2)
+    sits for small t, then golden-refined in log s between grid neighbours."""
+    s = np.unique(np.concatenate([np.logspace(-14, 0, 3001),
+                                  np.linspace(0.0, 1.0, 2001)[1:]]))
+
+    def ratio(log_s):
+        u = np.exp(log_s)
+        return (loss.cstar(u) - (1.0 - u) * t) / u
+
+    logs = np.log(s)
+    vals = (loss.cstar(s)[None, :] - (1.0 - s)[None, :] * t[:, None]) / s[None, :]
+    best = np.argmax(vals, axis=1)
+    lo = logs[np.maximum(best - 1, 0)]
+    hi = logs[np.minimum(best + 1, s.size - 1)]
+    _, refined = _golden_max(ratio, lo, hi)
+    return np.maximum(refined, vals.max(axis=1))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_transform_matches_brute_sup(name):
+    loss = get_loss(name)
+    t = np.concatenate([np.logspace(-3, np.log10(30.0), 60), [0.5, 1.0, 2.0]])
+    assert np.max(np.abs(transform_h(loss, t) - _brute_transform(loss, t))) <= 1e-6
+    if name == "exp":
+        assert np.array_equal(transform_h(loss, t), 1.0 / t)
 
 
 def test_transform_at_zero_other_losses():

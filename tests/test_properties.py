@@ -1,6 +1,7 @@
 """Property-based invariants over randomly generated inputs."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from advdual.certify import universality_check
 from advdual.cli import _pipeline, main
+from advdual.dualsolve import brute_dual
 from advdual.ground import build_ground, inf_ball, sliding_max_1d, sup_ball
 from advdual.io import save_instance
 from advdual.losses import get_loss
 from advdual.measures import TwoClassMeasure, greedy_attack, pushforward, winf_distance
-from advdual.primalsolve import eta_hat
+from advdual.primalsolve import brute_primal, eta_hat
 
 from conftest import naive_window_max
 
@@ -82,11 +84,11 @@ def test_cstar_dominated_by_conditional_risk(etas):
 
 
 @st.composite
-def tiny_instance(draw):
-    """Up to five points on a coarse 2-D grid, so duplicate points and pairs
-    exactly epsilon apart are common; epsilon may be 0; masses come from a
-    few values including 0, and either class may be empty."""
-    n = draw(st.integers(1, 5))
+def tiny_instance(draw, max_n=5):
+    """Up to ``max_n`` points on a coarse 2-D grid, so duplicate points and
+    pairs exactly epsilon apart are common; epsilon may be 0; masses come
+    from a few values including 0, and either class may be empty."""
+    n = draw(st.integers(1, max_n))
     coord = st.sampled_from([0.0, 0.5, 1.0])
     pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
     norm = draw(st.sampled_from(["l1", "l2", "linf"]))
@@ -122,3 +124,39 @@ def test_residuals_sum_to_gap_and_round_trip_verifies(inst):
         save_instance(path, pts, norm, eps, m0, m1)
         assert main(["solve", path, "--loss", "all", "--out", out]) == 0
         assert main(["verify", path, out]) == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(tiny_instance())
+def test_two_solves_write_identical_bytes(inst):
+    pts, norm, eps, m0, m1 = inst
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        save_instance(path, pts, norm, eps, m0, m1)
+        texts = []
+        for k in range(2):
+            out = os.path.join(tmp, f"res{k}.json")
+            assert main(["solve", path, "--loss", "all", "--out", out]) == 0
+            with open(out, encoding="utf-8") as fh:
+                texts.append(re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', fh.read()))
+    assert texts[0] == texts[1]
+
+
+@settings(max_examples=10, deadline=None)
+@given(tiny_instance(max_n=3))
+def test_weak_duality_against_brute_oracles(inst):
+    # every grid point of brute_dual is a feasible dual and brute_primal
+    # returns the risk of one score field, so neither may cross the
+    # solver's values
+    pts, norm, eps, m0, m1 = inst
+    g = build_ground(pts, norm, eps)
+    measure = TwoClassMeasure.build(m0, m1)
+    ps, ds, _ = _pipeline(g, measure, 1e-4)
+    certs = universality_check(eta_hat(ps.f), ds, ["exp", "logistic", "hinge"],
+                               g, measure)
+    slack = 1e-9 * max(1.0, measure.total)
+    for kind, c in certs.items():
+        loss = get_loss(kind)
+        primal, dual = brute_primal(loss, g, measure), brute_dual(loss, g, measure, 4)
+        assert dual <= c.primal_value + slack, (kind, dual, c.primal_value)
+        assert c.dual_value <= primal + slack, (kind, c.dual_value, primal)
