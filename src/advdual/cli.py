@@ -10,7 +10,7 @@ losses whose certificate gap exceeds its tolerance.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 an uncertified gap in
 solve, sweep or attack (or a solver error), 4 a stored result that verify
-rejects, an uncertified gap included.
+rejects: malformed, not reproduced by its witness, or uncertified.
 """
 
 from __future__ import annotations
@@ -263,26 +263,33 @@ def _stored_matches(stored, fresh) -> bool:
 
 def cmd_verify(args) -> int:
     g, measure = adio.load_instance(args.instance)
-    data = adio.load_result(args.result)
 
     def fail(msg: str) -> int:
         print(f"verify FAILED: {msg}")
         return 4
 
     try:
-        f = np.asarray(data["f"], dtype=float)
-        eta = np.asarray(data["eta_hat"], dtype=float)
-        tr0 = data["couplings"]["class0"]
-        tr1 = data["couplings"]["class1"]
-        m0 = np.asarray(data["m0"], dtype=float)
-        m1 = np.asarray(data["m1"], dtype=float)
+        # a file that is not JSON stays a parse error (exit 2)
+        data = adio.load_result(args.result)
+    except ValidationError as e:
+        return fail(str(e))
+    try:
+        f, eta, m0, m1 = (np.asarray(data[k], dtype=float)
+                          for k in ("f", "eta_hat", "m0", "m1"))
+        tr0, tr1 = (np.asarray(data["couplings"][k], dtype=float)
+                    for k in ("class0", "class1"))
         stored = data["certificates"]
         solve_tol = data["provenance"]["tol"]
     except KeyError as e:
-        raise ValidationError(f"result file missing field {e}") from e
+        return fail(f"result file missing field {e}")
+    except (TypeError, ValueError) as e:
+        return fail(f"malformed result file: {e}")
+    if not isinstance(stored, dict):
+        return fail("certificates must be an object")
     if solve_tol is not None and not isinstance(solve_tol, (int, float)):
-        raise ValidationError(f"provenance.tol must be a number or null, "
-                              f"got {solve_tol!r}")
+        return fail(f"provenance.tol must be a number or null, got {solve_tol!r}")
+    if any(t.size and (t.ndim != 2 or t.shape[1] != 3) for t in (tr0, tr1)):
+        return fail("coupling entries must be [source, target, weight] triples")
     unknown = [k for k, c in stored.items()
                if k not in LOSS_KINDS or not isinstance(c, dict)]
     if unknown:
@@ -293,10 +300,7 @@ def cmd_verify(args) -> int:
     if not np.all(np.abs(eta_hat(f) - eta) <= 1e-12):
         return fail("stored eta_hat does not match the stored score field f")
     try:
-        c0 = Coupling.build([t[0] for t in tr0], [t[1] for t in tr0],
-                            [t[2] for t in tr0], g.n)
-        c1 = Coupling.build([t[0] for t in tr1], [t[1] for t in tr1],
-                            [t[2] for t in tr1], g.n)
+        c0, c1 = (Coupling.build(*t.reshape(-1, 3).T, g.n) for t in (tr0, tr1))
     except AdvdualError as e:
         return fail(f"stored couplings invalid: {e}")
     try:

@@ -76,6 +76,15 @@ class GroundSet:
         return f
 
 
+def check_epsilon(epsilon) -> float:
+    """``epsilon`` as a float, or NegativeEpsilon if it is negative or not
+    finite."""
+    epsilon = float(epsilon)
+    if epsilon < 0 or not np.isfinite(epsilon):
+        raise NegativeEpsilon(f"epsilon must be a finite nonnegative real, got {epsilon}")
+    return epsilon
+
+
 def build_ground(points, norm: str = "l2", epsilon: float = 0.0) -> GroundSet:
     """Build a ground set and its closed-ball neighbor index.
 
@@ -94,9 +103,7 @@ def build_ground(points, norm: str = "l2", epsilon: float = 0.0) -> GroundSet:
         raise NonFiniteCoordinate("points contain non-finite coordinates")
     if norm not in NORMS:
         raise ValidationError(f"norm must be one of {NORMS}, got {norm!r}")
-    epsilon = float(epsilon)
-    if epsilon < 0 or not np.isfinite(epsilon):
-        raise NegativeEpsilon(f"epsilon must be a finite nonnegative real, got {epsilon}")
+    epsilon = check_epsilon(epsilon)
 
     n = pts.shape[0]
     i, j = cKDTree(pts).query_pairs(epsilon * (1.0 + TREE_PAD), p=_TREE_P[norm],

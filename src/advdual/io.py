@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ParseError, ValidationError, WriteError
-from .ground import GroundSet, build_ground
+from .ground import GroundSet, build_ground, check_epsilon
 from .measures import TwoClassMeasure
 
 SCHEMA_VERSION = 1
@@ -168,7 +168,8 @@ def load_instance(path: str):
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValidationError("points must be a non-empty list of coordinates")
     norm = str(data["norm"])
-    epsilon = _parse("epsilon", data["epsilon"], float)
+    # checked here, where the value is the file's: refinement builds on 2 epsilon
+    epsilon = check_epsilon(_parse("epsilon", data["epsilon"], float))
     m0 = _parse("mass0", data["mass0"], _floats)
     m1 = _parse("mass1", data["mass1"], _floats)
     n = pts.shape[0]

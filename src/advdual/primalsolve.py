@@ -136,11 +136,13 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     """Minimize a smoothed exponential adversarial risk over score fields.
 
     Temperature continuation 1e-1, 1e-2, 1e-3 on a soft maximum over each
-    ball, each stage solved by L-BFGS-B; the field of least hard-max risk is
-    returned.  It is a seed: ``dualsolve.solve_dual`` certifies and sharpens
-    it.  Points whose two-epsilon neighborhood carries no class-0 (class-1)
-    mass are snapped to +inf (-inf) after the iteration; points with no mass
-    at all within two epsilon get score zero.
+    ball, each stage solved by L-BFGS-B on the risk per unit mass to the
+    library's default tolerances; the field of least hard-max risk is
+    returned.  It is only a seed: ``dualsolve.solve_dual`` places its cuts at
+    log t = f +- 0.05 around it, and the certificate judges the pair that
+    program returns.  Points whose two-epsilon neighborhood carries no
+    class-0 (class-1) mass are snapped to +inf (-inf) after the iteration;
+    points with no mass at all within two epsilon get score zero.
     """
     g2 = build_ground(g.points, g.norm, 2.0 * g.epsilon)
     near0 = np.add.reduceat(measure.mass0[g2.indices], g2.indptr[:-1]) > 0
@@ -165,11 +167,17 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     lo = np.where(free, -CLAMP, f)
     hi = np.where(free, CLAMP, f)
     bounds = list(zip(lo, hi))
+
+    def per_unit_mass(x, tau):
+        # L-BFGS-B's default stop rule is not scale-free; per unit mass it
+        # stops alike at every total mass
+        val, grad = prob.value_grad(x, tau)
+        return val / measure.total, grad / measure.total
+
     for tau in (1e-1, 1e-2, 1e-3):
-        res = opt.minimize(prob.value_grad, f, args=(tau,), jac=True,
+        res = opt.minimize(per_unit_mass, f, args=(tau,), jac=True,
                            method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": STAGE_ITERS,
-                                    "ftol": 1e-14, "gtol": 1e-12})
+                           options={"maxiter": STAGE_ITERS})
         it_count += int(getattr(res, "nit", 0))
         f = np.asarray(res.x, dtype=float)
         hard = prob.risk(f)

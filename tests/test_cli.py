@@ -13,7 +13,7 @@ import pytest
 import advdual
 from advdual import cli
 from advdual.cli import main
-from advdual.io import load_result, save_instance, save_result
+from advdual.io import dumps, load_result, save_instance, save_result
 
 from test_acceptance import _random_instance
 
@@ -198,6 +198,28 @@ def test_verify_unknown_certificate_entry(inst, tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify", inst, out + ".bad"]) == 4, name
         assert "unknown or malformed certificate entry" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda d: {**d, "f": ["word"] + d["f"][1:]}, id="word_in_f"),
+    pytest.param(lambda d: {**d, "couplings": {"class0": [d["couplings"]["class0"][0][:2]],
+                                               "class1": d["couplings"]["class1"]}},
+                 id="two_entry_triple"),
+    pytest.param(lambda d: {**d, "certificates": list(d["certificates"].values())},
+                 id="certificate_list"),
+    pytest.param(lambda d: {**d, "provenance": "solved"}, id="provenance_string"),
+    pytest.param(lambda d: [d], id="top_level_list"),
+])
+def test_verify_malformed_result(inst, tmp_path, capsys, tamper):
+    # a malformed result is one verify rejects, not a traceback or exit 2
+    out = str(tmp_path / "res.json")
+    main(["solve", inst, "--out", out])
+    text = dumps(tamper(load_result(out)))
+    with open(out, "w") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    assert main(["verify", inst, out]) == 4
+    assert capsys.readouterr().out.startswith("verify FAILED: ")
 
 
 def test_verify_tampered_flags(inst, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advdual.errors import ParseError, ValidationError
+from advdual.errors import NegativeEpsilon, ParseError, ValidationError
 from advdual.io import (
     SCHEMA_VERSION,
     SWEEP_HEADER,
@@ -81,6 +81,16 @@ def test_nonfinite_mass_is_a_validation_error(tmp_path):
         save_result(path, {"schema_version": 1, "points": [[0], [1]], "norm": "l2",
                            "epsilon": 0.1, "mass0": [1, bad], "mass1": [0, 0]})
         with pytest.raises(ValidationError, match="mass0"):
+            load_instance(path)
+
+
+def test_negative_epsilon_message_names_the_file_value(tmp_path):
+    # refinement builds its 2-epsilon ground first; the message still names
+    # the epsilon the file holds
+    path = str(tmp_path / "bad.json")
+    for r in (0, 1):
+        save_instance(path, [[0.0], [1.0]], "l2", -0.1, [1, 0], [0, 1], refinement=r)
+        with pytest.raises(NegativeEpsilon, match=r"got -0\.1$"):
             load_instance(path)
 
 

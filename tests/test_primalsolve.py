@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from advdual.certify import uncertified, universality_check
+from advdual.cli import _pipeline
 from advdual.dualsolve import solve_dual
 from advdual.errors import InfeasiblePair, InstanceTooLarge, ZeroOneHasNoPhi
 from advdual.ground import build_ground
@@ -130,6 +132,27 @@ def test_solve_exp_primal_matches_dual(oracle_instances):
         dual = solve_dual(g, measure, sol.f)
         assert sol.risk - dual.objective <= 1e-6 * max(1.0, sol.risk), name
         assert sol.risk >= dual.objective - 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.01, 100.0])
+def test_solve_exp_primal_stage_work_on_a_scatter(scale):
+    # 400 uniform points in [0, 2]^2 with class-1 mass scale/400 where a draw
+    # falls below sigmoid(4(x - 1)), class 0 elsewhere; l1 at epsilon 0.3.
+    # The stages stop at the default L-BFGS-B tolerances on the risk per
+    # unit mass (286 iterations at scale 1 with scipy 1.17.1), so the work
+    # and the verdict do not depend on the total mass.
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(0.0, 2.0, (400, 2))
+    label = rng.uniform(size=400) < 1.0 / (1.0 + np.exp(-4.0 * (pts[:, 0] - 1.0)))
+    measure = TwoClassMeasure.build(np.where(label, 0.0, scale / 400),
+                                    np.where(label, scale / 400, 0.0))
+    g = build_ground(pts, "l1", 0.3)
+    assert solve_exp_primal(g, measure).iterations <= 600
+    ps, ds, _ = _pipeline(g, measure, 1e-4)
+    certs = universality_check(eta_hat(ps.f), ds, ["exp", "logistic", "hinge"],
+                               g, measure)
+    assert set(certs) == {"exponential", "logistic", "hinge"}
+    assert uncertified(certs, 1e-4, measure.total) == []
 
 
 def test_solve_exp_primal_deterministic(twopoint):
