@@ -198,7 +198,7 @@ def cmd_sweep(args) -> int:
             for loss_name in losses:
                 rows.append(dict(eps=eps, loss=loss_name, primal=float("nan"),
                                  dual=float("nan"), gap=float("nan"),
-                                 iters=0, runtime_ms=0))
+                                 primal_iters=0, dual_iters=0, runtime_ms=0))
             code = 3
             continue
         ms = int(round(1000.0 * (time.perf_counter() - t0)))
@@ -208,7 +208,8 @@ def cmd_sweep(args) -> int:
             cert = certs[get_loss(loss_name).kind]
             rows.append(dict(eps=eps, loss=loss_name, primal=cert.primal_value,
                              dual=cert.dual_value, gap=cert.gap,
-                             iters=ps.iterations + ds.iterations,
+                             primal_iters=ps.iterations,
+                             dual_iters=ds.iterations,
                              runtime_ms=ms))
     stem = args.out or os.path.splitext(args.instance)[0] + "_sweep"
     stem = os.path.splitext(stem)[0] if stem.endswith(".csv") else stem

@@ -54,6 +54,10 @@ class InfeasibleDual(AdvdualError):
     """A dual solution violates its marginal or support constraints."""
 
 
+class CutProgramFailed(AdvdualError):
+    """HiGHS solved no tangent-cut program of a dual solve to optimality."""
+
+
 class ParseError(AdvdualError):
     pass
 

@@ -22,7 +22,8 @@ from .measures import TwoClassMeasure
 
 SCHEMA_VERSION = 1
 
-SWEEP_HEADER = ["eps", "loss", "primal", "dual", "gap", "iters", "runtime_ms"]
+SWEEP_HEADER = ["eps", "loss", "primal", "dual", "gap", "primal_iters", "dual_iters",
+                "runtime_ms"]
 SVG_WIDTH, SVG_HEIGHT = 640, 400
 
 
@@ -229,7 +230,9 @@ def load_result(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def save_sweep_csv(path: str, rows) -> None:
-    """One CSV row per (epsilon, loss): eps,loss,primal,dual,gap,iters,runtime_ms."""
+    """One CSV row per (epsilon, loss): eps,loss,primal,dual,gap,
+    primal_iters,dual_iters,runtime_ms.  The primal counts L-BFGS-B
+    iterations, the dual HiGHS iterations of the cut programs."""
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SWEEP_HEADER)
@@ -240,7 +243,8 @@ def save_sweep_csv(path: str, rows) -> None:
             format(float(row["primal"]), ".17g"),
             format(float(row["dual"]), ".17g"),
             format(float(row["gap"]), ".17g"),
-            int(row["iters"]),
+            int(row["primal_iters"]),
+            int(row["dual_iters"]),
             int(row["runtime_ms"]),
         ])
     _write_text(path, buf.getvalue())

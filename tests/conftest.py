@@ -7,7 +7,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsStatus
 
+from advdual import dualsolve
 from advdual.ground import GroundSet, build_ground
 from advdual.measures import TwoClassMeasure
 
@@ -44,6 +46,38 @@ def _oracle_instances():
 @pytest.fixture(scope="session")
 def oracle_instances():
     return _oracle_instances()
+
+
+@pytest.fixture
+def stalled_highs(monkeypatch):
+    """``stall(n)`` makes every cut-program model skip its first ``n``
+    runs, which leaves the model status unset as a run that ends without a
+    status would.  Each model records the solver and simplex strategy of
+    every run it is asked for and the iterations HiGHS reports after each
+    run it makes; ``stall`` returns the list of models made."""
+    def stall(n: int) -> list:
+        made = []
+
+        class Stalled(dualsolve._Highs):
+            def __init__(self):
+                super().__init__()
+                self.solvers, self.strategies, self.counts = [], [], []
+                made.append(self)
+
+            def run(self):
+                self.solvers.append(self.getOptionValue("solver")[1])
+                self.strategies.append(self.getOptionValue("simplex_strategy")[1])
+                if len(self.solvers) <= n:
+                    return HighsStatus.kWarning
+                status = super().run()
+                info = self.getInfo()
+                self.counts.append(info.simplex_iteration_count
+                                   + info.ipm_iteration_count)
+                return status
+
+        monkeypatch.setattr(dualsolve, "_Highs", Stalled)
+        return made
+    return stall
 
 
 # ---------------------------------------------------------------------------

@@ -296,10 +296,28 @@ def test_pipeline_convergence_is_certified(random_suite, oracle_instances):
     _assert_certified(g, measure, ps, ds, 1e-4, "scatter l2")
 
 
-@pytest.mark.parametrize("seed, draw", [(3, 106), (2, 105), (5, 112)])
+def test_suite_certified_at_tol_1e5():
+    # criterion 01's suite at ten times its tolerance: the later cut rounds
+    # take up to 15 programs here
+    rng = np.random.default_rng(12345)
+    for k in range(50):
+        g, measure = _random_instance(rng)
+        ps, ds, _ = _pipeline(g, measure, 1e-5)
+        _assert_certified(g, measure, ps, ds, 1e-5, f"suite {k}")
+
+
+def test_scatter_l2_certified_at_tol_1e6():
+    g, measure = _scatter_l2()
+    ps, ds, _ = _pipeline(g, measure, 1e-6)
+    _assert_certified(g, measure, ps, ds, 1e-6, "scatter l2")
+
+
+@pytest.mark.parametrize("seed, draw", [(3, 106), (2, 105), (5, 112), (1, 14), (5, 44)])
 def test_fresh_draw_exponential_certificate(seed, draw):
     # draws of the suite family on which an earlier dual stopped short (the
-    # 106th from seed 3 reported a gap of 0.095 as certified)
+    # 106th from seed 3 reported a gap of 0.095 as certified), or on which
+    # its dual simplex ended with HiGHS status 15 (the 14th from seed 1 and
+    # the 44th from seed 5)
     rng = np.random.default_rng(seed)
     for _ in range(draw):
         g, measure = _random_instance(rng)

@@ -251,7 +251,7 @@ def test_sweep_csv_and_svg(inst, tmp_path, capsys):
                  "--out", stem])
     assert code == 0
     lines = open(stem + ".csv").read().splitlines()
-    assert lines[0] == "eps,loss,primal,dual,gap,iters,runtime_ms"
+    assert lines[0] == "eps,loss,primal,dual,gap,primal_iters,dual_iters,runtime_ms"
     # all four losses at three epsilon values
     assert len(lines) == 1 + 3 * 4
     assert "<svg" in open(stem + ".svg").read()
@@ -364,6 +364,14 @@ def test_sweep_exits_3_when_not_certified(inst, tmp_path, monkeypatch, capsys):
     assert "eps=0.6: exponential gap" in capsys.readouterr().err
     # the rows are still written, with the gaps that failed
     assert len(open(stem + ".csv").read().splitlines()) == 1 + 2 * 4
+
+
+def test_solve_exits_3_when_no_cut_program_solves(inst, tmp_path, stalled_highs, capsys):
+    stalled_highs(10**6)
+    out = str(tmp_path / "r.json")
+    assert main(["solve", inst, "--out", out]) == 3
+    assert "no tangent-cut program" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_benchmark_patch_names_resolve(inst, tmp_path):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from advdual.dualsolve import brute_dual, dual_objective, solve_dual
-from advdual.errors import InstanceTooLarge, NegativeMass
+from advdual.errors import CutProgramFailed, InstanceTooLarge, NegativeMass
 from advdual.ground import build_ground
 from advdual.losses import get_loss
 from advdual.measures import TwoClassMeasure, coupling_in_delta, pushforward, winf_feasible
-from advdual.primalsolve import risk_adv, solve_exp_primal
+from advdual.primalsolve import hpair_feasible, risk_adv, solve_exp_primal, theta
+
+from test_acceptance import _random_instance, _scatter_l2
 
 
 EXP = get_loss("exp")
@@ -237,3 +239,74 @@ def test_eta_star_bounds(oracle_instances):
         sol = _hinted(g, measure)
         eta = sol.eta_star()
         assert np.all(eta >= 0.0) and np.all(eta <= 1.0)
+
+
+def _suite_first():
+    """The first instance of criterion 01's suite and its primal seed."""
+    g, measure = _random_instance(np.random.default_rng(12345))
+    return g, measure, solve_exp_primal(g, measure).f
+
+
+def test_iterations_sum_every_run_and_warm_rounds_are_short(stalled_highs):
+    # HiGHS reports the iterations of one run; the solve counts them all.
+    # Each later program only adds cuts and restarts from the last basis
+    g, measure, f = _suite_first()
+    made = stalled_highs(0)
+    sol = solve_dual(g, measure, f, 1e-6)
+    (model,) = made
+    assert len(model.counts) > 2 and set(model.solvers) == {"simplex"}
+    assert sol.iterations == sum(model.counts)
+    assert max(model.counts[1:]) < model.counts[0]
+
+
+def test_first_program_simplex_by_size(stalled_highs):
+    # the primal simplex for a first program of at most PRIMAL_MAX_COLS
+    # columns (a suite instance), the dual simplex for a larger one (the
+    # 400-point scatter); every later program restarts the dual simplex
+    made = stalled_highs(0)
+    g, measure, f = _suite_first()
+    solve_dual(g, measure, f, 1e-6)
+    g, measure = _scatter_l2()
+    solve_dual(g, measure, solve_exp_primal(g, measure).f, 1e-5)
+    small, large = made
+    assert small.strategies[0] == 4 and len(small.strategies) > 1
+    assert large.strategies[0] == 1 and len(large.strategies) > 1
+    assert set(small.strategies[1:]) == set(large.strategies[1:]) == {1}
+
+
+def test_stalled_simplex_is_solved_again_by_ipm(stalled_highs):
+    # the first program's simplex run ends without a status; the interior
+    # point rerun is its only optimal run, and its pair certifies
+    g, measure, f = _suite_first()
+    ref = solve_dual(g, measure, f, 1e-4)
+    made = stalled_highs(1)
+    sol = solve_dual(g, measure, f, 1e-4)
+    (model,) = made
+    assert model.solvers == ["simplex", "ipm"]
+    info = model.getInfo()
+    assert info.ipm_iteration_count > 0
+    assert sol.iterations == info.simplex_iteration_count + info.ipm_iteration_count
+    assert sol.risk - sol.objective <= 1e-4
+    assert hpair_feasible(EXP, sol.hpair.h0, sol.hpair.h1)
+    assert theta(EXP, sol.hpair, g, measure) >= sol.risk - 1e-12
+    assert sol.objective == pytest.approx(ref.objective, abs=1e-4)
+    _assert_feasible_dual(g, measure, sol)
+
+
+def test_solver_set_back_to_simplex_after_ipm(stalled_highs):
+    g, measure, f = _suite_first()
+    made = stalled_highs(1)
+    sol = solve_dual(g, measure, f, 1e-6)
+    (model,) = made
+    assert model.solvers[:3] == ["simplex", "ipm", "simplex"]
+    assert set(model.solvers[2:]) == {"simplex"}
+    assert sol.risk - sol.objective <= 1e-6
+
+
+def test_no_solved_program_raises(stalled_highs, twopoint):
+    g, measure = twopoint
+    made = stalled_highs(10**6)
+    with pytest.raises(CutProgramFailed):
+        solve_dual(g, measure, np.zeros(g.n))
+    (model,) = made
+    assert model.solvers == ["simplex", "ipm"]

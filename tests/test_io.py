@@ -156,21 +156,22 @@ def test_sweep_csv(tmp_path):
     path = str(tmp_path / "sweep.csv")
     rows = [
         {"eps": 0.0, "loss": "exponential", "primal": 0.0, "dual": 0.0,
-         "gap": 0.0, "iters": 10, "runtime_ms": 1.5},
+         "gap": 0.0, "primal_iters": 10, "dual_iters": 3, "runtime_ms": 1.5},
         {"eps": 0.5, "loss": "exponential", "primal": 1.0, "dual": 1.0,
-         "gap": 0.0, "iters": 20, "runtime_ms": 2.5},
+         "gap": 0.0, "primal_iters": 20, "dual_iters": 4, "runtime_ms": 2.5},
     ]
     save_sweep_csv(path, rows)
     lines = open(path).read().splitlines()
     assert lines[0] == ",".join(SWEEP_HEADER)
     assert len(lines) == 3
     assert lines[1].startswith("0,exponential,")
+    assert lines[1].endswith(",10,3,1")
 
 
 def test_sweep_svg(tmp_path):
     rows = [
         {"eps": e, "loss": "exponential", "primal": v, "dual": v,
-         "gap": 0.0, "iters": 1, "runtime_ms": 0.0}
+         "gap": 0.0, "primal_iters": 1, "dual_iters": 1, "runtime_ms": 0.0}
         for e, v in [(0.0, 0.0), (0.3, 0.4), (0.6, 1.0)]
     ]
     text = sweep_svg(rows)
