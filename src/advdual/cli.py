@@ -85,6 +85,16 @@ def _requested_losses(arg: str) -> list[str]:
     return ALL_LOSSES if arg == "all" else [arg]
 
 
+def _load_solvable(path: str):
+    """The instance at ``path``, which must carry mass: every verdict is per
+    unit of total mass, and a gap tolerance of 0 judges nothing."""
+    g, measure = adio.load_instance(path)
+    if measure.total <= 0:
+        raise ValidationError("the instance has no mass; a solve needs a "
+                              "positive total mass")
+    return g, measure
+
+
 def _pipeline(g, measure, tol: float | None):
     """Smoothed L-BFGS exponential primal, then the tangent-cut programs
     (``solve_dual``) seeded by its field, until their exponential gap is
@@ -148,7 +158,7 @@ def _warn_uncertified(certs: dict[str, Certificate], tol: float | None,
 
 
 def cmd_solve(args) -> int:
-    g, measure = adio.load_instance(args.instance)
+    g, measure = _load_solvable(args.instance)
     # the exponential certificate is always computed, and judged at its own
     # tolerance whatever --loss asks for
     ps, ds, runtime_ms = _pipeline(g, measure, args.tol)
@@ -170,7 +180,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    g, measure = adio.load_instance(args.instance)
+    g, measure = _load_solvable(args.instance)
     try:
         eps_grid = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     except ValueError as e:
@@ -233,7 +243,7 @@ def cmd_winf(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    g, measure = adio.load_instance(args.instance)
+    g, measure = _load_solvable(args.instance)
     ps, ds, runtime_ms = _pipeline(g, measure, args.tol)
     for label, c in (("class0", ds.coupling0), ("class1", ds.coupling1)):
         for i, j, w in c.triples():

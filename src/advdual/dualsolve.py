@@ -13,10 +13,15 @@ same couplings are optimal for every loss; ``dual_objective`` scores their
 masses under any of them.
 
 The program is one HiGHS model for the whole solve, driven through scipy's
-HiGHS binding.  The first program is solved from scratch, by the primal
-simplex when it is small.  Each later cut round only adds its tangents as
-rows, so the dual simplex restarts from the last basis, which stays dual
-feasible.
+HiGHS binding.  By complementary slackness the optimal couplings move each
+source's mass only to the extremum of the optimal score field on its ball,
+so the model starts with the edges that end near the seed field's ball
+extrema, and every other edge joins as a column once its reduced cost shows
+it can improve the program.  The first program is solved from scratch, by
+the primal simplex when it is small.  Each later cut round only adds its
+tangents as rows, so the dual simplex restarts from the last basis, which
+stays dual feasible; each pricing round only adds columns, so the primal
+simplex restarts from a basis that stays primal feasible.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
 
 from .errors import CutProgramFailed, InstanceTooLarge, NegativeMass
@@ -49,10 +53,10 @@ CUT_RTOL = 1e-3
 # loop runs out of new tangents within 54
 MAX_ROUNDS = 47
 # the first program is solved by the primal simplex up to this many columns
-# and by the dual simplex beyond.  Its CPU time, primal over dual: 0.46 on
-# criterion 01's suite (17-1644 columns), 0.89-0.98 on 200-point scatters
-# (2091-3645), 1.21-1.30 on 400-point ones (7879-13894) and 1.56-1.84 on
-# 800-point ones (28639-52058)
+# and by the dual simplex beyond.  Its CPU time with every edge a column,
+# primal over dual: 0.46 on criterion 01's suite (17-1644 columns),
+# 0.89-0.98 on 200-point scatters (2091-3645), 1.21-1.30 on 400-point ones
+# (7879-13894) and 1.56-1.84 on 800-point ones (28639-52058)
 PRIMAL_MAX_COLS = 4000
 # HiGHS's primal feasibility tolerance: the two cuts of the pair at t = 1
 # differ by only CUT_RTOL |m1 - m0| at a point, so at the default 1e-7 an
@@ -135,6 +139,15 @@ class _EdgeSet:
         keep = w > 0
         return Coupling.build(self.esrc[keep], self.dst[keep], w[keep], self.n)
 
+    def near_top(self, v: np.ndarray, delta: float) -> np.ndarray:
+        """Per edge, whether ``v`` at its destination lies within ``delta``
+        of the largest ``v`` on its source's ball.  An infinite maximum
+        keeps only the edges where ``v`` equals it, so every source keeps an
+        edge."""
+        vals = v[self.dst]
+        top = np.maximum.reduceat(vals, self.indptr[:-1])
+        return vals >= np.repeat(top, self.widths) - delta
+
     def cap(self, v: np.ndarray, on_k: np.ndarray) -> np.ndarray:
         """Per point, the least over the balls of this class's sources that
         hold it of the largest ``v`` on that ball's ``on_k`` points: the
@@ -148,63 +161,95 @@ class _EdgeSet:
 
 
 class _CutLP:
-    """The tangent-cut program on the edges of both classes, as one HiGHS
+    """The tangent-cut program on priced edges of both classes, as one HiGHS
     model kept for all cut rounds.
 
-    Variables are the edge weights of class 0 and class 1, then per point
-    both classes reach (``K``) its masses m0 and m1 and its value z.  The
-    equalities fix every source mass and tie each m to the edges into its
-    point; they are passed once.  Each cut z <= t m0 + m1 / t is one row
-    with three nonzeros, added by ``add_cuts``.  Adding rows keeps the last
-    optimal basis dual feasible, so each program after the first is solved
-    by the dual simplex from that basis.
+    Variables are, per point both classes reach (``K``), its masses m0 and
+    m1 and its value z, then one weight per edge column.  The equalities fix
+    every source mass and tie each m to the edges into its point; they are
+    passed once.  By complementary slackness the optimal couplings move mass
+    only to the ball extrema of the optimal field, so the model starts with
+    the edges whose destination lies within max(``SEED_DELTAS``) of the seed
+    field's ball extremum at their source: the maximum for class 0, the
+    minimum for class 1.  After every optimal run the left-out edges are
+    priced by their reduced cost, and those below minus HiGHS's dual
+    feasibility tolerance are added as columns by ``add_edges``.  Each cut
+    z <= t m0 + m1 / t is one row with three nonzeros, added by
+    ``add_cuts``.  Adding rows keeps the last optimal basis dual feasible
+    and adding columns keeps it primal feasible, so each cut round is solved
+    by the dual simplex and each pricing round by the primal simplex, both
+    from the last basis.
     """
 
-    def __init__(self, e0: _EdgeSet, e1: _EdgeSet):
+    def __init__(self, e0: _EdgeSet, e1: _EdgeSet, f: np.ndarray):
         self.on_k = e0.reach & e1.reach
         self.K = np.flatnonzero(self.on_k)
-        k, E0, E = self.K.size, e0.E, e0.E + e1.E
-        self.k, self.E, self.nvar = k, E, E + 3 * k
+        k, E0 = self.K.size, e0.E
+        self.k, self.E = k, E0 + e1.E
         pos = np.full(e0.n, -1)
         pos[self.K] = np.arange(k)
         ns0, ns1 = e0.sources.size, e1.sources.size
-        src_rows = np.concatenate([np.repeat(np.arange(ns0), e0.widths),
-                                   ns0 + np.repeat(np.arange(ns1), e1.widths)])
-        dst_pos = pos[np.concatenate([e0.dst, e1.dst])]
-        into = dst_pos >= 0
-        edge = np.arange(E)
-        tie_rows = ns0 + ns1 + dst_pos + np.where(edge < E0, 0, k)
-        rows = np.concatenate([src_rows, tie_rows[into], ns0 + ns1 + np.arange(2 * k)])
-        cols = np.concatenate([edge, edge[into], E + np.arange(2 * k)])
-        vals = np.concatenate([np.ones(E), -np.ones(int(into.sum())), np.ones(2 * k)])
         self.neq = ns0 + ns1 + 2 * k
-        A_eq = sp.csc_matrix((vals, (rows, cols)), shape=(self.neq, self.nvar))
-        b_eq = np.concatenate([e0.p, e1.p, np.zeros(2 * k)])
+        # per edge, the row of its source and the tie row of its destination
+        # (-1 off K, where no row ties the mass)
+        self.src_row = np.concatenate([np.repeat(np.arange(ns0), e0.widths),
+                                       ns0 + np.repeat(np.arange(ns1), e1.widths)])
+        dst_pos = pos[np.concatenate([e0.dst, e1.dst])]
+        self.tie_row = np.where(dst_pos >= 0, ns0 + ns1 + dst_pos
+                                + np.where(np.arange(self.E) < E0, 0, k), -1)
 
         lp = HighsLp()
-        lp.num_col_, lp.num_row_ = self.nvar, self.neq
-        lp.col_cost_ = np.concatenate([np.zeros(E + 2 * k), -np.ones(k)])
-        lp.col_lower_, lp.col_upper_ = np.zeros(self.nvar), np.full(self.nvar, np.inf)
-        lp.row_lower_ = lp.row_upper_ = b_eq
+        lp.num_col_, lp.num_row_ = 3 * k, self.neq
+        lp.col_cost_ = np.concatenate([np.zeros(2 * k), -np.ones(k)])
+        lp.col_lower_, lp.col_upper_ = np.zeros(3 * k), np.full(3 * k, np.inf)
+        lp.row_lower_ = lp.row_upper_ = np.concatenate([e0.p, e1.p, np.zeros(2 * k)])
         a = lp.a_matrix_
         a.format_ = MatrixFormat.kColwise
-        a.num_col_, a.num_row_ = self.nvar, self.neq
-        a.start_, a.index_, a.value_ = A_eq.indptr, A_eq.indices, A_eq.data
+        a.num_col_, a.num_row_ = 3 * k, self.neq
+        a.start_ = np.concatenate([np.arange(2 * k + 1), np.full(k, 2 * k)])
+        a.index_, a.value_ = ns0 + ns1 + np.arange(2 * k), np.ones(2 * k)
         self.highs = _Highs()
         for name, value in (("output_flag", False), ("presolve", "off"),
                             ("primal_feasibility_tolerance", FEAS_TOL)):
             self.highs.setOptionValue(name, value)
         self.highs.passModel(lp)
+        self.dual_tol = self.highs.getOptionValue("dual_feasibility_tolerance")[1]
+        self.cols = np.zeros(0, dtype=np.int64)
+        self.in_model = np.zeros(self.E, dtype=bool)
         self.pt = np.zeros(0, dtype=np.int64)
         self.logt = np.zeros(0)
         self.programs = 0
         self.iterations = 0
+        delta = max(SEED_DELTAS)
+        self.add_edges(np.flatnonzero(np.concatenate([e0.near_top(f, delta),
+                                                      e1.near_top(-f, delta)])))
+
+    def add_edges(self, idx: np.ndarray) -> None:
+        """Add the edges ``idx`` (class 0's edges first, then class 1's) as
+        columns: +1 in the source row and -1 in the tie row, if any."""
+        c, tie = idx.size, self.tie_row[idx]
+        into = tie >= 0
+        keep = np.column_stack([np.ones(c, dtype=bool), into]).ravel()
+        index = np.column_stack([self.src_row[idx], tie]).ravel()[keep]
+        value = np.column_stack([np.ones(c), -np.ones(c)]).ravel()[keep]
+        starts = np.cumsum(1 + into) - (1 + into)
+        self.highs.addCols(c, np.zeros(c), np.zeros(c), np.full(c, np.inf),
+                           value.size, starts.astype(np.int32),
+                           index.astype(np.int32), value)
+        self.cols = np.concatenate([self.cols, idx])
+        self.in_model[idx] = True
+
+    def reduced_costs(self, row_dual: np.ndarray) -> np.ndarray:
+        """Per edge, the reduced cost c - a^T y of its column under the row
+        duals y: its cost is 0, and its column is +1 in the source row and
+        -1 in the tie row."""
+        tie = np.where(self.tie_row >= 0, row_dual[self.tie_row], 0.0)
+        return tie - row_dual[self.src_row]
 
     def add_cuts(self, pt: np.ndarray, logt: np.ndarray) -> None:
         """Cut the K positions ``pt`` at the tangent points exp(``logt``)."""
-        c, t = pt.size, np.exp(logt)
-        E, k = self.E, self.k
-        index = np.column_stack([E + 2 * k + pt, E + pt, E + k + pt])
+        c, t, k = pt.size, np.exp(logt), self.k
+        index = np.column_stack([2 * k + pt, pt, k + pt])
         value = np.column_stack([np.ones(c), -t, -1.0 / t])
         self.highs.addRows(c, np.full(c, -np.inf), np.zeros(c), 3 * c,
                            np.arange(0, 3 * c, 3, dtype=np.int32),
@@ -212,20 +257,14 @@ class _CutLP:
         self.pt = np.concatenate([self.pt, pt])
         self.logt = np.concatenate([self.logt, logt])
 
-    def solve(self):
-        """Solve the program with every cut added so far: the first by the
-        primal simplex if it has at most ``PRIMAL_MAX_COLS`` columns, and
-        every other by the dual simplex, from the last basis if there is
-        one.  The simplex can end without a status on the degenerate
-        programs of instances whose optimum is one plateau; such a program
-        is solved once more by the interior point method with crossover.
-        ``iterations`` sums both methods' counts over every run.  Returns the
-        column values and one multiplier per cut, or None if neither run
-        ends optimal."""
+    def _run(self, strategy: int):
+        """One run by the simplex ``strategy`` from the last basis.  The
+        simplex can end without a status on the degenerate programs of
+        instances whose optimum is one plateau; such a run is made once more
+        by the interior point method with crossover.  Returns HiGHS's
+        solution, or None if neither ends optimal."""
         h = self.highs
-        primal = not self.programs and self.nvar <= PRIMAL_MAX_COLS
-        h.setOptionValue("simplex_strategy", 4 if primal else 1)  # primal, dual
-        self.programs += 1
+        h.setOptionValue("simplex_strategy", strategy)
         for solver in ("simplex", "ipm"):
             h.setOptionValue("solver", solver)
             h.run()
@@ -235,15 +274,38 @@ class _CutLP:
             if info.valid:
                 self.iterations += info.simplex_iteration_count + info.ipm_iteration_count
             if h.getModelStatus() == HighsModelStatus.kOptimal:
-                sol = h.getSolution()
-                # HiGHS's row dual is the derivative of the optimal cost in
-                # the row's bound.  Raising the bound 0 of a cut relaxes it,
-                # so the minimised cost (-sum z) cannot rise: each cut's row
-                # dual is <= 0, and its multiplier is the negation, clipped
-                # at zero against round-off
-                lam = np.maximum(-np.asarray(sol.row_dual)[self.neq:], 0.0)
-                return np.asarray(sol.col_value), lam
+                return h.getSolution()
         return None
+
+    def solve(self):
+        """Solve the program with every cut added so far: the first by the
+        primal simplex if it has at most ``PRIMAL_MAX_COLS`` columns, and
+        every other by the dual simplex.  Then, while a left-out edge prices
+        out, add every such edge and solve again by the primal simplex.
+        ``iterations`` sums both methods' counts over every run.  Returns
+        the weight of every edge (0 off the model) and one multiplier per
+        cut, or None if a run does not end optimal."""
+        primal = not self.programs and self.highs.getNumCol() <= PRIMAL_MAX_COLS
+        self.programs += 1
+        strategy = 4 if primal else 1  # primal, dual
+        while True:
+            sol = self._run(strategy)
+            if sol is None:
+                return None
+            y = np.asarray(sol.row_dual)
+            new = np.flatnonzero(~self.in_model & (self.reduced_costs(y) < -self.dual_tol))
+            if new.size == 0:
+                break
+            self.add_edges(new)
+            strategy = 4
+        w = np.zeros(self.E)
+        w[self.cols] = np.asarray(sol.col_value)[3 * self.k:]
+        # HiGHS's row dual is the derivative of the optimal cost in the
+        # row's bound.  Raising the bound 0 of a cut relaxes it, so the
+        # minimised cost (-sum z) cannot rise: each cut's row dual is <= 0,
+        # and its multiplier is the negation, clipped at zero against
+        # round-off
+        return w, np.maximum(-y[self.neq:], 0.0)
 
 
 def _seed_cuts(seed: np.ndarray):
@@ -266,12 +328,13 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     """Exponential dual couplings and a primal field certified together by
     the tangent-cut program, seeded by the score field ``f``.
 
-    K is the set of points both classes reach.  The first program cuts each
-    point of K as ``_seed_cuts`` says.  Its couplings give masses m0, m1 and
-    their dual value D; its cut multipliers lambda give, per point of K,
-    h0 = sum lambda t and h1 = sum lambda / t, a pair with h0 h1 >= 1 whose
-    relaxed risk ``theta`` is the program's value, so the field
-    1/2 (log h0 - log h1) has at most that risk.  A point reached by one
+    K is the set of points both classes reach.  Every program is the one on
+    all edges, solved on the edges ``_CutLP`` prices in.  The first program
+    cuts each point of K as ``_seed_cuts`` says.  Its couplings give masses
+    m0, m1 and their dual value D; its cut multipliers lambda give, per
+    point of K, h0 = sum lambda t and h1 = sum lambda / t, a pair with
+    h0 h1 >= 1 whose relaxed risk ``theta`` is the program's value, so the
+    field 1/2 (log h0 - log h1) has at most that risk.  A point reached by one
     class only takes the largest score that raises no ball maximum of that
     class (the smallest that lowers no ball minimum, for class 1), unless
     ``f`` is already infinite there in the same direction; points no class
@@ -287,8 +350,8 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     """
     f = g.check_field(f)
     e0, e1 = _EdgeSet(g, measure.mass0), _EdgeSet(g, measure.mass1)
-    lp = _CutLP(e0, e1)
-    K, k, E, on_k = lp.K, lp.k, lp.E, lp.on_k
+    lp = _CutLP(e0, e1, f)
+    K, k, on_k = lp.K, lp.k, lp.on_k
     only0 = e0.reach & ~e1.reach & (f != -np.inf)
     only1 = e1.reach & ~e0.reach & (f != np.inf)
 
@@ -300,7 +363,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
             break
         x, lam = solved
         pt, logt = lp.pt, lp.logt
-        w0, w1 = e0.renormalize(x[:e0.E]), e1.renormalize(x[e0.E:E])
+        w0, w1 = e0.renormalize(x[:e0.E]), e1.renormalize(x[e0.E:])
         m0, m1 = e0.push(w0), e1.push(w1)
         # per point, multipliers normalized to sum one (z >= 0 makes the
         # sum at least one): h0 h1 >= 1 by Cauchy-Schwarz

@@ -26,10 +26,6 @@ class EtaOutOfRange(AdvdualError):
     pass
 
 
-class EtaAtBoundary(AdvdualError):
-    """The derivative of the optimal conditional risk diverges at 0 and 1."""
-
-
 class NegativeH(AdvdualError):
     pass
 

@@ -2,11 +2,10 @@
 
 Each loss bundles the margin function phi, the conditional risk, its optimal
 value ``cstar``, and the smallest-minimizer map ``alpha_opt``, all in
-closed form, as is the cstar-transform ``transform_h``.  A grid-plus-golden-
-section 1-D search over alpha is the independent oracle tests compare them
-with.  The zero-one loss is exposed only through ``cstar`` and threshold
-classification: its margin function fails the lower semi-continuity
-assumption the rest of the theory depends on.
+closed form, as is the cstar-transform ``transform_h``.  The zero-one loss
+is exposed only through ``cstar`` and threshold classification: its margin
+function fails the lower semi-continuity assumption the rest of the theory
+depends on.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EtaAtBoundary, EtaOutOfRange, NegativeH, ZeroOneHasNoPhi
+from .errors import EtaOutOfRange, NegativeH, ZeroOneHasNoPhi
 
 LOSS_KINDS = ("exponential", "logistic", "hinge", "zero_one_dual")
 
@@ -108,99 +107,6 @@ def conditional_risk(loss: Loss, eta, alpha) -> np.ndarray:
     eta = _check_eta(eta)
     alpha = np.asarray(alpha, dtype=float)
     return mul0(eta, loss.phi(alpha)) + mul0(1.0 - eta, loss.phi(-alpha))
-
-
-def supergrad_cstar_exp(eta) -> np.ndarray:
-    """Derivative of the exponential-loss cstar on the open interval."""
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0) or np.any(eta >= 1):
-        raise EtaAtBoundary("derivative diverges at eta in {0, 1}")
-    return np.sqrt((1.0 - eta) / eta) - np.sqrt(eta / (1.0 - eta))
-
-
-# ---------------------------------------------------------------------------
-# numeric 1-D search: shared grid + golden-section refinement
-# ---------------------------------------------------------------------------
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_ITERS = 90
-# the oracles search alpha in [-ORACLE_BRACKET, ORACLE_BRACKET]
-ORACLE_BRACKET = 50.0
-CSTAR_GRID = 512
-ALPHA_GRID = 2048
-# a margin slope below this at the bracket edge counts as flat, so a
-# minimum there is snapped to +-inf
-SNAP_SLOPE = 1e-12
-
-
-def _golden_max(fun, lo, hi):
-    """Vectorized golden-section maximization on per-point brackets.
-
-    ``fun`` maps an array of abscissae to an array of values; ``lo``/``hi``
-    are arrays of bracket endpoints.  Returns (argmax, max).
-    """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    for _ in range(GOLDEN_ITERS):
-        c = hi - _INVPHI * (hi - lo)
-        d = lo + _INVPHI * (hi - lo)
-        take_left = fun(c) >= fun(d)
-        hi = np.where(take_left, d, hi)
-        lo = np.where(take_left, lo, c)
-    mid = 0.5 * (lo + hi)
-    return mid, fun(mid)
-
-
-def cstar_numeric(loss: Loss, eta) -> np.ndarray:
-    """Independent evaluation of cstar by 1-D minimization over alpha.
-
-    Coarse grid then golden-section refinement around the best cell; used as
-    the test oracle against the closed forms.
-    """
-    eta = np.atleast_1d(_check_eta(eta))
-    alphas = np.linspace(-ORACLE_BRACKET, ORACLE_BRACKET, CSTAR_GRID)
-    vals = conditional_risk(loss, eta[:, None], alphas[None, :])
-    best = np.argmin(vals, axis=1)
-    step = alphas[1] - alphas[0]
-    lo = alphas[best] - step
-    hi = alphas[best] + step
-
-    def neg(a):
-        return -conditional_risk(loss, eta, a)
-
-    _, fmax = _golden_max(neg, lo, hi)
-    # endpoint values (alpha = +-inf) can beat any finite alpha at eta in {0,1}
-    ends = np.minimum(conditional_risk(loss, eta, np.inf),
-                      conditional_risk(loss, eta, -np.inf))
-    return np.minimum(-fmax, ends)
-
-
-def alpha_opt_numeric(loss: Loss, eta) -> np.ndarray:
-    """Numeric smallest minimizer: leftmost grid cell within tolerance of the
-    minimum, golden-refined; snapped to +-inf when the minimum sits at the
-    bracket edge with a flat margin slope."""
-    eta = np.atleast_1d(_check_eta(eta))
-    alphas = np.linspace(-ORACLE_BRACKET, ORACLE_BRACKET, ALPHA_GRID)
-    vals = conditional_risk(loss, eta[:, None], alphas[None, :])
-    vmin = vals.min(axis=1)
-    near = vals <= vmin[:, None] + 1e-12
-    first = np.argmax(near, axis=1)
-    step = alphas[1] - alphas[0]
-    lo = np.maximum(alphas[first] - step, -ORACLE_BRACKET)
-    hi = np.minimum(alphas[first] + step, ORACLE_BRACKET)
-
-    def neg(a):
-        return -conditional_risk(loss, eta, a)
-
-    amid, _ = _golden_max(neg, lo, hi)
-    # at either bracket edge, a flat margin slope at +bracket means the
-    # conditional risk keeps descending forever on that side
-    h = 1e-4
-    slope = abs(float(loss.phi(ORACLE_BRACKET + h) - loss.phi(ORACLE_BRACKET - h))) / (2 * h)
-    edge = np.inf if slope < SNAP_SLOPE else ORACLE_BRACKET
-    hit_left = vals[:, 0] <= vmin + 1e-12
-    hit_right = (vals[:, -1] <= vmin + 1e-12) & ~hit_left
-    return np.where(hit_left, -edge, np.where(hit_right, edge, amid))
 
 
 # ---------------------------------------------------------------------------

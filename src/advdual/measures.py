@@ -88,12 +88,6 @@ class Coupling:
             a.setflags(write=False)
         return cls(src=src, dst=dst, w=w, n=n)
 
-    @classmethod
-    def identity(cls, p) -> "Coupling":
-        p = np.asarray(p, dtype=float)
-        idx = np.flatnonzero(p > 0)
-        return cls.build(idx, idx, p[idx], p.shape[0])
-
     def source_marginal(self) -> np.ndarray:
         return np.bincount(self.src, weights=self.w, minlength=self.n)
 

@@ -14,13 +14,7 @@ from advdual.certify import certify, slackness, universality_check
 from advdual.cli import _pipeline
 from advdual.dualsolve import brute_dual, solve_dual
 from advdual.ground import build_ground, dilate, sliding_max_1d, sup_ball
-from advdual.losses import (
-    alpha_opt_numeric,
-    cstar_numeric,
-    conditional_risk,
-    get_loss,
-    transform_h,
-)
+from advdual.losses import conditional_risk, get_loss, transform_h
 from advdual.measures import TwoClassMeasure, greedy_attack, transported_integral, winf_distance
 from advdual.primalsolve import (
     brute_primal,
@@ -31,7 +25,7 @@ from advdual.primalsolve import (
     theta,
 )
 
-from conftest import hall_winf
+from conftest import alpha_opt_numeric, cstar_numeric, hall_winf
 
 
 EXP = get_loss("exp")

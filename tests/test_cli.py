@@ -374,6 +374,31 @@ def test_solve_exits_3_when_no_cut_program_solves(inst, tmp_path, stalled_highs,
     assert not os.path.exists(out)
 
 
+def _masses_instance(tmp_path, mass0, mass1) -> str:
+    path = str(tmp_path / "masses.json")
+    save_instance(path, np.array([[0.0], [1.0]]), "l2", 0.6, np.array(mass0),
+                  np.array(mass1))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--eps", "0,0.6"], ["attack"]],
+                         ids=["solve", "sweep", "attack"])
+def test_zero_mass_instance_exits_2(tmp_path, argv, capsys):
+    # every verdict is per unit of total mass, which is 0 here
+    path = _masses_instance(tmp_path, [0.0, 0.0], [0.0, 0.0])
+    out = str(tmp_path / "out")
+    assert main([argv[0], path, *argv[1:], "--out", out]) == 2
+    assert "no mass" in capsys.readouterr().err
+    assert not any(name.startswith("out") for name in os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--eps", "0,0.6"], ["attack"]],
+                         ids=["solve", "sweep", "attack"])
+def test_one_empty_class_solves(tmp_path, argv):
+    path = _masses_instance(tmp_path, [0.0, 0.0], [0.25, 0.5])
+    assert main([argv[0], path, *argv[1:], "--out", str(tmp_path / "out")]) == 0
+
+
 def test_benchmark_patch_names_resolve(inst, tmp_path):
     # bench/spans.py wraps these module attributes by name; each must exist
     # and the solve path must go through them

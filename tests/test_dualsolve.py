@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
+from advdual import dualsolve
 from advdual.dualsolve import brute_dual, dual_objective, solve_dual
 from advdual.errors import CutProgramFailed, InstanceTooLarge, NegativeMass
 from advdual.ground import build_ground
@@ -247,31 +250,54 @@ def _suite_first():
     return g, measure, solve_exp_primal(g, measure).f
 
 
+def _run_kinds(model):
+    """Per run after the first, "price" if the run has more columns than the
+    one before (a pricing re-solve), "cut" if it has more rows (a cut
+    round)."""
+    kinds = []
+    for (r0, c0), (r1, c1) in zip(model.shapes, model.shapes[1:]):
+        assert (c1 > c0) != (r1 > r0)
+        kinds.append("price" if c1 > c0 else "cut")
+    return kinds
+
+
 def test_iterations_sum_every_run_and_warm_rounds_are_short(stalled_highs):
     # HiGHS reports the iterations of one run; the solve counts them all.
-    # Each later program only adds cuts and restarts from the last basis
+    # Each later run only adds cuts or edges and restarts from the last
+    # basis.  The scatter seeded by the negated primal field starts from the
+    # wrong ball extrema, so pricing adds edges
     g, measure, f = _suite_first()
     made = stalled_highs(0)
-    sol = solve_dual(g, measure, f, 1e-6)
-    (model,) = made
-    assert len(model.counts) > 2 and set(model.solvers) == {"simplex"}
-    assert sol.iterations == sum(model.counts)
-    assert max(model.counts[1:]) < model.counts[0]
+    sols = [solve_dual(g, measure, f, 1e-6)]
+    g, measure = _scatter_l2()
+    sols.append(solve_dual(g, measure, -solve_exp_primal(g, measure).f, 1e-6))
+    for model, sol in zip(made, sols):
+        assert len(model.counts) > 2 and set(model.solvers) == {"simplex"}
+        assert sol.iterations == sum(model.counts)
+        assert max(model.counts[1:]) < model.counts[0]
+    assert set(_run_kinds(made[0])) == {"cut"}
+    assert {"cut", "price"} <= set(_run_kinds(made[1]))
 
 
 def test_first_program_simplex_by_size(stalled_highs):
     # the primal simplex for a first program of at most PRIMAL_MAX_COLS
     # columns (a suite instance), the dual simplex for a larger one (the
-    # 400-point scatter); every later program restarts the dual simplex
+    # 400-point scatter); every cut round restarts the dual simplex and
+    # every pricing re-solve the primal simplex
     made = stalled_highs(0)
     g, measure, f = _suite_first()
     solve_dual(g, measure, f, 1e-6)
     g, measure = _scatter_l2()
-    solve_dual(g, measure, solve_exp_primal(g, measure).f, 1e-5)
-    small, large = made
+    f = solve_exp_primal(g, measure).f
+    solve_dual(g, measure, f, 1e-5)
+    solve_dual(g, measure, -f, 1e-5)
+    small, large, priced = made
     assert small.strategies[0] == 4 and len(small.strategies) > 1
-    assert large.strategies[0] == 1 and len(large.strategies) > 1
-    assert set(small.strategies[1:]) == set(large.strategies[1:]) == {1}
+    assert large.strategies[0] == priced.strategies[0] == 1
+    kinds = {"cut": 1, "price": 4}
+    for model in made:
+        assert [kinds[kind] for kind in _run_kinds(model)] == model.strategies[1:]
+    assert "cut" in _run_kinds(large) and "price" in _run_kinds(priced)
 
 
 def test_stalled_simplex_is_solved_again_by_ipm(stalled_highs):
@@ -310,3 +336,105 @@ def test_no_solved_program_raises(stalled_highs, twopoint):
         solve_dual(g, measure, np.zeros(g.n))
     (model,) = made
     assert model.solvers == ["simplex", "ipm"]
+
+
+# ---------------------------------------------------------------------------
+# edge pricing: the program on the priced edges is the program on all edges
+# ---------------------------------------------------------------------------
+
+def _full_program(lp, e0, e1):
+    """The rows of ``lp``'s program with one column per edge of both
+    classes: columns m0, m1 and z per point of K, then class 0's edges and
+    class 1's.  Returns the cost, the equalities and their right side, and
+    the cut rows (each <= 0)."""
+    k, ns0, ns1 = lp.k, e0.sources.size, e1.sources.size
+    pos = np.full(e0.n, -1)
+    pos[lp.K] = np.arange(k)
+    src_row = np.concatenate([np.searchsorted(e0.sources, e0.esrc),
+                              ns0 + np.searchsorted(e1.sources, e1.esrc)])
+    dst = np.concatenate([e0.dst, e1.dst])
+    tie = ns0 + ns1 + np.repeat([0, k], [e0.E, e1.E]) + pos[dst]
+    into, col = pos[dst] >= 0, 3 * k + dst.size
+    edge = 3 * k + np.arange(dst.size)
+    # +1 for m in its tie row; per edge +1 in its source row and -1 in the
+    # tie row of its destination, if that is in K
+    rows = np.concatenate([ns0 + ns1 + np.arange(2 * k), src_row, tie[into]])
+    cols = np.concatenate([np.arange(2 * k), edge, edge[into]])
+    vals = np.concatenate([np.ones(2 * k + dst.size), -np.ones(into.sum())])
+    A_eq = sp.csr_matrix((vals, (rows, cols)), shape=(ns0 + ns1 + 2 * k, col))
+    b_eq = np.concatenate([e0.p, e1.p, np.zeros(2 * k)])
+    c, t = lp.pt.size, np.exp(lp.logt)
+    A_ub = sp.csr_matrix((np.concatenate([np.ones(c), -t, -1.0 / t]),
+                          (np.tile(np.arange(c), 3),
+                           np.concatenate([2 * k + lp.pt, lp.pt, k + lp.pt]))),
+                         shape=(c, col))
+    cost = np.concatenate([np.zeros(2 * k), -np.ones(k), np.zeros(col - 3 * k)])
+    return cost, A_eq, b_eq, A_ub
+
+
+def _pricing_cases():
+    """The suite's first instance and the scatter with their primal seeds,
+    and the scatter seeded by the negated field, which starts from the
+    wrong ball extrema, so that pricing adds edges."""
+    g, measure, f = _suite_first()
+    yield "suite first", g, measure, f
+    g, measure = _scatter_l2()
+    f = solve_exp_primal(g, measure).f
+    yield "scatter l2", g, measure, f
+    yield "scatter l2 negated seed", g, measure, -f
+
+
+def test_no_left_out_edge_prices_out_after_any_program(monkeypatch):
+    # the reduced costs are recomputed on the all-edge rows from HiGHS's
+    # row duals at the end of every program the solve makes
+    ends = []
+    real = dualsolve._CutLP.solve
+
+    def solve(lp):
+        out = real(lp)
+        ends.append((lp, np.asarray(lp.highs.getSolution().row_dual),
+                     lp.in_model.copy()))
+        return out
+
+    monkeypatch.setattr(dualsolve._CutLP, "solve", solve)
+    for name, g, measure, f in _pricing_cases():
+        ends.clear()
+        solve_dual(g, measure, f, 1e-6 * measure.total)
+        e0, e1 = dualsolve._EdgeSet(g, measure.mass0), dualsolve._EdgeSet(g, measure.mass1)
+        assert len(ends) > 1, name
+        for lp, y, in_model in ends:
+            cost, A_eq, _, _ = _full_program(lp, e0, e1)
+            reduced = (cost - A_eq.T @ y[:A_eq.shape[0]])[3 * lp.k:]
+            assert reduced[~in_model].min(initial=np.inf) >= -lp.dual_tol, name
+            # the edges in the model are optimal too
+            assert reduced[in_model].min() >= -lp.dual_tol, name
+
+
+@pytest.mark.parametrize("case", [0, 1, 2],
+                         ids=["suite first", "scatter l2", "scatter l2 negated seed"])
+def test_first_priced_program_equals_all_edge_program(case):
+    name, g, measure, f = list(_pricing_cases())[case]
+    e0, e1 = dualsolve._EdgeSet(g, measure.mass0), dualsolve._EdgeSet(g, measure.mass1)
+    lp = dualsolve._CutLP(e0, e1, f)
+    lp.add_cuts(*dualsolve._seed_cuts(f[lp.K]))
+    assert lp.solve() is not None
+    cost, A_eq, b_eq, A_ub = _full_program(lp, e0, e1)
+    ref = linprog(cost, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=A_eq,
+                  b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": dualsolve.FEAS_TOL})
+    assert ref.status == 0
+    value = lp.highs.getInfo().objective_function_value
+    assert abs(value - ref.fun) <= 1e-9 * measure.total, (name, value, ref.fun)
+
+
+def test_scatter_first_model_holds_fewer_edges_than_the_edge_set():
+    g, measure = _scatter_l2()
+    f = solve_exp_primal(g, measure).f
+    e0, e1 = dualsolve._EdgeSet(g, measure.mass0), dualsolve._EdgeSet(g, measure.mass1)
+    lp = dualsolve._CutLP(e0, e1, f)
+    edge_cols = lp.highs.getNumCol() - 3 * lp.k
+    assert edge_cols == lp.cols.size == lp.in_model.sum()
+    assert edge_cols < e0.E + e1.E
+    # every source keeps at least its ball-extremum edge
+    ns = e0.sources.size + e1.sources.size
+    assert np.all(np.bincount(lp.src_row[lp.cols], minlength=ns) > 0)

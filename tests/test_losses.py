@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from advdual.errors import EtaAtBoundary, EtaOutOfRange, NegativeH, ZeroOneHasNoPhi
-from advdual.losses import (
+from advdual.errors import EtaOutOfRange, NegativeH, ZeroOneHasNoPhi
+from advdual.losses import conditional_risk, get_loss, mul0, transform_h
+
+from conftest import (
+    EtaAtBoundary,
     _golden_max,
     alpha_opt_numeric,
-    conditional_risk,
     cstar_numeric,
-    get_loss,
-    mul0,
     supergrad_cstar_exp,
-    transform_h,
 )
 
 ALL = ["exp", "logistic", "hinge", "zero-one"]

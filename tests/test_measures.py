@@ -14,7 +14,7 @@ from advdual.measures import (
     winf_feasible,
 )
 
-from conftest import hall_winf
+from conftest import hall_winf, identity_coupling
 
 
 def test_two_class_measure_validation():
@@ -26,7 +26,7 @@ def test_two_class_measure_validation():
 
 def test_identity_pushforward():
     p = np.array([0.2, 0.0, 0.8])
-    c = Coupling.identity(p)
+    c = identity_coupling(p)
     assert np.allclose(pushforward(c), p)
 
 

@@ -3,18 +3,20 @@
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from advdual.certify import universality_check
+from advdual import dualsolve
+from advdual.certify import uncertified, universality_check
 from advdual.cli import _pipeline, main
-from advdual.dualsolve import brute_dual
+from advdual.dualsolve import brute_dual, solve_dual
 from advdual.ground import build_ground, inf_ball, sliding_max_1d, sup_ball
 from advdual.io import save_instance
 from advdual.losses import get_loss
 from advdual.measures import TwoClassMeasure, greedy_attack, pushforward, winf_distance
-from advdual.primalsolve import brute_primal, eta_hat
+from advdual.primalsolve import brute_primal, eta_hat, solve_exp_primal
 
 from conftest import naive_window_max
 
@@ -160,3 +162,52 @@ def test_weak_duality_against_brute_oracles(inst):
         primal, dual = brute_primal(loss, g, measure), brute_dual(loss, g, measure, 4)
         assert dual <= c.primal_value + slack, (kind, dual, c.primal_value)
         assert c.dual_value <= primal + slack, (kind, c.dual_value, primal)
+
+
+@st.composite
+def seeded_instance(draw):
+    """A tiny instance and a seed field drawn from a few values with +-inf,
+    so that ties at a ball extremum and infinite extrema are common."""
+    inst = draw(tiny_instance())
+    n = inst[0].shape[0]
+    value = st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf])
+    return inst, np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeded_instance())
+# epsilon 0 on duplicate points, each source's ball holding a tie or an
+# infinite extremum
+@example(((np.zeros((4, 2)), "l2", 0.0, np.array([0.25, 0.0, 1.0, 0.25]),
+           np.array([0.0, 1.0, 0.25, 0.25])),
+          np.array([np.inf, -np.inf, 1.0, 1.0])))
+@example(((np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.5, 0.0]]), "linf", 0.5,
+           np.array([1.0, 0.0, 0.25, 0.0]), np.array([0.0, 0.25, 0.0, 1.0])),
+          np.array([0.0, 0.0, -np.inf, np.inf])))
+def test_degenerate_inputs_keep_an_edge_per_source_and_price_out(case):
+    # every source keeps an edge in the first model and, at the end of every
+    # program, no left-out edge prices out, for the drawn seed and for the
+    # primal's; the primal-seeded pair certifies at 1e-6
+    (pts, norm, eps, m0, m1), drawn = case
+    g = build_ground(pts, norm, eps)
+    measure = TwoClassMeasure.build(m0, m1)
+    e0, e1 = dualsolve._EdgeSet(g, m0), dualsolve._EdgeSet(g, m1)
+    sources = e0.sources.size + e1.sources.size
+    ends = []
+    real = dualsolve._CutLP.solve
+
+    def solve(lp):
+        out = real(lp)
+        y = np.asarray(lp.highs.getSolution().row_dual)
+        ends.append(lp.reduced_costs(y)[~lp.in_model].min(initial=np.inf) >= -lp.dual_tol)
+        return out
+
+    for f in (drawn, solve_exp_primal(g, measure).f):
+        first = dualsolve._CutLP(e0, e1, f)
+        assert np.all(np.bincount(first.src_row[first.cols], minlength=sources) > 0)
+        ends.clear()
+        with mock.patch.object(dualsolve._CutLP, "solve", solve):
+            sol = solve_dual(g, measure, f, 1e-6 * measure.total)
+        assert ends and all(ends)
+    certs = universality_check(eta_hat(sol.f), sol, ["exp"], g, measure)
+    assert uncertified(certs, 1e-6, measure.total) == []
