@@ -53,10 +53,10 @@ CUT_RTOL = 1e-3
 # loop runs out of new tangents within 54
 MAX_ROUNDS = 47
 # the first program is solved by the primal simplex up to this many columns
-# and by the dual simplex beyond.  Its CPU time with every edge a column,
-# primal over dual: 0.46 on criterion 01's suite (17-1644 columns),
-# 0.89-0.98 on 200-point scatters (2091-3645), 1.21-1.30 on 400-point ones
-# (7879-13894) and 1.56-1.84 on 800-point ones (28639-52058)
+# and by the dual simplex beyond.  CPU time of the priced first program,
+# pricing rounds included, primal over dual: 0.42-0.45 on criterion 01's
+# suite (17-1644 columns), 0.96-1.39 on 200-point scatters (1111-1534),
+# 0.79-0.99 on 400-point ones (3954-7041), 1.20-1.25 on 800 points, l2 (23991)
 PRIMAL_MAX_COLS = 4000
 # HiGHS's primal feasibility tolerance: the two cuts of the pair at t = 1
 # differ by only CUT_RTOL |m1 - m0| at a point, so at the default 1e-7 an

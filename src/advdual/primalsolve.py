@@ -4,7 +4,10 @@ The exponential primal is minimized in the score parametrization: the map
 f -> sum p1 * exp(-ball_min(f)) + sum p0 * exp(ball_max(f)) is convex in the
 value vector.  Temperature-continuation smoothed stages give a seed field
 that the tangent-cut dual (``dualsolve.solve_dual``) certifies; the reported
-risk always uses the hard ball max.
+risk always uses the hard ball max.  The stages minimize the risk per unit
+mass over one CSR layout of both classes' source balls, class-1 scores
+negated, so each evaluation of the smoothed objective and its gradient is
+one pass of segment reductions.
 """
 
 from __future__ import annotations
@@ -82,54 +85,44 @@ def theta(loss: Loss, hp: HPair, g: GroundSet, measure: TwoClassMeasure) -> floa
 # exponential primal
 # ---------------------------------------------------------------------------
 
-def _segment_softweights(vals, indptr, tau):
-    """Softmax weights per CSR segment at temperature tau, plus the smoothed
-    segment log-sum-exp values."""
-    widths = np.diff(indptr)
-    segmax = np.maximum.reduceat(vals, indptr[:-1])
-    z = np.exp((vals - np.repeat(segmax, widths)) / tau)
-    zsum = np.add.reduceat(z, indptr[:-1])
-    weights = z / np.repeat(zsum, widths)
-    smooth = segmax + tau * np.log(zsum)
-    return weights, smooth
-
-
 class _ExpPrimalProblem:
-    """Hard-max risk, and the soft-max objective with its gradient."""
+    """Hard-max risk, and the soft-max objective with its gradient, per unit
+    mass: L-BFGS-B's default stop rule is not scale-free, and per unit mass
+    it stops alike at every total mass.
+
+    Both classes' source balls form one CSR layout: entry k reads the score
+    ``f[ix[k]]`` with ``sign[k]`` +1 in a class-0 ball and -1 in a class-1
+    ball, so each segment's maximum is the ball max of f (class 0) or minus
+    its ball min (class 1), and ``w`` holds the segment's source mass.
+    """
 
     def __init__(self, g: GroundSet, measure: TwoClassMeasure):
-        self.g = g
-        self.p0 = measure.mass0
-        self.p1 = measure.mass1
-        self.s0 = np.flatnonzero(self.p0 > 0)
-        self.s1 = np.flatnonzero(self.p1 > 0)
-        # CSR segments for the two source families
-        self.ip0, self.ix0 = g.neighbor_csr(self.s0)
-        self.ip1, self.ix1 = g.neighbor_csr(self.s1)
-        self.w0 = self.p0[self.s0]
-        self.w1 = self.p1[self.s1]
+        s0 = np.flatnonzero(measure.mass0 > 0)
+        s1 = np.flatnonzero(measure.mass1 > 0)
+        ip0, ix0 = g.neighbor_csr(s0)
+        ip1, ix1 = g.neighbor_csr(s1)
+        self.ix = np.concatenate((ix0, ix1))
+        self.sign = np.concatenate((np.ones(ix0.size), -np.ones(ix1.size)))
+        self.starts = np.concatenate((ip0[:-1], ix0.size + ip1[:-1]))
+        self.seg = np.repeat(np.arange(self.starts.size),
+                             np.concatenate((np.diff(ip0), np.diff(ip1))))
+        self.w = np.concatenate((measure.mass0[s0], measure.mass1[s1])) / measure.total
 
     def risk(self, f: np.ndarray) -> float:
-        hi = np.maximum.reduceat(f[self.ix0], self.ip0[:-1]) if self.ix0.size else np.empty(0)
-        lo = np.minimum.reduceat(f[self.ix1], self.ip1[:-1]) if self.ix1.size else np.empty(0)
-        with np.errstate(over="ignore"):
-            return float(np.dot(self.w0, np.exp(hi)) + np.dot(self.w1, np.exp(-lo)))
+        top = np.maximum.reduceat(self.sign * f[self.ix], self.starts)
+        return float(np.dot(self.w, np.exp(top)))
 
     def value_grad(self, f: np.ndarray, tau: float):
         """Objective and gradient with the temperature-tau soft maximum over
         each ball in place of the hard one."""
-        grad = np.zeros(f.size)
-        val = 0.0
-        for ix, ip, w, sign in ((self.ix0, self.ip0, self.w0, 1.0),
-                                (self.ix1, self.ip1, self.w1, -1.0)):
-            if not ix.size:
-                continue
-            wts, seg = _segment_softweights(sign * f[ix], ip, tau)
-            term = np.exp(seg) * w
-            val += float(term.sum())
-            grad += sign * np.bincount(ix, weights=np.repeat(term, np.diff(ip)) * wts,
-                                       minlength=f.size)
-        return val, grad
+        v = self.sign * f[self.ix]
+        top = np.maximum.reduceat(v, self.starts)
+        z = np.exp((v - top[self.seg]) / tau)
+        zsum = np.add.reduceat(z, self.starts)
+        term = self.w * np.exp(top + tau * np.log(zsum))
+        grad = np.bincount(self.ix, weights=self.sign * z * (term / zsum)[self.seg],
+                           minlength=f.size)
+        return float(term.sum()), grad
 
 
 def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
@@ -145,16 +138,15 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     points with no mass at all within two epsilon get score zero.
     """
     g2 = build_ground(g.points, g.norm, 2.0 * g.epsilon)
-    near0 = np.add.reduceat(measure.mass0[g2.indices], g2.indptr[:-1]) > 0
-    near1 = np.add.reduceat(measure.mass1[g2.indices], g2.indptr[:-1]) > 0
+    b0 = np.add.reduceat(measure.mass0[g2.indices], g2.indptr[:-1])
+    b1 = np.add.reduceat(measure.mass1[g2.indices], g2.indptr[:-1])
+    near0 = b0 > 0
+    near1 = b1 > 0
     free = near0 & near1
 
     prob = _ExpPrimalProblem(g, measure)
-    n = g.n
-    f = np.zeros(n)
+    f = np.zeros(g.n)
     # local log-odds warm start from two-epsilon ball masses
-    b0 = np.add.reduceat(measure.mass0[g2.indices], g2.indptr[:-1])
-    b1 = np.add.reduceat(measure.mass1[g2.indices], g2.indptr[:-1])
     tiny = 1e-9 * max(measure.total, 1.0)
     f[free] = 0.5 * np.log((b1[free] + tiny) / (b0[free] + tiny))
     f[~near0 & near1] = CLAMP
@@ -164,18 +156,9 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     best_val = prob.risk(f)
     it_count = 0
     # bound coordinates to the clamp box; frozen coordinates are pinned
-    lo = np.where(free, -CLAMP, f)
-    hi = np.where(free, CLAMP, f)
-    bounds = list(zip(lo, hi))
-
-    def per_unit_mass(x, tau):
-        # L-BFGS-B's default stop rule is not scale-free; per unit mass it
-        # stops alike at every total mass
-        val, grad = prob.value_grad(x, tau)
-        return val / measure.total, grad / measure.total
-
+    bounds = opt.Bounds(np.where(free, -CLAMP, f), np.where(free, CLAMP, f))
     for tau in (1e-1, 1e-2, 1e-3):
-        res = opt.minimize(per_unit_mass, f, args=(tau,), jac=True,
+        res = opt.minimize(prob.value_grad, f, args=(tau,), jac=True,
                            method="L-BFGS-B", bounds=bounds,
                            options={"maxiter": STAGE_ITERS})
         it_count += int(getattr(res, "nit", 0))
@@ -189,7 +172,7 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     out[~near0 & near1] = np.inf
     out[near0 & ~near1] = -np.inf
     out[~near0 & ~near1] = 0.0
-    return PrimalSolution(f=out, risk=best_val, iterations=it_count)
+    return PrimalSolution(f=out, risk=best_val * measure.total, iterations=it_count)
 
 
 def eta_hat(f) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from advdual.losses import get_loss
 from advdual.measures import TwoClassMeasure
 from advdual.primalsolve import (
     HPair,
+    _ExpPrimalProblem,
     brute_primal,
     classify_risk_adv,
     construct_f,
@@ -117,6 +120,72 @@ def test_solve_exp_primal_single_class():
     # only class 1 present: scores diverge to +inf and the risk vanishes
     assert sol.risk == pytest.approx(0.0, abs=1e-12)
     assert np.all(sol.f == np.inf)
+
+
+@pytest.mark.parametrize("mass0, mass1", [([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                                          ([0.0, 0.0, 0.0], [0.2, 0.3, 0.0]),
+                                          ([0.0, 0.4, 0.0], [0.0, 0.0, 0.0])])
+def test_solve_exp_primal_empty_classes(mass0, mass1):
+    # no mass at all: the zero field at risk 0; one empty class: every point
+    # that mass reaches within two epsilon is snapped to the infinite score
+    g = build_ground(np.array([[0.0], [0.5], [3.0]]), "l2", 0.5)
+    measure = TwoClassMeasure.build(mass0, mass1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_exp_primal(g, measure)
+    assert sol.risk == pytest.approx(0.0, abs=1e-12)
+    reached = np.array([True, True, False]) if measure.total else np.zeros(3, bool)
+    snapped = np.inf if sum(mass1) else -np.inf
+    assert np.all(sol.f[reached] == snapped)
+    assert np.all(sol.f[~reached] == 0.0)
+
+
+def _drawn_instances():
+    """Small random instances with epsilon 0 (every fourth), duplicate
+    points, zero-mass points and, every third, one empty class."""
+    rng = np.random.default_rng(13)
+    for k in range(12):
+        n = int(rng.integers(4, 13))
+        pts = rng.uniform(0.0, 2.0, (n, int(rng.integers(1, 3))))
+        pts[-2:] = pts[:2]
+        eps = 0.0 if k % 4 == 0 else float(rng.uniform(0.1, 1.0))
+        g = build_ground(pts, str(rng.choice(["l1", "l2", "linf"])), eps)
+        mass = rng.uniform(size=(2, n)) * (rng.uniform(size=(2, n)) < 0.6)
+        mass[:, 0] = 0.5
+        if k % 3 == 2:
+            mass[k % 2] = 0.0
+        yield g, TwoClassMeasure.build(mass[0], mass[1]), 2.0 * rng.normal(size=n)
+
+
+def _two_loop_value_grad(g, measure, f, tau):
+    # the objective per unit mass written out ball by ball, class by class
+    val, grad = 0.0, np.zeros(g.n)
+    for mass, sign in ((measure.mass0, 1.0), (measure.mass1, -1.0)):
+        for i in np.flatnonzero(mass > 0):
+            ball = g.neighbors(i)
+            v = sign * f[ball]
+            z = np.exp((v - v.max()) / tau)
+            term = mass[i] * np.exp(v.max() + tau * np.log(z.sum()))
+            val += term
+            np.add.at(grad, ball, sign * term * z / z.sum())
+    return val / measure.total, grad / measure.total
+
+
+@pytest.mark.parametrize("tau", [1e-1, 1e-2, 1e-3])
+def test_exp_primal_value_grad_matches_reference(tau):
+    for g, measure, f in _drawn_instances():
+        prob = _ExpPrimalProblem(g, measure)
+        val, grad = prob.value_grad(f, tau)
+        ref_val, ref_grad = _two_loop_value_grad(g, measure, f, tau)
+        assert val == pytest.approx(ref_val, rel=1e-10, abs=1e-13)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-13)
+        # central differences, steps small against tau
+        h = 1e-3 * tau
+        fd = [(prob.value_grad(f + h * e, tau)[0] - prob.value_grad(f - h * e, tau)[0])
+              / (2.0 * h) for e in np.eye(g.n)]
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
+        assert prob.risk(f) == pytest.approx(risk_adv(EXP, f, g, measure) / measure.total,
+                                             rel=1e-12)
 
 
 def test_solve_exp_primal_matches_brute(oracle_instances):
