@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite ground sets, with optimality certificates.")
     sub = ap.add_subparsers(dest="command", required=True)
     losses = LOSS_CHOICES + ("all",)
-    tol_help = "gap tolerance per unit of total mass (default 1e-4 exp, 1e-3 others)"
+    tol_help = ("gap tolerance per unit of total mass (default 1e-4 exp, 1e-3 others); "
+                "gaps below about 1e-7 are out of reach, as the cut loop runs out of tangents")
 
     p = sub.add_parser("solve", help="solve primal and dual, certify, write result")
     p.add_argument("instance")
@@ -222,7 +223,7 @@ def cmd_sweep(args) -> int:
                              dual_iters=ds.iterations,
                              runtime_ms=ms))
     stem = args.out or os.path.splitext(args.instance)[0] + "_sweep"
-    stem = os.path.splitext(stem)[0] if stem.endswith(".csv") else stem
+    stem = stem[:-4] if stem.endswith((".csv", ".svg")) else stem
     if args.format in ("csv", "both"):
         adio.save_sweep_csv(stem + ".csv", rows)
         print(f"sweep written to {stem}.csv")

@@ -17,11 +17,11 @@ HiGHS binding.  By complementary slackness the optimal couplings move each
 source's mass only to the extremum of the optimal score field on its ball,
 so the model starts with the edges that end near the seed field's ball
 extrema, and every other edge joins as a column once its reduced cost shows
-it can improve the program.  The first program is solved from scratch, by
-the primal simplex when it is small.  Each later cut round only adds its
-tangents as rows, so the dual simplex restarts from the last basis, which
-stays dual feasible; each pricing round only adds columns, so the primal
-simplex restarts from a basis that stays primal feasible.
+it can improve the program.  The first program is solved from scratch by
+the primal simplex.  Each later cut round only adds its tangents as rows,
+so the dual simplex restarts from the last basis, which stays dual
+feasible; each pricing round only adds columns, so the primal simplex
+restarts from a basis that stays primal feasible.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixForma
 from .errors import CutProgramFailed, InstanceTooLarge, NegativeMass
 from .ground import GroundSet
 from .losses import Loss
-from .measures import Coupling, TwoClassMeasure, pushforward
+from .measures import Coupling, SourceBalls, TwoClassMeasure, pushforward
 from .primalsolve import HPair, risk_adv
 
 EXP = Loss("exponential")
@@ -52,12 +52,6 @@ CUT_RTOL = 1e-3
 # programs, 400-point scatters 16 and 750 fresh suite draws 42; at 1e-12 the
 # loop runs out of new tangents within 54
 MAX_ROUNDS = 47
-# the first program is solved by the primal simplex up to this many columns
-# and by the dual simplex beyond.  CPU time of the priced first program,
-# pricing rounds included, primal over dual: 0.42-0.45 on criterion 01's
-# suite (17-1644 columns), 0.96-1.39 on 200-point scatters (1111-1534),
-# 0.79-0.99 on 400-point ones (3954-7041), 1.20-1.25 on 800 points, l2 (23991)
-PRIMAL_MAX_COLS = 4000
 # HiGHS's primal feasibility tolerance: the two cuts of the pair at t = 1
 # differ by only CUT_RTOL |m1 - m0| at a point, so at the default 1e-7 an
 # optimal vertex may leave balanced masses unbalanced
@@ -109,105 +103,52 @@ def dual_objective(loss: Loss, m0, m1) -> float:
     return float(np.dot(s[mask], loss.cstar(eta)))
 
 
-class _EdgeSet:
-    """CSR edge layout for one class: one simplex per positive-mass source."""
-
-    def __init__(self, g: GroundSet, p: np.ndarray):
-        self.n = g.n
-        self.sources = np.flatnonzero(p > 0)
-        self.p = p[self.sources]
-        self.indptr, self.dst = g.neighbor_csr(self.sources)
-        self.widths = np.diff(self.indptr)
-        self.esrc = np.repeat(self.sources, self.widths)
-        self.E = self.dst.size
-        self.reach = np.zeros(self.n, dtype=bool)
-        self.reach[self.dst] = True
-
-    def renormalize(self, w: np.ndarray) -> np.ndarray:
-        """Clip ``w`` at zero and rescale each source to its exact mass; a
-        source left with no weight is split evenly over its edges."""
-        w = np.maximum(w, 0.0)
-        seg = np.add.reduceat(w, self.indptr[:-1])
-        w = np.where(np.repeat(seg > 0, self.widths), w, 1.0)
-        seg = np.add.reduceat(w, self.indptr[:-1])
-        return w * np.repeat(self.p / seg, self.widths)
-
-    def push(self, w: np.ndarray) -> np.ndarray:
-        return np.bincount(self.dst, weights=w, minlength=self.n)
-
-    def coupling(self, w: np.ndarray) -> Coupling:
-        keep = w > 0
-        return Coupling.build(self.esrc[keep], self.dst[keep], w[keep], self.n)
-
-    def near_top(self, v: np.ndarray, delta: float) -> np.ndarray:
-        """Per edge, whether ``v`` at its destination lies within ``delta``
-        of the largest ``v`` on its source's ball.  An infinite maximum
-        keeps only the edges where ``v`` equals it, so every source keeps an
-        edge."""
-        vals = v[self.dst]
-        top = np.maximum.reduceat(vals, self.indptr[:-1])
-        return vals >= np.repeat(top, self.widths) - delta
-
-    def cap(self, v: np.ndarray, on_k: np.ndarray) -> np.ndarray:
-        """Per point, the least over the balls of this class's sources that
-        hold it of the largest ``v`` on that ball's ``on_k`` points: the
-        largest value the point can take without raising any of those
-        maxima (inf where no source reaches it)."""
-        vals = np.where(on_k[self.dst], v[self.dst], -np.inf)
-        top = np.maximum.reduceat(vals, self.indptr[:-1])
-        out = np.full(self.n, np.inf)
-        np.minimum.at(out, self.dst, np.repeat(top, self.widths))
-        return out
-
-
 class _CutLP:
     """The tangent-cut program on priced edges of both classes, as one HiGHS
     model kept for all cut rounds.
 
-    Variables are, per point both classes reach (``K``), its masses m0 and
-    m1 and its value z, then one weight per edge column.  The equalities fix
-    every source mass and tie each m to the edges into its point; they are
-    passed once.  By complementary slackness the optimal couplings move mass
-    only to the ball extrema of the optimal field, so the model starts with
-    the edges whose destination lies within max(``SEED_DELTAS``) of the seed
-    field's ball extremum at their source: the maximum for class 0, the
-    minimum for class 1.  After every optimal run the left-out edges are
-    priced by their reduced cost, and those below minus HiGHS's dual
-    feasibility tolerance are added as columns by ``add_edges``.  Each cut
-    z <= t m0 + m1 / t is one row with three nonzeros, added by
-    ``add_cuts``.  Adding rows keeps the last optimal basis dual feasible
-    and adding columns keeps it primal feasible, so each cut round is solved
-    by the dual simplex and each pricing round by the primal simplex, both
-    from the last basis.
+    The edges are the entries of the ``SourceBalls`` layout.  Variables are,
+    per point both classes reach (``K``), its masses m0 and m1 and its value
+    z, then one weight per edge column.  The equalities fix every source
+    mass and tie each m to the edges into its point; they are passed once.
+    By complementary slackness the optimal couplings move mass only to the
+    ball extrema of the optimal field, so the model starts with the edges
+    whose destination lies within max(``SEED_DELTAS``) of the seed field's
+    ball extremum at their source: the maximum for class 0, the minimum for
+    class 1.  An infinite extremum keeps only the edges where the field
+    equals it, so every source keeps an edge.  After every optimal run the
+    left-out edges are priced by their reduced cost, and those below minus
+    HiGHS's dual feasibility tolerance are added as columns by
+    ``add_edges``.  Each cut z <= t m0 + m1 / t is one row with three
+    nonzeros, added by ``add_cuts``.  Adding rows keeps the last optimal
+    basis dual feasible and adding columns keeps it primal feasible, so each
+    cut round is solved by the dual simplex and each pricing round by the
+    primal simplex, both from the last basis.
     """
 
-    def __init__(self, e0: _EdgeSet, e1: _EdgeSet, f: np.ndarray):
-        self.on_k = e0.reach & e1.reach
+    def __init__(self, b: SourceBalls, f: np.ndarray):
+        self.on_k = b.reach[0] & b.reach[1]
         self.K = np.flatnonzero(self.on_k)
-        k, E0 = self.K.size, e0.E
-        self.k, self.E = k, E0 + e1.E
-        pos = np.full(e0.n, -1)
-        pos[self.K] = np.arange(k)
-        ns0, ns1 = e0.sources.size, e1.sources.size
-        self.neq = ns0 + ns1 + 2 * k
+        k, ns = self.K.size, b.src.size
+        self.k, self.E = k, b.ix.size
+        self.neq = ns + 2 * k
         # per edge, the row of its source and the tie row of its destination
-        # (-1 off K, where no row ties the mass)
-        self.src_row = np.concatenate([np.repeat(np.arange(ns0), e0.widths),
-                                       ns0 + np.repeat(np.arange(ns1), e1.widths)])
-        dst_pos = pos[np.concatenate([e0.dst, e1.dst])]
-        self.tie_row = np.where(dst_pos >= 0, ns0 + ns1 + dst_pos
-                                + np.where(np.arange(self.E) < E0, 0, k), -1)
+        # (-1 off K, where no row ties the mass): class c's tie rows of K
+        # follow the ns source rows at ns + c k
+        tie = np.full((2, b.n), -1)
+        tie[:, self.K] = ns + np.arange(2 * k).reshape(2, k)
+        self.src_row, self.tie_row = b.seg, tie.ravel()[b.slot]
 
         lp = HighsLp()
         lp.num_col_, lp.num_row_ = 3 * k, self.neq
         lp.col_cost_ = np.concatenate([np.zeros(2 * k), -np.ones(k)])
         lp.col_lower_, lp.col_upper_ = np.zeros(3 * k), np.full(3 * k, np.inf)
-        lp.row_lower_ = lp.row_upper_ = np.concatenate([e0.p, e1.p, np.zeros(2 * k)])
+        lp.row_lower_ = lp.row_upper_ = np.concatenate([b.p, np.zeros(2 * k)])
         a = lp.a_matrix_
         a.format_ = MatrixFormat.kColwise
         a.num_col_, a.num_row_ = 3 * k, self.neq
         a.start_ = np.concatenate([np.arange(2 * k + 1), np.full(k, 2 * k)])
-        a.index_, a.value_ = ns0 + ns1 + np.arange(2 * k), np.ones(2 * k)
+        a.index_, a.value_ = ns + np.arange(2 * k), np.ones(2 * k)
         self.highs = _Highs()
         for name, value in (("output_flag", False), ("presolve", "off"),
                             ("primal_feasibility_tolerance", FEAS_TOL)):
@@ -220,9 +161,8 @@ class _CutLP:
         self.logt = np.zeros(0)
         self.programs = 0
         self.iterations = 0
-        delta = max(SEED_DELTAS)
-        self.add_edges(np.flatnonzero(np.concatenate([e0.near_top(f, delta),
-                                                      e1.near_top(-f, delta)])))
+        near = b.sign * f[b.ix] >= b.top(f)[b.seg] - max(SEED_DELTAS)
+        self.add_edges(np.flatnonzero(near))
 
     def add_edges(self, idx: np.ndarray) -> None:
         """Add the edges ``idx`` (class 0's edges first, then class 1's) as
@@ -279,15 +219,13 @@ class _CutLP:
 
     def solve(self):
         """Solve the program with every cut added so far: the first by the
-        primal simplex if it has at most ``PRIMAL_MAX_COLS`` columns, and
-        every other by the dual simplex.  Then, while a left-out edge prices
-        out, add every such edge and solve again by the primal simplex.
-        ``iterations`` sums both methods' counts over every run.  Returns
-        the weight of every edge (0 off the model) and one multiplier per
-        cut, or None if a run does not end optimal."""
-        primal = not self.programs and self.highs.getNumCol() <= PRIMAL_MAX_COLS
+        primal simplex and every other by the dual simplex.  Then, while a
+        left-out edge prices out, add every such edge and solve again by the
+        primal simplex.  ``iterations`` sums both methods' counts over every
+        run.  Returns the weight of every edge (0 off the model) and one
+        multiplier per cut, or None if a run does not end optimal."""
+        strategy = 1 if self.programs else 4  # dual, primal
         self.programs += 1
-        strategy = 4 if primal else 1  # primal, dual
         while True:
             sol = self._run(strategy)
             if sol is None:
@@ -349,13 +287,13 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     that is the first.
     """
     f = g.check_field(f)
-    e0, e1 = _EdgeSet(g, measure.mass0), _EdgeSet(g, measure.mass1)
-    lp = _CutLP(e0, e1, f)
+    b = SourceBalls(g, measure)
+    lp = _CutLP(b, f)
     K, k, on_k = lp.K, lp.k, lp.on_k
-    only0 = e0.reach & ~e1.reach & (f != -np.inf)
-    only1 = e1.reach & ~e0.reach & (f != np.inf)
+    only0 = b.reach[0] & ~b.reach[1] & (f != -np.inf)
+    only1 = b.reach[1] & ~b.reach[0] & (f != np.inf)
 
-    best = None  # (gap, field, hpair, w0, w1) of the least gap so far
+    best = None  # (gap, field, hpair, w) of the least gap so far
     lp.add_cuts(*_seed_cuts(f[K]))
     for _ in range(MAX_ROUNDS + 1):
         solved = lp.solve()
@@ -363,8 +301,8 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
             break
         x, lam = solved
         pt, logt = lp.pt, lp.logt
-        w0, w1 = e0.renormalize(x[:e0.E]), e1.renormalize(x[e0.E:])
-        m0, m1 = e0.push(w0), e1.push(w1)
+        w = b.renormalize(x)
+        m0, m1 = b.push(w)
         # per point, multipliers normalized to sum one (z >= 0 makes the
         # sum at least one): h0 h1 >= 1 by Cauchy-Schwarz
         lam /= np.bincount(pt, lam, k)[pt]
@@ -372,14 +310,15 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
         h0k, h1k = np.bincount(pt, lam * t, k), np.bincount(pt, lam / t, k)
         field = f.copy()
         field[K] = 0.5 * np.log(h0k / h1k)
-        field[only0] = e0.cap(field, on_k)[only0]
-        field[only1] = -e1.cap(-field, on_k)[only1]
+        cap = b.cap(field, on_k)
+        field[only0] = cap[0, only0]
+        field[only1] = -cap[1, only1]
         risk = risk_adv(EXP, field, g, measure)
         gap = risk - dual_objective(EXP, m0, m1)
         if best is None or gap < best[0]:
             h0, h1 = EXP.phi(-field), EXP.phi(field)
             h0[K], h1[K] = h0k, h1k
-            best = (gap, field, HPair(h0=h0, h1=h1), w0, w1)
+            best = (gap, field, HPair(h0=h0, h1=h1), w)
         if gap <= tol:
             break
         # the exact tangent at each mass ratio that no cut lies within CUT_RTOL of
@@ -397,8 +336,8 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     if best is None:
         raise CutProgramFailed("HiGHS solved no tangent-cut program to optimality")
 
-    _, field, hpair, w0, w1 = best
-    c0, c1 = e0.coupling(w0), e1.coupling(w1)
+    _, field, hpair, w = best
+    c0, c1 = b.couplings(w)
     m0, m1 = pushforward(c0), pushforward(c1)
     # recompute both values from the pair actually returned
     obj = dual_objective(EXP, m0, m1)

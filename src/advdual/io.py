@@ -112,19 +112,16 @@ def refine_points(points: np.ndarray, epsilon: float, r: int,
     pts = np.asarray(points, dtype=float)
     if r <= 0:
         return pts
-    n = pts.shape[0]
     g2 = build_ground(pts, norm, 2.0 * epsilon)
-    extra = []
-    for i in range(n):
-        for j in g2.neighbors(i):
-            if j <= i:
-                continue
-            for k in range(1, r + 1):
-                t = k / (r + 1.0)
-                extra.append((1.0 - t) * pts[i] + t * pts[j])
-    if not extra:
+    # the pairs j > i, row by row, and r midpoints on each
+    i = np.repeat(np.arange(pts.shape[0]), np.diff(g2.indptr))
+    pair = g2.indices > i
+    if not pair.any():
         return pts
-    allpts = np.vstack([pts, np.asarray(extra)])
+    i, j = i[pair], g2.indices[pair]
+    t = (np.arange(1, r + 1) / (r + 1.0))[:, None]
+    extra = (1.0 - t) * pts[i][:, None] + t * pts[j][:, None]
+    allpts = np.vstack([pts, extra.reshape(-1, pts.shape[1])])
     # stable de-duplication that keeps the original points (and order) first
     _, keep = np.unique(allpts.round(12), axis=0, return_index=True)
     keep = np.sort(keep)

@@ -33,12 +33,8 @@ def mul0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product with the convention 0 * (+-inf) = 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    mask = np.broadcast_to(a != 0.0, out.shape)
     with np.errstate(invalid="ignore", over="ignore"):
-        prod = np.broadcast_to(a, out.shape)[mask] * np.broadcast_to(b, out.shape)[mask]
-    out[mask] = prod
-    return out
+        return np.where(a == 0.0, 0.0, a * b)
 
 
 def _check_eta(eta) -> np.ndarray:

@@ -95,6 +95,74 @@ class Coupling:
         return [(int(i), int(j), float(v)) for i, j, v in zip(self.src, self.dst, self.w)]
 
 
+class SourceBalls:
+    """Every positive-mass source's epsilon-ball, class 0's first, as one
+    CSR layout.  By complementary slackness an optimal coupling moves each
+    source's mass only to the extremum of the optimal field on its ball: the
+    maximum for class 0, the minimum for class 1.
+
+    Segment s is the ball of source ``src[s]`` of mass ``p[s]``: the points
+    ``ix`` from ``starts[s]`` on, ascending.  Per entry, ``seg`` is its
+    segment, ``sign`` is +1 in class 0 and -1 in class 1 (so a segment's
+    largest ``sign * f[ix]`` is a class-0 ball max or minus a class-1 ball
+    min) and ``slot`` = class * n + ix indexes a (2, n) array.  Entries
+    before ``split`` are class 0's; ``reach[c]`` marks the points class c's
+    balls hold.  Per-class results have one row per class.
+    """
+
+    def __init__(self, g: GroundSet, measure: TwoClassMeasure):
+        s0 = np.flatnonzero(measure.mass0 > 0)
+        s1 = np.flatnonzero(measure.mass1 > 0)
+        self.n = g.n
+        self.src = np.concatenate((s0, s1))
+        self.p = np.concatenate((measure.mass0[s0], measure.mass1[s1]))
+        indptr, self.ix = g.neighbor_csr(self.src)
+        self.starts = indptr[:-1]
+        self.seg = np.repeat(np.arange(self.src.size), np.diff(indptr))
+        self.split = indptr[s0.size]
+        cls = np.arange(self.ix.size) >= self.split
+        self.sign = np.where(cls, -1.0, 1.0)
+        self.slot = self.ix + self.n * cls
+        self.reach = np.bincount(self.slot, minlength=2 * self.n).reshape(2, self.n) > 0
+
+    def top(self, f: np.ndarray) -> np.ndarray:
+        """Per segment, the largest ``sign * f`` on its ball."""
+        return np.maximum.reduceat(self.sign * f[self.ix], self.starts)
+
+    def renormalize(self, w: np.ndarray) -> np.ndarray:
+        """Clip the entry weights ``w`` at zero and rescale each segment to
+        its source's mass; a segment left with no weight is split evenly."""
+        w = np.maximum(w, 0.0)
+        s = np.add.reduceat(w, self.starts)
+        w = np.where((s > 0)[self.seg], w, 1.0)
+        s = np.add.reduceat(w, self.starts)
+        return w * (self.p / s)[self.seg]
+
+    def push(self, w: np.ndarray) -> np.ndarray:
+        """Target masses (m0, m1) of the entry weights ``w``."""
+        return np.bincount(self.slot, weights=w, minlength=2 * self.n).reshape(2, self.n)
+
+    def couplings(self, w: np.ndarray) -> tuple[Coupling, Coupling]:
+        """The class couplings (c0, c1) of the entry weights ``w``."""
+        keep = np.flatnonzero(w > 0)
+        cut = np.searchsorted(keep, self.split)
+        src, dst, w = self.src[self.seg[keep]], self.ix[keep], w[keep]
+        return tuple(Coupling.build(src[part], dst[part], w[part], self.n)
+                     for part in (slice(0, cut), slice(cut, None)))
+
+    def cap(self, v: np.ndarray, on: np.ndarray) -> np.ndarray:
+        """Per point and class, the least over the class's balls holding it
+        of the largest ``sign * v`` on that ball's ``on`` points (inf where
+        no ball holds it): row 0 is the largest value the point can take
+        without raising a class-0 ball max, and minus row 1 the smallest
+        that lowers no class-1 ball min."""
+        vals = np.where(on[self.ix], self.sign * v[self.ix], -np.inf)
+        top = np.maximum.reduceat(vals, self.starts)
+        out = np.full(2 * self.n, np.inf)
+        np.minimum.at(out, self.slot, top[self.seg])
+        return out.reshape(2, self.n)
+
+
 def pushforward(c: Coupling) -> np.ndarray:
     """Target marginal of a coupling; total mass is preserved exactly up to
     float summation order."""

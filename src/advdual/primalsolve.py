@@ -20,7 +20,7 @@ import scipy.optimize as opt
 from .errors import InfeasiblePair, InstanceTooLarge, ZeroOneHasNoPhi
 from .ground import GroundSet, build_ground, sup_ball
 from .losses import Loss, mul0, transform_h
-from .measures import TwoClassMeasure
+from .measures import SourceBalls, TwoClassMeasure
 
 CLAMP = 50.0
 # L-BFGS-B iteration cap of each smoothed stage
@@ -90,38 +90,29 @@ class _ExpPrimalProblem:
     mass: L-BFGS-B's default stop rule is not scale-free, and per unit mass
     it stops alike at every total mass.
 
-    Both classes' source balls form one CSR layout: entry k reads the score
-    ``f[ix[k]]`` with ``sign[k]`` +1 in a class-0 ball and -1 in a class-1
-    ball, so each segment's maximum is the ball max of f (class 0) or minus
-    its ball min (class 1), and ``w`` holds the segment's source mass.
+    Both classes' source balls are one ``SourceBalls`` layout, so each
+    segment's maximum of ``sign * f[ix]`` is the ball max of f (class 0) or
+    minus its ball min (class 1), and ``w`` holds each segment's source mass
+    per unit total mass.
     """
 
     def __init__(self, g: GroundSet, measure: TwoClassMeasure):
-        s0 = np.flatnonzero(measure.mass0 > 0)
-        s1 = np.flatnonzero(measure.mass1 > 0)
-        ip0, ix0 = g.neighbor_csr(s0)
-        ip1, ix1 = g.neighbor_csr(s1)
-        self.ix = np.concatenate((ix0, ix1))
-        self.sign = np.concatenate((np.ones(ix0.size), -np.ones(ix1.size)))
-        self.starts = np.concatenate((ip0[:-1], ix0.size + ip1[:-1]))
-        self.seg = np.repeat(np.arange(self.starts.size),
-                             np.concatenate((np.diff(ip0), np.diff(ip1))))
-        self.w = np.concatenate((measure.mass0[s0], measure.mass1[s1])) / measure.total
+        self.b = SourceBalls(g, measure)
+        self.w = self.b.p / measure.total
 
     def risk(self, f: np.ndarray) -> float:
-        top = np.maximum.reduceat(self.sign * f[self.ix], self.starts)
-        return float(np.dot(self.w, np.exp(top)))
+        return float(np.dot(self.w, np.exp(self.b.top(f))))
 
     def value_grad(self, f: np.ndarray, tau: float):
         """Objective and gradient with the temperature-tau soft maximum over
         each ball in place of the hard one."""
-        v = self.sign * f[self.ix]
-        top = np.maximum.reduceat(v, self.starts)
-        z = np.exp((v - top[self.seg]) / tau)
-        zsum = np.add.reduceat(z, self.starts)
+        b = self.b
+        v = b.sign * f[b.ix]
+        top = np.maximum.reduceat(v, b.starts)
+        z = np.exp((v - top[b.seg]) / tau)
+        zsum = np.add.reduceat(z, b.starts)
         term = self.w * np.exp(top + tau * np.log(zsum))
-        grad = np.bincount(self.ix, weights=self.sign * z * (term / zsum)[self.seg],
-                           minlength=f.size)
+        grad = np.bincount(b.ix, weights=b.sign * z * (term / zsum)[b.seg], minlength=f.size)
         return float(term.sum()), grad
 
 

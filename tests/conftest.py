@@ -107,6 +107,26 @@ def brute_neighbors(points: np.ndarray, norm: str, eps: float) -> list[np.ndarra
     return [np.flatnonzero(row) for row in brute_distances(points, norm) <= eps]
 
 
+def refine_points_loop(points, epsilon: float, r: int, norm: str) -> np.ndarray:
+    """Reference refinement: ``r`` midpoints on every pair j > i within
+    2 epsilon, pair by pair over the brute neighbor lists, then the stable
+    de-duplication that keeps the original points first."""
+    pts = np.asarray(points, dtype=float)
+    if r <= 0:
+        return pts
+    extra = []
+    for i, ball in enumerate(brute_neighbors(pts, norm, 2.0 * epsilon)):
+        for j in ball[ball > i]:
+            for k in range(1, r + 1):
+                t = k / (r + 1.0)
+                extra.append((1.0 - t) * pts[i] + t * pts[j])
+    if not extra:
+        return pts
+    allpts = np.vstack([pts, np.asarray(extra)])
+    _, keep = np.unique(allpts.round(12), axis=0, return_index=True)
+    return allpts[np.sort(keep)]
+
+
 def hall_feasible(dist: np.ndarray, p: np.ndarray, q: np.ndarray,
                   eps: float) -> bool:
     """Feasibility of moving p onto q within distance eps, decided by the

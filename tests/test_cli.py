@@ -257,6 +257,15 @@ def test_sweep_csv_and_svg(inst, tmp_path, capsys):
     assert "<svg" in open(stem + ".svg").read()
 
 
+def test_sweep_out_extension_is_dropped(inst, tmp_path, capsys):
+    # --out x.svg (or x.csv) names the stem x, whatever the format
+    for name in ("a.csv", "b.svg"):
+        assert main(["sweep", inst, "--eps", "0.3", "--loss", "exp", "--format", "both",
+                     "--out", str(tmp_path / name)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("[ab].*")) == \
+        ["a.csv", "a.svg", "b.csv", "b.svg"]
+
+
 def test_sweep_duplicate_eps_warns(inst, tmp_path, capsys):
     stem = str(tmp_path / "sw")
     assert main(["sweep", inst, "--eps", "0.3,0.3", "--out", stem,

@@ -8,7 +8,13 @@ from advdual.dualsolve import brute_dual, dual_objective, solve_dual
 from advdual.errors import CutProgramFailed, InstanceTooLarge, NegativeMass
 from advdual.ground import build_ground
 from advdual.losses import get_loss
-from advdual.measures import TwoClassMeasure, coupling_in_delta, pushforward, winf_feasible
+from advdual.measures import (
+    SourceBalls,
+    TwoClassMeasure,
+    coupling_in_delta,
+    pushforward,
+    winf_feasible,
+)
 from advdual.primalsolve import hpair_feasible, risk_adv, solve_exp_primal, theta
 
 from test_acceptance import _random_instance, _scatter_l2
@@ -280,10 +286,9 @@ def test_iterations_sum_every_run_and_warm_rounds_are_short(stalled_highs):
 
 
 def test_first_program_simplex_by_size(stalled_highs):
-    # the primal simplex for a first program of at most PRIMAL_MAX_COLS
-    # columns (a suite instance), the dual simplex for a larger one (the
-    # 400-point scatter); every cut round restarts the dual simplex and
-    # every pricing re-solve the primal simplex
+    # the primal simplex for the first program, small (a suite instance) or
+    # large (the 400-point scatter); every cut round restarts the dual
+    # simplex and every pricing re-solve the primal simplex
     made = stalled_highs(0)
     g, measure, f = _suite_first()
     solve_dual(g, measure, f, 1e-6)
@@ -293,7 +298,7 @@ def test_first_program_simplex_by_size(stalled_highs):
     solve_dual(g, measure, -f, 1e-5)
     small, large, priced = made
     assert small.strategies[0] == 4 and len(small.strategies) > 1
-    assert large.strategies[0] == priced.strategies[0] == 1
+    assert large.strategies[0] == priced.strategies[0] == 4
     kinds = {"cut": 1, "price": 4}
     for model in made:
         assert [kinds[kind] for kind in _run_kinds(model)] == model.strategies[1:]
@@ -342,27 +347,35 @@ def test_no_solved_program_raises(stalled_highs, twopoint):
 # edge pricing: the program on the priced edges is the program on all edges
 # ---------------------------------------------------------------------------
 
-def _full_program(lp, e0, e1):
+def _full_program(lp, g, measure):
     """The rows of ``lp``'s program with one column per edge of both
-    classes: columns m0, m1 and z per point of K, then class 0's edges and
-    class 1's.  Returns the cost, the equalities and their right side, and
-    the cut rows (each <= 0)."""
-    k, ns0, ns1 = lp.k, e0.sources.size, e1.sources.size
-    pos = np.full(e0.n, -1)
+    classes, read off the neighbor lists: columns m0, m1 and z per point of
+    K, then class 0's edges and class 1's, each class's sources ascending.
+    Returns the cost, the equalities and their right side, and the cut rows
+    (each <= 0)."""
+    k, src_row, dst, cls, p = lp.k, [], [], [], []
+    for c, mass in enumerate((measure.mass0, measure.mass1)):
+        sources = np.flatnonzero(mass > 0)
+        indptr, d = g.neighbor_csr(sources)
+        src_row.append(sum(q.size for q in p) + np.repeat(np.arange(sources.size),
+                                                          np.diff(indptr)))
+        dst.append(d)
+        cls.append(np.full(d.size, c))
+        p.append(mass[sources])
+    src_row, dst, cls, p = map(np.concatenate, (src_row, dst, cls, p))
+    ns = p.size
+    pos = np.full(g.n, -1)
     pos[lp.K] = np.arange(k)
-    src_row = np.concatenate([np.searchsorted(e0.sources, e0.esrc),
-                              ns0 + np.searchsorted(e1.sources, e1.esrc)])
-    dst = np.concatenate([e0.dst, e1.dst])
-    tie = ns0 + ns1 + np.repeat([0, k], [e0.E, e1.E]) + pos[dst]
+    tie = ns + cls * k + pos[dst]
     into, col = pos[dst] >= 0, 3 * k + dst.size
     edge = 3 * k + np.arange(dst.size)
     # +1 for m in its tie row; per edge +1 in its source row and -1 in the
     # tie row of its destination, if that is in K
-    rows = np.concatenate([ns0 + ns1 + np.arange(2 * k), src_row, tie[into]])
+    rows = np.concatenate([ns + np.arange(2 * k), src_row, tie[into]])
     cols = np.concatenate([np.arange(2 * k), edge, edge[into]])
     vals = np.concatenate([np.ones(2 * k + dst.size), -np.ones(into.sum())])
-    A_eq = sp.csr_matrix((vals, (rows, cols)), shape=(ns0 + ns1 + 2 * k, col))
-    b_eq = np.concatenate([e0.p, e1.p, np.zeros(2 * k)])
+    A_eq = sp.csr_matrix((vals, (rows, cols)), shape=(ns + 2 * k, col))
+    b_eq = np.concatenate([p, np.zeros(2 * k)])
     c, t = lp.pt.size, np.exp(lp.logt)
     A_ub = sp.csr_matrix((np.concatenate([np.ones(c), -t, -1.0 / t]),
                           (np.tile(np.arange(c), 3),
@@ -400,10 +413,9 @@ def test_no_left_out_edge_prices_out_after_any_program(monkeypatch):
     for name, g, measure, f in _pricing_cases():
         ends.clear()
         solve_dual(g, measure, f, 1e-6 * measure.total)
-        e0, e1 = dualsolve._EdgeSet(g, measure.mass0), dualsolve._EdgeSet(g, measure.mass1)
         assert len(ends) > 1, name
         for lp, y, in_model in ends:
-            cost, A_eq, _, _ = _full_program(lp, e0, e1)
+            cost, A_eq, _, _ = _full_program(lp, g, measure)
             reduced = (cost - A_eq.T @ y[:A_eq.shape[0]])[3 * lp.k:]
             assert reduced[~in_model].min(initial=np.inf) >= -lp.dual_tol, name
             # the edges in the model are optimal too
@@ -414,11 +426,10 @@ def test_no_left_out_edge_prices_out_after_any_program(monkeypatch):
                          ids=["suite first", "scatter l2", "scatter l2 negated seed"])
 def test_first_priced_program_equals_all_edge_program(case):
     name, g, measure, f = list(_pricing_cases())[case]
-    e0, e1 = dualsolve._EdgeSet(g, measure.mass0), dualsolve._EdgeSet(g, measure.mass1)
-    lp = dualsolve._CutLP(e0, e1, f)
+    lp = dualsolve._CutLP(SourceBalls(g, measure), f)
     lp.add_cuts(*dualsolve._seed_cuts(f[lp.K]))
     assert lp.solve() is not None
-    cost, A_eq, b_eq, A_ub = _full_program(lp, e0, e1)
+    cost, A_eq, b_eq, A_ub = _full_program(lp, g, measure)
     ref = linprog(cost, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=A_eq,
                   b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": dualsolve.FEAS_TOL})
@@ -430,11 +441,10 @@ def test_first_priced_program_equals_all_edge_program(case):
 def test_scatter_first_model_holds_fewer_edges_than_the_edge_set():
     g, measure = _scatter_l2()
     f = solve_exp_primal(g, measure).f
-    e0, e1 = dualsolve._EdgeSet(g, measure.mass0), dualsolve._EdgeSet(g, measure.mass1)
-    lp = dualsolve._CutLP(e0, e1, f)
+    b = SourceBalls(g, measure)
+    lp = dualsolve._CutLP(b, f)
     edge_cols = lp.highs.getNumCol() - 3 * lp.k
     assert edge_cols == lp.cols.size == lp.in_model.sum()
-    assert edge_cols < e0.E + e1.E
+    assert edge_cols < lp.E == b.ix.size
     # every source keeps at least its ball-extremum edge
-    ns = e0.sources.size + e1.sources.size
-    assert np.all(np.bincount(lp.src_row[lp.cols], minlength=ns) > 0)
+    assert np.all(np.bincount(lp.src_row[lp.cols], minlength=b.src.size) > 0)

@@ -17,6 +17,8 @@ from advdual.io import (
     sweep_svg,
 )
 
+from conftest import refine_points_loop
+
 
 def test_load_bundled_twopoint_instance():
     g, measure = load_instance("instances/twopoint.json")
@@ -104,6 +106,17 @@ def test_refine_points_levels():
     assert np.allclose(sorted(r3[:, 0]), [0.0, 0.25, 0.5, 0.75, 1.0])
     # points too far apart to interact are never refined
     assert refine_points(pts, 0.3, 4, "l2").shape[0] == 2
+    # drawn point sets, bitwise against the pair-by-pair reference: a
+    # duplicate point in each, epsilon 0 in every fifth, levels 0-3, every norm
+    rng = np.random.default_rng(7)
+    for k in range(240):
+        n = int(rng.integers(1, 10))
+        drawn = np.round(rng.uniform(0.0, 2.0, (n, int(rng.integers(1, 4)))), 1)
+        drawn[-1] = drawn[0]
+        eps = 0.0 if k % 5 == 0 else float(rng.uniform(0.0, 1.0))
+        r, norm = k % 4, ("l1", "l2", "linf")[k % 3]
+        out, ref = refine_points(drawn, eps, r, norm), refine_points_loop(drawn, eps, r, norm)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes(), k
 
 
 def test_refine_points_keeps_original_order():

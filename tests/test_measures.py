@@ -5,6 +5,7 @@ from advdual.errors import MassMismatch, NegativeMass, ValidationError
 from advdual.ground import build_ground, sup_ball
 from advdual.measures import (
     Coupling,
+    SourceBalls,
     TwoClassMeasure,
     coupling_in_delta,
     greedy_attack,
@@ -176,3 +177,59 @@ def test_coupling_pushforward_within_eps_of_source():
     p = rng.uniform(0.1, 1, 8)
     c = greedy_attack(g, rng.normal(size=8), p)
     assert winf_distance(g, p, pushforward(c)) <= g.epsilon
+
+
+def _source_ball_cases():
+    """Duplicate points at epsilon 0 with zero-mass points, one empty class,
+    no mass at all, and drawn 2-D instances; each with a field holding
+    +-inf, a mask and entry weights that leave some balls with none."""
+    rng = np.random.default_rng(3)
+    dup = build_ground(np.array([[0.0], [0.0], [1.0], [1.0], [2.0]]), "l2", 0.0)
+    yield dup, TwoClassMeasure.build([0.5, 0.0, 0.25, 0.0, 0.0], [0.0, 0.5, 0.25, 0.0, 0.0])
+    line = build_ground(np.array([[0.0], [0.5], [1.0], [0.5]]), "linf", 0.5)
+    yield line, TwoClassMeasure.build([0.0, 0.0, 0.0, 0.0], [0.25, 0.0, 1.0, 0.5])
+    yield line, TwoClassMeasure.build([0.25, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0])
+    yield line, TwoClassMeasure.build([0.0] * 4, [0.0] * 4)
+    for k in range(6):
+        n = int(rng.integers(3, 12))
+        g = build_ground(rng.uniform(0, 2, (n, 2)), ("l1", "l2", "linf")[k % 3],
+                         float(rng.uniform(0.2, 1.0)))
+        mass = rng.uniform(size=(2, n)) * (rng.uniform(size=(2, n)) < 0.6)
+        yield g, TwoClassMeasure.build(mass[0], mass[1])
+
+
+def test_source_balls_match_ball_by_ball_loops():
+    rng = np.random.default_rng(4)
+    for g, measure in _source_ball_cases():
+        b = SourceBalls(g, measure)
+        f = rng.choice([-np.inf, -1.0, 0.0, 0.5, np.inf], g.n)
+        on = rng.uniform(size=g.n) < 0.6
+        x = rng.choice([-1.0, 0.0, 0.5, 2.0], b.ix.size)
+        w = b.renormalize(x)
+        top, renorm, pairs = [], [], ([], [])
+        m, cap = np.zeros((2, g.n)), np.full((2, g.n), np.inf)
+        reach = np.zeros((2, g.n), dtype=bool)
+        at = 0
+        for c, (mass, sign) in enumerate(((measure.mass0, 1.0), (measure.mass1, -1.0))):
+            for i in np.flatnonzero(mass > 0):
+                ball = g.neighbors(i)
+                top.append((sign * f[ball]).max())
+                y = np.maximum(x[at:at + ball.size], 0.0)
+                y = np.ones(ball.size) if y.sum() == 0 else y
+                y = y * (mass[i] / y.sum())
+                renorm.append(y)
+                np.add.at(m[c], ball, y)
+                pairs[c].extend((i, j, v) for j, v in zip(ball, y) if v > 0)
+                vals = (sign * f[ball])[on[ball]]
+                cap[c, ball] = np.minimum(cap[c, ball], vals.max(initial=-np.inf))
+                reach[c, ball] = True
+                at += ball.size
+        assert at == b.ix.size
+        assert b.top(f).tolist() == top
+        # the same sums in the same order: equal to the last bit
+        assert w.tolist() == np.concatenate(renorm or [np.zeros(0)]).tolist()
+        assert np.array_equal(b.push(w), m)
+        for c, coupling in enumerate(b.couplings(w)):
+            assert coupling.n == g.n and coupling.triples() == pairs[c]
+        assert np.array_equal(b.cap(f, on), cap)
+        assert np.array_equal(b.reach, reach)

@@ -15,7 +15,13 @@ from advdual.dualsolve import brute_dual, solve_dual
 from advdual.ground import build_ground, inf_ball, sliding_max_1d, sup_ball
 from advdual.io import save_instance
 from advdual.losses import get_loss
-from advdual.measures import TwoClassMeasure, greedy_attack, pushforward, winf_distance
+from advdual.measures import (
+    SourceBalls,
+    TwoClassMeasure,
+    greedy_attack,
+    pushforward,
+    winf_distance,
+)
 from advdual.primalsolve import brute_primal, eta_hat, solve_exp_primal
 
 from conftest import naive_window_max
@@ -191,8 +197,7 @@ def test_degenerate_inputs_keep_an_edge_per_source_and_price_out(case):
     (pts, norm, eps, m0, m1), drawn = case
     g = build_ground(pts, norm, eps)
     measure = TwoClassMeasure.build(m0, m1)
-    e0, e1 = dualsolve._EdgeSet(g, m0), dualsolve._EdgeSet(g, m1)
-    sources = e0.sources.size + e1.sources.size
+    balls = SourceBalls(g, measure)
     ends = []
     real = dualsolve._CutLP.solve
 
@@ -203,8 +208,8 @@ def test_degenerate_inputs_keep_an_edge_per_source_and_price_out(case):
         return out
 
     for f in (drawn, solve_exp_primal(g, measure).f):
-        first = dualsolve._CutLP(e0, e1, f)
-        assert np.all(np.bincount(first.src_row[first.cols], minlength=sources) > 0)
+        first = dualsolve._CutLP(balls, f)
+        assert np.all(np.bincount(first.src_row[first.cols], minlength=balls.src.size) > 0)
         ends.clear()
         with mock.patch.object(dualsolve._CutLP, "solve", solve):
             sol = solve_dual(g, measure, f, 1e-6 * measure.total)
