@@ -38,7 +38,6 @@ from .measures import (
 from .primalsolve import (
     PrimalSolution,
     brute_primal,
-    classify_risk_adv,
     construct_f,
     eta_hat,
     risk_adv,
@@ -61,7 +60,6 @@ __all__ = [
     "brute_primal",
     "build_ground",
     "certify",
-    "classify_risk_adv",
     "conditional_risk",
     "construct_f",
     "dilate",

@@ -10,7 +10,10 @@ ball.  The flags are read off the coupling witness, which every certificate
 validates first, so no max-flow runs.
 The residual identity r1 + r0 + r_pt = gap makes the triple a decomposition
 of the gap into interpretable parts.  ``uncertified`` is the one verdict:
-the losses whose gap misses its tolerance.
+the losses whose gap misses the tolerance.  Every loss, the zero-one loss
+included, is judged alike: weak duality holds for any score field (or sign
+classifier) against any feasible pair of couplings, and each residual is
+nonnegative, so a gap within tolerance certifies both sides.
 """
 
 from __future__ import annotations
@@ -25,27 +28,22 @@ from .ground import GroundSet, inf_ball, sup_ball
 from .losses import Loss, get_loss, mul0
 from .measures import TwoClassMeasure, coupling_in_delta, pushforward
 from .measures import winf_feasible  # noqa: F401  unused; bench/spans.py patches this name
-from .primalsolve import classify_risk_adv, construct_f, eta_hat, threshold_classifier
+from .primalsolve import construct_f, eta_hat
 
-#: default gap tolerances per unit of total mass: the exponential pipeline
-#: is solved directly, the other losses inherit a constructed minimizer and a
-#: re-scored dual
-TOL_EXP = 1e-4
-TOL_UNIVERSAL = 1e-3
+#: default gap tolerance per unit of total mass, for every loss
+TOL = 1e-4
 
 
-def gap_tol(kind: str, tol: float | None, total: float) -> float:
-    """Gap a certificate of loss ``kind`` is judged at on an instance of total
-    mass ``total``: ``tol`` (default TOL_EXP for the exponential loss,
-    TOL_UNIVERSAL for the others) times ``total``.  Risks and dual values
+def gap_tol(tol: float | None, total: float) -> float:
+    """Gap every certificate is judged at on an instance of total mass
+    ``total``: ``tol`` (default TOL) times ``total``.  Risks and dual values
     scale with the masses, so the verdict does not depend on their scale."""
-    if tol is None:
-        tol = TOL_EXP if kind == "exponential" else TOL_UNIVERSAL
-    return float(tol) * total
+    return float(TOL if tol is None else tol) * total
 
 
 # eta values this close to one half are treated as exactly one half before
-# applying a discontinuous pointwise minimizer (the hinge one jumps there)
+# applying a discontinuous pointwise minimizer (the hinge one and the
+# threshold classifier jump there)
 ETA_HALF_SNAP = 1e-6
 # a support destination violates when its eta differs from the ball extremum
 # at its source by more than this: well above the flat-direction noise of a
@@ -62,20 +60,16 @@ class Certificate:
     primal_value: float
     dual_value: float
     gap: float
-    slack_sup_r1: float | None = None
-    slack_sup_r0: float | None = None
-    slack_pointwise: float | None = None
-    support_violation: float | None = None
-    winf_ok: tuple[bool, bool] | None = None
-    diagnostic: bool = False
+    slack_sup_r1: float
+    slack_sup_r0: float
+    slack_pointwise: float
+    support_violation: float
+    winf_ok: tuple[bool, bool]
 
     def as_dict(self) -> dict:
         """Every field by name, as a result file stores it and ``verify``
         compares it (``winf_ok`` as a list, the form JSON reads back)."""
-        out = asdict(self)
-        if self.winf_ok is not None:
-            out["winf_ok"] = list(self.winf_ok)
-        return out
+        return {**asdict(self), "winf_ok": list(self.winf_ok)}
 
 
 def _check_dual_feasible(dual: DualSolution, g: GroundSet,
@@ -103,17 +97,15 @@ def _check_dual_feasible(dual: DualSolution, g: GroundSet,
 def _residuals(loss: Loss, f, dual: DualSolution, g: GroundSet,
                measure: TwoClassMeasure) -> tuple[float, float, float, float]:
     """Primal value and residual triple (r1, r0, r_pt) from one evaluation
-    of phi(f), phi(-f) and their ball suprema, for a validated witness.
+    of ``loss.margins(f)`` and their ball suprema, for a validated witness.
     The primal value is summed exactly as ``risk_adv`` sums it."""
-    f = g.check_field(f)
-    phi_f = loss.phi(f)
-    phi_nf = loss.phi(-f)
-    worst1 = mul0(measure.mass1, sup_ball(g, phi_f)).sum()
-    worst0 = mul0(measure.mass0, sup_ball(g, phi_nf)).sum()
-    r1 = float(worst1 - mul0(dual.m1, phi_f).sum())
-    r0 = float(worst0 - mul0(dual.m0, phi_nf).sum())
+    h1, h0 = loss.margins(g.check_field(f))
+    worst1 = mul0(measure.mass1, sup_ball(g, h1)).sum()
+    worst0 = mul0(measure.mass0, sup_ball(g, h0)).sum()
+    r1 = float(worst1 - mul0(dual.m1, h1).sum())
+    r0 = float(worst0 - mul0(dual.m0, h0).sum())
     eta = np.clip(dual.eta_star(), 0.0, 1.0)
-    cond = mul0(eta, phi_f) + mul0(1.0 - eta, phi_nf) - loss.cstar(eta)
+    cond = mul0(eta, h1) + mul0(1.0 - eta, h0) - loss.cstar(eta)
     r_pt = float(mul0(dual.m0 + dual.m1, cond).sum())
     return float(worst1 + worst0), r1, r0, r_pt
 
@@ -122,10 +114,10 @@ def slackness(loss: Loss, f, dual: DualSolution, g: GroundSet,
               measure: TwoClassMeasure) -> tuple[float, float, float]:
     """Complementary-slackness residual triple (r1, r0, r_pt).
 
-    r1 compares the worst-case class-1 integral of phi(f) with its value
-    under the transported mass; r0 does the same for the negated field and
-    class 0; r_pt measures, pointwise under the combined transported mass,
-    how far f is from minimizing the conditional surrogate risk at
+    With (h1, h0) = ``loss.margins(f)``, r1 compares the worst-case class-1
+    integral of h1 with its value under the transported mass; r0 does the
+    same for h0 and class 0; r_pt measures, pointwise under the combined
+    transported mass, how far f is from minimizing the conditional risk at
     eta* = m1/(m0+m1).  Each residual is nonnegative up to roundoff, and
     their sum equals the duality gap.
     """
@@ -173,11 +165,10 @@ def certify(loss: Loss, f, dual: DualSolution, g: GroundSet,
 
 def uncertified(certs: dict[str, Certificate], tol: float | None,
                 total: float) -> list[str]:
-    """Kinds of the non-diagnostic certificates whose gap is not within
-    ``gap_tol(kind, tol, total)``; a NaN gap counts as uncertified.  Every
+    """Kinds of the certificates whose gap is not within
+    ``gap_tol(tol, total)``; a NaN gap counts as uncertified.  Every
     command judges a solve by this list alone."""
-    return [kind for kind, c in certs.items()
-            if not c.diagnostic and not c.gap <= gap_tol(kind, tol, total)]
+    return [kind for kind, c in certs.items() if not c.gap <= gap_tol(tol, total)]
 
 
 def snap_eta(eta) -> np.ndarray:
@@ -195,25 +186,16 @@ def universality_check(eta_hat, dual_exp: DualSolution, losses, g: GroundSet,
     """Certify every requested loss with the one dual pair from the
     exponential solve.
 
-    For each surrogate loss the primal witness is the pointwise minimizer
-    f = alpha(eta_hat) and the dual value is the exponential couplings'
-    masses re-scored under that loss.  The zero-one entry scores the
-    thresholded classifier and is reported as a diagnostic, not a certified
-    optimum.  Every entry validates the dual pair before scoring it.
+    For each loss the primal witness is ``construct_f(loss, eta_hat)``: the
+    pointwise minimizer f = alpha(eta_hat), or the thresholded classifier
+    for the zero-one loss.  The dual value is the exponential couplings'
+    masses re-scored under that loss.  Every entry validates the dual pair
+    before scoring it.
     """
     eta = snap_eta(eta_hat)
     out: dict[str, Certificate] = {}
     for name in losses:
         loss = get_loss(name)
-        if loss.kind == "zero_one_dual":
-            _check_dual_feasible(dual_exp, g, measure)
-            sign = threshold_classifier(eta)
-            primal = classify_risk_adv(sign, g, measure)
-            dual_val = dual_objective(loss, dual_exp.m0, dual_exp.m1)
-            out[loss.kind] = Certificate(
-                loss=loss.kind, primal_value=primal, dual_value=dual_val,
-                gap=primal - dual_val, winf_ok=(True, True), diagnostic=True)
-            continue
-        f_phi = construct_f(loss, eta)
-        out[loss.kind] = certify(loss, f_phi, dual_exp, g, measure, eta=eta)
+        f = construct_f(loss, eta)
+        out[loss.kind] = certify(loss, f, dual_exp, g, measure, eta=eta)
     return out

@@ -6,7 +6,7 @@ attack (emit the distribution-level universal attack), verify (re-check a
 stored result), oracle (brute-force reference values for tiny fixtures).
 
 Every command that solves judges the solve by ``certify.uncertified``: the
-losses whose certificate gap exceeds its tolerance.
+losses whose certificate gap exceeds the one tolerance, zero-one included.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 an uncertified gap in
 solve, sweep or attack (or a solver error), 4 a stored result that verify
@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite ground sets, with optimality certificates.")
     sub = ap.add_subparsers(dest="command", required=True)
     losses = LOSS_CHOICES + ("all",)
-    tol_help = ("gap tolerance per unit of total mass (default 1e-4 exp, 1e-3 others); "
-                "gaps below about 1e-7 are out of reach, as the cut loop runs out of tangents")
+    tol_help = ("gap tolerance per unit of total mass (default 1e-4 for every loss); gaps "
+                "below about 1e-7 are out of reach, as the cut loop runs out of tangents")
 
     p = sub.add_parser("solve", help="solve primal and dual, certify, write result")
     p.add_argument("instance")
@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="emit the universal distribution-level attack")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float,
-                   help="exponential gap tolerance per unit of mass (default 1e-4)")
+    p.add_argument("--tol", type=float, help=tol_help)
     p.add_argument("--out", help="also write the couplings to this JSON path")
 
     p = sub.add_parser("verify", help="re-check a stored result against its instance")
@@ -99,13 +98,13 @@ def _load_solvable(path: str):
 def _pipeline(g, measure, tol: float | None):
     """Smoothed L-BFGS exponential primal, then the tangent-cut programs
     (``solve_dual``) seeded by its field, until their exponential gap is
-    within ``gap_tol("exponential", tol, measure.total)``, the gap its
-    certificate is judged at, or they stop improving.  The programs'
+    within ``gap_tol(tol, measure.total)``, the gap every certificate is
+    judged at, or they stop improving.  The programs'
     couplings and the field read off their cut multipliers are returned as
     the primal and dual solutions; their certificates judge them."""
     t0 = time.perf_counter()
     ps = solve_exp_primal(g, measure)
-    ds = solve_dual(g, measure, ps.f, gap_tol("exponential", tol, measure.total))
+    ds = solve_dual(g, measure, ps.f, gap_tol(tol, measure.total))
     ps = PrimalSolution(f=ds.f, risk=ds.risk, iterations=ps.iterations)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     return ps, ds, runtime_ms
@@ -143,9 +142,8 @@ def _result_dict(instance_path, g, ps, ds, certs, tol, runtime_ms) -> dict:
 
 
 def _print_cert_line(name: str, cert) -> None:
-    tag = "  DIAGNOSTIC" if cert.diagnostic else ""
     print(f"{name}: primal={cert.primal_value:.12g} "
-          f"dual={cert.dual_value:.12g} gap={cert.gap:.6g}{tag}")
+          f"dual={cert.dual_value:.12g} gap={cert.gap:.6g}")
 
 
 def _warn_uncertified(certs: dict[str, Certificate], tol: float | None,
@@ -154,14 +152,14 @@ def _warn_uncertified(certs: dict[str, Certificate], tol: float | None,
     bad = uncertified(certs, tol, total)
     for kind in bad:
         print(f"warning: {where}{kind} gap {certs[kind].gap:.6g} is not "
-              f"certified at tol {gap_tol(kind, tol, total):g}", file=sys.stderr)
+              f"certified at tol {gap_tol(tol, total):g}", file=sys.stderr)
     return bad
 
 
 def cmd_solve(args) -> int:
     g, measure = _load_solvable(args.instance)
-    # the exponential certificate is always computed, and judged at its own
-    # tolerance whatever --loss asks for
+    # the exponential certificate is always computed and judged, whatever
+    # --loss asks for
     ps, ds, runtime_ms = _pipeline(g, measure, args.tol)
     eta = eta_hat(ps.f)
     names = sorted(set(_requested_losses(args.loss)) | {"exp"})
@@ -171,11 +169,7 @@ def cmd_solve(args) -> int:
     adio.save_result(out, result)
 
     for loss_name in _requested_losses(args.loss):
-        cert = certs[get_loss(loss_name).kind]
-        _print_cert_line(loss_name, cert)
-        if cert.diagnostic:
-            print("warning: zero-one gap is diagnostic only; optimality of "
-                  "the thresholded classifier is not certified")
+        _print_cert_line(loss_name, certs[get_loss(loss_name).kind])
     print(f"result written to {out}")
     return 3 if _warn_uncertified(certs, args.tol, measure.total) else 0
 
@@ -333,7 +327,7 @@ def cmd_verify(args) -> int:
     bad = uncertified(fresh, solve_tol, measure.total)
     if bad:
         return fail(f"{bad[0]}.gap {stored[bad[0]]['gap']!r} exceeds tolerance "
-                    f"{gap_tol(bad[0], solve_tol, measure.total)}")
+                    f"{gap_tol(solve_tol, measure.total)}")
     print("verify OK")
     return 0
 
@@ -344,11 +338,8 @@ def cmd_oracle(args) -> int:
     for loss_name in names:
         loss = get_loss(loss_name)
         dual = brute_dual(loss, g, measure, args.grid_steps)
-        line = f"{loss_name}: brute_dual={dual:.12g}"
-        if loss.kind != "zero_one_dual":
-            primal = brute_primal(loss, g, measure)
-            line += f" brute_primal={primal:.12g}"
-        print(line)
+        primal = brute_primal(loss, g, measure)
+        print(f"{loss_name}: brute_dual={dual:.12g} brute_primal={primal:.12g}")
     return 0
 
 

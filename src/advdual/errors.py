@@ -18,8 +18,8 @@ class NegativeEpsilon(ValidationError):
 
 
 class ZeroOneHasNoPhi(AdvdualError):
-    """The zero-one loss exposes only its optimal conditional risk and
-    threshold classification; it has no margin function."""
+    """The zero-one loss has no margin function and no score-valued
+    minimizer; it is scored through ``Loss.margins`` and ``cstar``."""
 
 
 class EtaOutOfRange(AdvdualError):

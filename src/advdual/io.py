@@ -104,7 +104,9 @@ def refine_points(points: np.ndarray, epsilon: float, r: int,
                   norm: str) -> np.ndarray:
     """Insert ``r`` evenly spaced midpoints on every pair of points within
     distance 2*epsilon of each other (the pairs whose perturbation balls can
-    interact), then drop duplicates.
+    interact), then drop the added points that repeat a point.  The original
+    points all stay first, in order, duplicates included: each carries its
+    masses.
 
     Refinement enriches the ground set so transported mass has somewhere to
     meet; added points carry zero mass.
@@ -122,10 +124,9 @@ def refine_points(points: np.ndarray, epsilon: float, r: int,
     t = (np.arange(1, r + 1) / (r + 1.0))[:, None]
     extra = (1.0 - t) * pts[i][:, None] + t * pts[j][:, None]
     allpts = np.vstack([pts, extra.reshape(-1, pts.shape[1])])
-    # stable de-duplication that keeps the original points (and order) first
-    _, keep = np.unique(allpts.round(12), axis=0, return_index=True)
-    keep = np.sort(keep)
-    return allpts[keep]
+    # the first occurrence of each added point not already among the originals
+    _, first = np.unique(allpts.round(12), axis=0, return_index=True)
+    return np.vstack([pts, allpts[np.sort(first[first >= pts.shape[0]])]])
 
 
 def _parse(key: str, value, convert):
@@ -175,9 +176,10 @@ def load_instance(path: str):
         raise ValidationError(
             f"mass arrays must have one entry per point ({n}); got "
             f"shapes {m0.shape} and {m1.shape}")
-    r = _parse("refinement", data.get("refinement", 0), int)
-    if r < 0:
-        raise ValidationError("refinement level must be nonnegative")
+    r = data.get("refinement", 0)
+    # a JSON integer only: int() would take 1.5, true and "2"
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise ValidationError(f"refinement level must be an integer >= 0, got {r!r}")
     full = refine_points(pts, epsilon, r, norm)
     pad = full.shape[0] - n
     m0 = np.concatenate([m0, np.zeros(pad)])

@@ -1,11 +1,12 @@
 """Surrogate-loss toolkit.
 
-Each loss bundles the margin function phi, the conditional risk, its optimal
-value ``cstar``, and the smallest-minimizer map ``alpha_opt``, all in
-closed form, as is the cstar-transform ``transform_h``.  The zero-one loss
-is exposed only through ``cstar`` and threshold classification: its margin
-function fails the lower semi-continuity assumption the rest of the theory
-depends on.
+Each loss bundles the margin function phi, what each class pays at a
+score (``margins``), the conditional risk, its optimal value ``cstar``, and
+the smallest-minimizer map ``alpha_opt``, all in closed form, as is the
+cstar-transform ``transform_h``.  The zero-one loss has no ``phi`` and no
+``alpha_opt``: its margin function fails the lower semi-continuity
+assumption the rest of the theory depends on.  It is scored through
+``margins`` as the sign classifier's errors, and through ``cstar``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,16 @@ class Loss:
                 return np.logaddexp(0.0, -alpha)
             if self.kind == "hinge":
                 return np.maximum(0.0, 1.0 - alpha)
-        raise ZeroOneHasNoPhi("zero-one exposes only cstar and thresholding")
+        raise ZeroOneHasNoPhi("zero-one exposes only margins and cstar")
+
+    def margins(self, f) -> tuple[np.ndarray, np.ndarray]:
+        """(h1, h0): what a class-1 and a class-0 point pay at score ``f``.
+        For a margin loss this is (phi(f), phi(-f)); for the zero-one loss
+        it is the sign classifier's errors (f <= 0, f > 0)."""
+        f = np.asarray(f, dtype=float)
+        if self.kind == "zero_one_dual":
+            return (f <= 0).astype(float), (f > 0).astype(float)
+        return self.phi(f), self.phi(-f)
 
     # -- optimal conditional risk ----------------------------------------
     def cstar(self, eta) -> np.ndarray:
@@ -99,10 +109,11 @@ def get_loss(name: str) -> Loss:
 
 
 def conditional_risk(loss: Loss, eta, alpha) -> np.ndarray:
-    """eta * phi(alpha) + (1 - eta) * phi(-alpha), with 0 * inf = 0."""
+    """eta * h1 + (1 - eta) * h0 for (h1, h0) = ``loss.margins(alpha)``,
+    with 0 * inf = 0."""
     eta = _check_eta(eta)
-    alpha = np.asarray(alpha, dtype=float)
-    return mul0(eta, loss.phi(alpha)) + mul0(1.0 - eta, loss.phi(-alpha))
+    h1, h0 = loss.margins(alpha)
+    return mul0(eta, h1) + mul0(1.0 - eta, h0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Adversarial surrogate risks and the exponential-loss primal solver.
+"""Adversarial risks and the exponential-loss primal solver.
+
+``risk_adv`` scores every loss through ``Loss.margins``, the zero-one loss
+as the sign classifier's errors, and ``construct_f`` gives each loss its
+minimizer from one conditional-probability field (the thresholded
+classifier for the zero-one loss).
 
 The exponential primal is minimized in the score parametrization: the map
 f -> sum p1 * exp(-ball_min(f)) + sum p0 * exp(ball_max(f)) is convex in the
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize as opt
 
-from .errors import InfeasiblePair, InstanceTooLarge, ZeroOneHasNoPhi
+from .errors import InfeasiblePair, InstanceTooLarge
 from .ground import GroundSet, build_ground, sup_ball
 from .losses import Loss, mul0, transform_h
 from .measures import SourceBalls, TwoClassMeasure
@@ -42,12 +47,9 @@ class PrimalSolution:
 
 
 def risk_adv(loss: Loss, f, g: GroundSet, measure: TwoClassMeasure) -> float:
-    """Worst-case surrogate risk under epsilon-ball input perturbations."""
-    if loss.kind == "zero_one_dual":
-        raise ZeroOneHasNoPhi("use classify_risk_adv for the zero-one risk")
-    f = g.check_field(f)
-    h1 = loss.phi(f)
-    h0 = loss.phi(-f)
+    """Worst-case risk under epsilon-ball input perturbations; for the
+    zero-one loss, that of the sign classifier of ``f``."""
+    h1, h0 = loss.margins(g.check_field(f))
     return float(mul0(measure.mass1, sup_ball(g, h1)).sum()
                  + mul0(measure.mass0, sup_ball(g, h0)).sum())
 
@@ -181,9 +183,10 @@ def eta_hat(f) -> np.ndarray:
 
 def construct_f(loss: Loss, eta) -> np.ndarray:
     """Loss-universal minimizer: the smallest conditional-risk minimizer
-    applied pointwise to the conditional probability field."""
+    applied pointwise to the conditional probability field, or for the
+    zero-one loss the thresholded classifier."""
     if loss.kind == "zero_one_dual":
-        raise ZeroOneHasNoPhi("zero-one uses threshold_classifier")
+        return threshold_classifier(eta)
     return loss.alpha_opt(np.asarray(eta, dtype=float))
 
 
@@ -193,21 +196,13 @@ def threshold_classifier(eta) -> np.ndarray:
     return np.where(eta > 0.5, 1.0, -1.0)
 
 
-def classify_risk_adv(f, g: GroundSet, measure: TwoClassMeasure) -> float:
-    """Adversarial zero-one risk of the sign classifier of ``f``."""
-    f = g.check_field(f)
-    ind1 = (f <= 0).astype(float)
-    ind0 = (f > 0).astype(float)
-    return float(np.dot(measure.mass1, sup_ball(g, ind1))
-                 + np.dot(measure.mass0, sup_ball(g, ind0)))
-
-
 # ---------------------------------------------------------------------------
 # brute-force primal oracle (tiny instances only)
 # ---------------------------------------------------------------------------
 
 def brute_primal(loss: Loss, g: GroundSet, measure: TwoClassMeasure) -> float:
-    """Coarse-to-fine grid search over score fields on <= 3 ground points."""
+    """Coarse-to-fine grid search over score fields on <= 3 ground points;
+    for the zero-one loss the grid holds every sign pattern."""
     if g.n > 3:
         raise InstanceTooLarge("brute primal accepts at most 3 ground points")
     values = np.concatenate(([-np.inf], np.arange(-BRUTE_SPAN, BRUTE_SPAN + BRUTE_COARSE / 2,
@@ -227,8 +222,7 @@ def brute_primal(loss: Loss, g: GroundSet, measure: TwoClassMeasure) -> float:
 def _best_field(loss: Loss, g: GroundSet, measure: TwoClassMeasure, grids):
     mesh = np.meshgrid(*grids, indexing="ij")
     batch = np.stack([m.ravel() for m in mesh], axis=1)
-    h1 = loss.phi(batch)
-    h0 = loss.phi(-batch)
+    h1, h0 = loss.margins(batch)
     sup1 = np.maximum.reduceat(h1[:, g.indices], g.indptr[:-1], axis=1)
     sup0 = np.maximum.reduceat(h0[:, g.indices], g.indptr[:-1], axis=1)
     risks = mul0(measure.mass1[None, :], sup1).sum(axis=1) \

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsStatus
 
 from advdual import dualsolve
@@ -109,8 +111,8 @@ def brute_neighbors(points: np.ndarray, norm: str, eps: float) -> list[np.ndarra
 
 def refine_points_loop(points, epsilon: float, r: int, norm: str) -> np.ndarray:
     """Reference refinement: ``r`` midpoints on every pair j > i within
-    2 epsilon, pair by pair over the brute neighbor lists, then the stable
-    de-duplication that keeps the original points first."""
+    2 epsilon, pair by pair over the brute neighbor lists, each kept unless
+    it repeats a point already kept; the original points all stay first."""
     pts = np.asarray(points, dtype=float)
     if r <= 0:
         return pts
@@ -120,11 +122,13 @@ def refine_points_loop(points, epsilon: float, r: int, norm: str) -> np.ndarray:
             for k in range(1, r + 1):
                 t = k / (r + 1.0)
                 extra.append((1.0 - t) * pts[i] + t * pts[j])
-    if not extra:
-        return pts
-    allpts = np.vstack([pts, np.asarray(extra)])
-    _, keep = np.unique(allpts.round(12), axis=0, return_index=True)
-    return allpts[np.sort(keep)]
+    out = list(pts)
+    seen = {tuple(p.round(12)) for p in pts}
+    for x in extra:
+        if tuple(x.round(12)) not in seen:
+            seen.add(tuple(x.round(12)))
+            out.append(x)
+    return np.array(out)
 
 
 def hall_feasible(dist: np.ndarray, p: np.ndarray, q: np.ndarray,
@@ -170,6 +174,49 @@ def identity_coupling(p) -> Coupling:
     p = np.asarray(p, dtype=float)
     idx = np.flatnonzero(p > 0)
     return Coupling.build(idx, idx, p[idx], p.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# exact full-size dual of the piecewise-linear losses: one linear program on
+# every epsilon-edge, no cut loop and no edge pricing
+# ---------------------------------------------------------------------------
+
+# cstar is MIN_SLOPE * min(eta, 1 - eta)
+MIN_SLOPE = {"hinge": 2.0, "zero_one_dual": 1.0}
+
+
+def exact_dual_lp(loss: Loss, g: GroundSet, measure: TwoClassMeasure) -> float:
+    """The hinge or zero-one dual's optimal value over all coupling pairs.
+
+    The perspective of cstar = a min(eta, 1 - eta) is a min(m0, m1), so the
+    dual is: maximize sum z subject to z <= a m0 and z <= a m1 per point,
+    each m the pushforward of its class's weights on the epsilon-edges out
+    of its positive-mass sources, the weights out of each source summing to
+    its mass.  Columns: one weight per edge (class 0's, then class 1's),
+    then z per point."""
+    a, n = MIN_SLOPE[loss.kind], g.n
+    src_row, cap_row, p = [], [], []
+    for c, mass in enumerate((measure.mass0, measure.mass1)):
+        sources = np.flatnonzero(mass > 0)
+        indptr, dst = g.neighbor_csr(sources)
+        src_row.append(sum(q.size for q in p) + np.repeat(np.arange(sources.size),
+                                                          np.diff(indptr)))
+        cap_row.append(c * n + dst)
+        p.append(mass[sources])
+    src_row, cap_row, p = map(np.concatenate, (src_row, cap_row, p))
+    ne = src_row.size
+    edge = np.arange(ne)
+    A_eq = sp.csr_matrix((np.ones(ne), (src_row, edge)), shape=(p.size, ne + n))
+    # row c n + j: z_j - a m_c(j) <= 0
+    A_ub = sp.csr_matrix((np.concatenate([np.ones(2 * n), np.full(ne, -a)]),
+                          (np.concatenate([np.arange(2 * n), cap_row]),
+                           np.concatenate([ne + np.tile(np.arange(n), 2), edge]))),
+                         shape=(2 * n, ne + n))
+    cost = np.concatenate([np.zeros(ne), -np.ones(n)])
+    res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(2 * n), A_eq=A_eq, b_eq=p,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return -float(res.fun)
 
 
 # ---------------------------------------------------------------------------

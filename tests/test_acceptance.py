@@ -25,7 +25,7 @@ from advdual.primalsolve import (
     theta,
 )
 
-from conftest import alpha_opt_numeric, cstar_numeric, hall_winf
+from conftest import alpha_opt_numeric, cstar_numeric, exact_dual_lp, hall_winf
 
 
 EXP = get_loss("exp")
@@ -319,3 +319,21 @@ def test_fresh_draw_exponential_certificate(seed, draw):
     cert = universality_check(eta_hat(ps.f), ds, ["exp"], g, measure)["exponential"]
     assert cert.gap <= 1e-4
     _assert_certified(g, measure, ps, ds, 1e-4, f"seed {seed} draw {draw}")
+
+
+def test_universality_exact_at_full_size(random_suite):
+    # on criterion 01's suite and the 400-point scatter, the exponential
+    # couplings reach the exact hinge and zero-one duals on every edge, and
+    # the thresholded classifier's adversarial 0-1 risk meets the zero-one one
+    suite, _ = random_suite
+    cases = [(f"suite {k}", *case) for k, case in enumerate(suite)]
+    g, measure = _scatter_l2()
+    cases.append(("scatter l2", g, measure, *_pipeline(g, measure, 1e-4)[:2]))
+    for name, g, measure, ps, ds in cases:
+        certs = universality_check(eta_hat(ps.f), ds, ["hinge", "zero-one"], g, measure)
+        slack = 1e-9 * measure.total
+        exact = {kind: exact_dual_lp(get_loss(kind), g, measure) for kind in certs}
+        for kind, c in certs.items():
+            assert abs(c.dual_value - exact[kind]) <= slack, (name, kind, c.dual_value)
+        zo = certs["zero_one_dual"]
+        assert zo.primal_value - exact["zero_one_dual"] <= slack, (name, zo.primal_value)

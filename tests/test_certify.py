@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from advdual.certify import (
-    TOL_EXP,
-    TOL_UNIVERSAL,
+    TOL,
     Certificate,
     certify,
     slackness,
@@ -19,12 +18,13 @@ from advdual.errors import InfeasibleDual
 from advdual.ground import build_ground
 from advdual.losses import get_loss
 from advdual.measures import Coupling, TwoClassMeasure, winf_feasible
-from advdual.primalsolve import eta_hat, risk_adv, solve_exp_primal
+from advdual.primalsolve import construct_f, eta_hat, risk_adv, solve_exp_primal
 
 
 EXP = get_loss("exp")
 LOG = get_loss("logistic")
 HINGE = get_loss("hinge")
+ZO = get_loss("zero-one")
 
 
 def _solve_pair(g, measure):
@@ -37,7 +37,7 @@ def test_twopoint_certificate_tight(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
     cert = certify(EXP, primal.f, dual, g, measure)
-    assert cert.gap <= TOL_EXP
+    assert cert.gap <= TOL
     assert cert.gap == pytest.approx(0.0, abs=1e-8)
     assert cert.slack_sup_r1 < 1e-8 and cert.slack_sup_r0 < 1e-8
     assert cert.slack_pointwise < 1e-8
@@ -48,9 +48,9 @@ def test_twopoint_certificate_tight(twopoint):
 def test_residual_identity(oracle_instances):
     for name, g, measure in oracle_instances:
         primal, dual = _solve_pair(g, measure)
-        for loss in (EXP, LOG, HINGE):
+        for loss in (EXP, LOG, HINGE, ZO):
             eta = snap_eta(eta_hat(primal.f))
-            f = primal.f if loss is EXP else loss.alpha_opt(eta)
+            f = primal.f if loss is EXP else construct_f(loss, eta)
             cert = certify(loss, f, dual, g, measure, eta=eta)
             total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
             assert total == pytest.approx(cert.gap, abs=1e-12), (name, loss.kind)
@@ -165,13 +165,11 @@ def test_universality_all_losses(oracle_instances):
     for name, g, measure in oracle_instances:
         primal, dual = _solve_pair(g, measure)
         certs = universality_check(eta_hat(primal.f), dual, losses, g, measure)
-        for kind in ("exponential", "logistic", "hinge"):
-            cert = certs[kind]
-            assert not cert.diagnostic
-            assert cert.gap <= TOL_UNIVERSAL, (name, kind, cert.gap)
+        # the zero-one entry is judged like the others
+        assert uncertified(certs, None, measure.total) == [], name
         zo = certs["zero_one_dual"]
-        assert zo.diagnostic
-        assert zo.gap >= -1e-9
+        assert min(zo.slack_sup_r1, zo.slack_sup_r0, zo.slack_pointwise) >= -1e-12
+        assert zo.support_violation == certs["exponential"].support_violation
 
 
 def test_universality_twopoint_values(twopoint):
@@ -194,7 +192,7 @@ def test_as_dict_round_keys(twopoint):
     assert d["loss"] == "exponential"
     assert set(d) == {"loss", "primal_value", "dual_value", "gap",
                       "slack_sup_r1", "slack_sup_r0", "slack_pointwise",
-                      "support_violation", "winf_ok", "diagnostic"}
+                      "support_violation", "winf_ok"}
 
 
 def test_universality_validates_witness_once_per_loss(twopoint, monkeypatch):
@@ -222,19 +220,20 @@ def test_slackness_matches_certificate(twopoint):
 
 
 def test_uncertified_verdict():
-    def cert(kind, gap, diagnostic=False):
-        return Certificate(loss=kind, primal_value=gap, dual_value=0.0,
-                           gap=gap, diagnostic=diagnostic)
+    def cert(kind, gap):
+        return Certificate(loss=kind, primal_value=gap, dual_value=0.0, gap=gap,
+                           slack_sup_r1=gap, slack_sup_r0=0.0, slack_pointwise=0.0,
+                           support_violation=0.0, winf_ok=(True, True))
 
-    certs = {"exponential": cert("exponential", 5e-4),
+    certs = {"exponential": cert("exponential", 5e-5),
              "logistic": cert("logistic", 5e-4),
              "hinge": cert("hinge", float("nan")),
-             "zero_one_dual": cert("zero_one_dual", 1.0, diagnostic=True)}
-    # default tolerances: 1e-4 for the exponential loss, 1e-3 for the others;
-    # a NaN gap is never certified and a diagnostic entry is never judged
-    assert uncertified(certs, None, 1.0) == ["exponential", "hinge"]
+             "zero_one_dual": cert("zero_one_dual", 1e-3)}
+    # one default tolerance, 1e-4, for every loss; a NaN gap is never
+    # certified
+    assert uncertified(certs, None, 1.0) == ["logistic", "hinge", "zero_one_dual"]
     assert uncertified(certs, 1e-3, 1.0) == ["hinge"]
-    assert uncertified(certs, 1e-4, 1.0) == ["exponential", "logistic", "hinge"]
+    assert uncertified(certs, 1e-5, 1.0) == list(certs)
     # the tolerance is per unit of total mass
-    assert uncertified(certs, None, 5.0) == ["hinge"]
-    assert uncertified(certs, 1e-3, 0.1) == ["exponential", "logistic", "hinge"]
+    assert uncertified(certs, None, 10.0) == ["hinge"]
+    assert uncertified(certs, 1e-3, 0.1) == ["logistic", "hinge", "zero_one_dual"]

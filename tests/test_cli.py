@@ -43,7 +43,7 @@ def test_solve_all_losses(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     assert main(["solve", inst, "--loss", "all", "--out", out]) == 0
     text = capsys.readouterr().out
-    assert "DIAGNOSTIC" in text
+    assert "zero-one: primal=" in text
     result = load_result(out)
     kinds = set(result["certificates"])
     assert {"exponential", "logistic", "hinge", "zero_one_dual"} <= kinds
@@ -225,10 +225,13 @@ def test_verify_malformed_result(inst, tmp_path, capsys, tamper):
 def test_verify_tampered_flags(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--out", out])
-    for key, value in (("winf_ok", [False, True]), ("diagnostic", True)):
+    # a stored key the certificate does not have fails too: result files
+    # written before the zero-one entry was judged carry "diagnostic"
+    for key, value in (("winf_ok", [False, True]), ("diagnostic", True),
+                       ("diagnostic", False)):
         data = load_result(out)
         data["certificates"]["exponential"][key] = value
-        bad = str(tmp_path / f"bad_{key}.json")
+        bad = str(tmp_path / f"bad_{key}_{value}.json")
         save_result(bad, data)
         capsys.readouterr()
         assert main(["verify", inst, bad]) == 4, key
@@ -434,9 +437,10 @@ def test_benchmark_patch_names_resolve(inst, tmp_path):
 
 
 def test_oracle(inst, capsys):
-    assert main(["oracle", inst, "--loss", "exp"]) == 0
-    out = capsys.readouterr().out
-    assert "exp" in out
+    for loss in ("exp", "zero-one"):
+        assert main(["oracle", inst, "--loss", loss]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{loss}: brute_dual=") and " brute_primal=" in out
 
 
 def test_missing_instance_file(capsys):
@@ -456,8 +460,12 @@ def test_broken_json(tmp_path, capsys):
     ("epsilon", -0.1),
     ("epsilon", "nan"),
     ("points", [[0.0], ["inf"]]),
+    ("refinement", 1.5),
+    ("refinement", True),
+    ("refinement", "2"),
 ], ids=["word-epsilon", "ragged-points", "word-refinement", "negative-epsilon",
-        "nan-epsilon", "infinite-coordinate"])
+        "nan-epsilon", "infinite-coordinate", "fractional-refinement",
+        "boolean-refinement", "string-refinement"])
 def test_malformed_instance_field_exits_2(inst, field, value, capsys):
     with open(inst) as fh:
         data = json.load(fh)

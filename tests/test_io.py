@@ -120,9 +120,11 @@ def test_refine_points_levels():
 
 
 def test_refine_points_keeps_original_order():
-    pts = np.array([[0.4], [0.0]])
-    out = refine_points(pts, 0.5, 1, "l2")
-    assert np.array_equal(out[:2], pts)
+    # every original point stays first, in order, a repeated one included,
+    # since load_instance pads the masses after them
+    for pts in ([[0.4], [0.0]], [[0.0], [0.0], [1.0]], [[0.0], [0.0]]):
+        out = refine_points(np.array(pts), 0.5, 1, "l2")
+        assert np.array_equal(out[:len(pts)], pts)
 
 
 def test_dumps_deterministic_and_sorted():

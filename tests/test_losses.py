@@ -52,6 +52,25 @@ def test_zero_one_has_no_phi():
         get_loss("zero-one").alpha_opt(0.3)
 
 
+def test_margins():
+    f = np.array([-np.inf, -1.0, 0.0, 2.0, np.inf])
+    for name in SURROGATES:
+        loss = get_loss(name)
+        h1, h0 = loss.margins(f)
+        assert np.array_equal(h1, loss.phi(f)) and np.array_equal(h0, loss.phi(-f))
+    # zero-one: the sign classifier's errors, a score of 0 counted as class 0
+    h1, h0 = get_loss("zero-one").margins(f)
+    assert np.array_equal(h1, [1.0, 1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(h0, [0.0, 0.0, 0.0, 1.0, 1.0])
+    # and its conditional risk is never below cstar, meeting it at the
+    # threshold classifier's sign
+    eta = np.linspace(0.0, 1.0, 11)
+    zo = get_loss("zero-one")
+    sign = np.where(eta > 0.5, 1.0, -1.0)
+    assert np.array_equal(conditional_risk(zo, eta, sign), zo.cstar(eta))
+    assert np.all(conditional_risk(zo, eta, -sign) >= zo.cstar(eta))
+
+
 def test_conditional_risk_examples():
     exp = get_loss("exp")
     assert conditional_risk(exp, 0.5, 0.0) == 1.0

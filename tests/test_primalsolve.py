@@ -6,7 +6,7 @@ import pytest
 from advdual.certify import uncertified, universality_check
 from advdual.cli import _pipeline
 from advdual.dualsolve import solve_dual
-from advdual.errors import InfeasiblePair, InstanceTooLarge, ZeroOneHasNoPhi
+from advdual.errors import InfeasiblePair, InstanceTooLarge
 from advdual.ground import build_ground
 from advdual.losses import get_loss
 from advdual.measures import TwoClassMeasure
@@ -14,7 +14,6 @@ from advdual.primalsolve import (
     HPair,
     _ExpPrimalProblem,
     brute_primal,
-    classify_risk_adv,
     construct_f,
     eta_hat,
     hpair_feasible,
@@ -54,12 +53,6 @@ def test_risk_adv_perturbation_only_hurts(twopoint):
     for _ in range(20):
         f = rng.normal(size=3)
         assert risk_adv(EXP, f, g, measure) >= risk_adv(EXP, f, g0, measure) - 1e-12
-
-
-def test_risk_adv_rejects_zero_one(twopoint):
-    g, measure = twopoint
-    with pytest.raises(ZeroOneHasNoPhi):
-        risk_adv(ZO, np.zeros(3), g, measure)
 
 
 def test_hpair_feasible_exponential_product():
@@ -252,8 +245,8 @@ def test_construct_f_examples():
     # hinge: sign-like steps
     assert construct_f(HINGE, [0.2])[0] == -1.0
     assert construct_f(HINGE, [0.8])[0] == 1.0
-    with pytest.raises(ZeroOneHasNoPhi):
-        construct_f(ZO, [0.5])
+    # zero-one: the thresholded classifier
+    assert np.array_equal(construct_f(ZO, [0.2, 0.5, 0.9]), [-1.0, -1.0, 1.0])
 
 
 def test_construct_f_monotone():
@@ -270,11 +263,11 @@ def test_threshold_classifier():
 def test_classify_risk_adv_twopoint(twopoint):
     g, measure = twopoint
     # optimal sign field still collides at the shared midpoint
-    assert classify_risk_adv(np.array([-1.0, 1.0, 0.0]), g, measure) \
+    assert risk_adv(ZO, np.array([-1.0, 1.0, 0.0]), g, measure) \
         == pytest.approx(0.5)
     # with no perturbation a correct classifier has zero risk
     g0 = build_ground(g.points, g.norm, 0.0)
-    assert classify_risk_adv(np.array([-1.0, 1.0, 0.0]), g0, measure) == 0.0
+    assert risk_adv(ZO, np.array([-1.0, 1.0, 0.0]), g0, measure) == 0.0
 
 
 def test_brute_primal_rejects_large():

@@ -13,11 +13,10 @@ from advdual.certify import uncertified, universality_check
 from advdual.cli import _pipeline, main
 from advdual.dualsolve import brute_dual, solve_dual
 from advdual.ground import build_ground, inf_ball, sliding_max_1d, sup_ball
-from advdual.io import save_instance
+from advdual.io import load_instance, save_instance
 from advdual.losses import get_loss
 from advdual.measures import (
     SourceBalls,
-    TwoClassMeasure,
     greedy_attack,
     pushforward,
     winf_distance,
@@ -92,10 +91,13 @@ def test_cstar_dominated_by_conditional_risk(etas):
 
 
 @st.composite
-def tiny_instance(draw, max_n=5):
+def tiny_instance(draw, max_n=5, max_refinement=2):
     """Up to ``max_n`` points on a coarse 2-D grid, so duplicate points and
-    pairs exactly epsilon apart are common; epsilon may be 0; masses come
-    from a few values including 0, and either class may be empty."""
+    pairs exactly epsilon apart are common; epsilon may be 0; refinement up
+    to ``max_refinement``, whose level-1 midpoints of pairs 2 epsilon apart
+    lie exactly epsilon from both ends; masses come from a few values
+    including 0, scaled by 0.01, 1 or 100, and either class may be empty.
+    Returns the instance file's fields, refinement level last."""
     n = draw(st.integers(1, max_n))
     coord = st.sampled_from([0.0, 0.5, 1.0])
     pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
@@ -107,7 +109,16 @@ def tiny_instance(draw, max_n=5):
         (m0 if draw(st.booleans()) else m1)[:] = 0.0
     if m0.sum() + m1.sum() == 0.0:
         m1[0] = 1.0
-    return pts, norm, eps, m0, m1
+    scale = draw(st.sampled_from([1.0, 0.01, 100.0]))
+    return pts, norm, eps, scale * m0, scale * m1, draw(st.integers(0, max_refinement))
+
+
+def _build(inst):
+    """The ground set and measure of the drawn instance file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        save_instance(path, *inst)
+        return load_instance(path)
 
 
 @settings(max_examples=25, deadline=None)
@@ -116,20 +127,18 @@ def tiny_instance(draw, max_n=5):
 # the risk (1.3e-4 here) passed the tolerance that solve then judges as
 # absolute
 @example((np.zeros((4, 2)), "l1", 0.0, np.array([0.0, 0.25, 0.25, 1.0]),
-          np.array([0.0, 0.0, 0.25, 0.25])))
+          np.array([0.0, 0.0, 0.25, 0.25]), 0))
 def test_residuals_sum_to_gap_and_round_trip_verifies(inst):
-    pts, norm, eps, m0, m1 = inst
-    g = build_ground(pts, norm, eps)
-    measure = TwoClassMeasure.build(m0, m1)
+    g, measure = _build(inst)
     ps, ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(eta_hat(ps.f), ds, ["exp", "logistic", "hinge"],
-                               g, measure)
+    certs = universality_check(eta_hat(ps.f), ds,
+                               ["exp", "logistic", "hinge", "zero-one"], g, measure)
     for kind, c in certs.items():
         total = c.slack_sup_r1 + c.slack_sup_r0 + c.slack_pointwise
         assert abs(total - c.gap) <= 1e-12, (kind, total, c.gap)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "inst.json"), os.path.join(tmp, "res.json")
-        save_instance(path, pts, norm, eps, m0, m1)
+        save_instance(path, *inst)
         assert main(["solve", path, "--loss", "all", "--out", out]) == 0
         assert main(["verify", path, out]) == 0
 
@@ -137,10 +146,9 @@ def test_residuals_sum_to_gap_and_round_trip_verifies(inst):
 @settings(max_examples=10, deadline=None)
 @given(tiny_instance())
 def test_two_solves_write_identical_bytes(inst):
-    pts, norm, eps, m0, m1 = inst
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "inst.json")
-        save_instance(path, pts, norm, eps, m0, m1)
+        save_instance(path, *inst)
         texts = []
         for k in range(2):
             out = os.path.join(tmp, f"res{k}.json")
@@ -151,17 +159,15 @@ def test_two_solves_write_identical_bytes(inst):
 
 
 @settings(max_examples=10, deadline=None)
-@given(tiny_instance(max_n=3))
+@given(tiny_instance(max_n=3, max_refinement=0))
 def test_weak_duality_against_brute_oracles(inst):
     # every grid point of brute_dual is a feasible dual and brute_primal
-    # returns the risk of one score field, so neither may cross the
-    # solver's values
-    pts, norm, eps, m0, m1 = inst
-    g = build_ground(pts, norm, eps)
-    measure = TwoClassMeasure.build(m0, m1)
+    # returns the risk of one score field (one sign classifier for the
+    # zero-one loss), so neither may cross the solver's values
+    g, measure = _build(inst)
     ps, ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(eta_hat(ps.f), ds, ["exp", "logistic", "hinge"],
-                               g, measure)
+    certs = universality_check(eta_hat(ps.f), ds,
+                               ["exp", "logistic", "hinge", "zero-one"], g, measure)
     slack = 1e-9 * max(1.0, measure.total)
     for kind, c in certs.items():
         loss = get_loss(kind)
@@ -175,7 +181,7 @@ def seeded_instance(draw):
     """A tiny instance and a seed field drawn from a few values with +-inf,
     so that ties at a ball extremum and infinite extrema are common."""
     inst = draw(tiny_instance())
-    n = inst[0].shape[0]
+    n = _build(inst)[0].n
     value = st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf])
     return inst, np.array(draw(st.lists(value, min_size=n, max_size=n)))
 
@@ -185,18 +191,17 @@ def seeded_instance(draw):
 # epsilon 0 on duplicate points, each source's ball holding a tie or an
 # infinite extremum
 @example(((np.zeros((4, 2)), "l2", 0.0, np.array([0.25, 0.0, 1.0, 0.25]),
-           np.array([0.0, 1.0, 0.25, 0.25])),
+           np.array([0.0, 1.0, 0.25, 0.25]), 0),
           np.array([np.inf, -np.inf, 1.0, 1.0])))
 @example(((np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.5, 0.0]]), "linf", 0.5,
-           np.array([1.0, 0.0, 0.25, 0.0]), np.array([0.0, 0.25, 0.0, 1.0])),
+           np.array([1.0, 0.0, 0.25, 0.0]), np.array([0.0, 0.25, 0.0, 1.0]), 0),
           np.array([0.0, 0.0, -np.inf, np.inf])))
 def test_degenerate_inputs_keep_an_edge_per_source_and_price_out(case):
     # every source keeps an edge in the first model and, at the end of every
     # program, no left-out edge prices out, for the drawn seed and for the
     # primal's; the primal-seeded pair certifies at 1e-6
-    (pts, norm, eps, m0, m1), drawn = case
-    g = build_ground(pts, norm, eps)
-    measure = TwoClassMeasure.build(m0, m1)
+    inst, drawn = case
+    g, measure = _build(inst)
     balls = SourceBalls(g, measure)
     ends = []
     real = dualsolve._CutLP.solve
