@@ -1,14 +1,8 @@
 """Adversarial surrogate-risk minimization and its transport dual on finite
 metric ground sets, with machine-checkable optimality certificates."""
 
-from .certify import (
-    Certificate,
-    certify,
-    slackness,
-    support_conditions,
-    uncertified,
-    universality_check,
-)
+# not the function certify.certify: it would shadow its module's name
+from .certify import Certificate, support_conditions, uncertified, universality_check
 from .dualsolve import (
     DualSolution,
     brute_dual,
@@ -29,6 +23,7 @@ from .losses import Loss, conditional_risk, get_loss, transform_h
 from .measures import (
     Coupling,
     TwoClassMeasure,
+    Witness,
     greedy_attack,
     pushforward,
     transported_integral,
@@ -56,10 +51,10 @@ __all__ = [
     "Loss",
     "PrimalSolution",
     "TwoClassMeasure",
+    "Witness",
     "brute_dual",
     "brute_primal",
     "build_ground",
-    "certify",
     "conditional_risk",
     "construct_f",
     "dilate",
@@ -74,7 +69,6 @@ __all__ = [
     "risk_adv",
     "save_instance",
     "save_result",
-    "slackness",
     "sliding_max_1d",
     "solve_dual",
     "solve_exp_primal",

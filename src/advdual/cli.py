@@ -2,8 +2,9 @@
 
 Subcommands: solve (full pipeline plus certificates), sweep (epsilon grid to
 CSV/SVG), winf (infinity-Wasserstein distance between the class measures),
-attack (emit the distribution-level universal attack), verify (re-check a
-stored result), oracle (brute-force reference values for tiny fixtures).
+attack (print the universal attack's couplings; --out writes them as a
+result file), verify (re-check a stored result), oracle (brute-force
+reference values for tiny fixtures).
 
 Every command that solves judges the solve by ``certify.uncertified``: the
 losses whose certificate gap exceeds the one tolerance, zero-one included.
@@ -20,20 +21,28 @@ import math
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import asdict
 
 from . import io as adio
-from .certify import Certificate, gap_tol, uncertified, universality_check
-from .dualsolve import DualSolution, brute_dual, dual_objective, solve_dual
+from .certify import (Certificate, check_tol, gap_tol, snap_eta, support_conditions,
+                      uncertified, universality_check)
+from .dualsolve import brute_dual, solve_dual
 from .errors import AdvdualError, InstanceTooLarge, ParseError, ValidationError
 from .ground import build_ground
-from .losses import LOSS_KINDS, get_loss
-from .measures import Coupling, winf_distance
+from .losses import get_loss
+from .measures import winf_distance
 from .primalsolve import PrimalSolution, brute_primal, eta_hat, solve_exp_primal
 
 LOSS_CHOICES = ("exp", "logistic", "hinge", "zero-one")
 ALL_LOSSES = list(LOSS_CHOICES)
+
+
+def _tol_arg(text: str) -> float:
+    """--tol: a number that ``check_tol`` accepts."""
+    try:
+        return check_tol(float(text))
+    except ValidationError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve primal and dual, certify, write result")
     p.add_argument("instance")
     p.add_argument("--loss", choices=losses, default="exp", help="surrogate loss")
-    p.add_argument("--tol", type=float, help=tol_help)
+    p.add_argument("--tol", type=_tol_arg, help=tol_help)
     p.add_argument("--out", help="result JSON path (default <instance>_result.json)")
 
     p = sub.add_parser("sweep", help="solve across an epsilon grid, emit CSV")
@@ -57,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True,
                    help="comma-separated epsilon grid, e.g. 0,0.3,0.6")
     p.add_argument("--loss", choices=losses, default="all", help="surrogate loss")
-    p.add_argument("--tol", type=float, help=tol_help)
+    p.add_argument("--tol", type=_tol_arg, help=tol_help)
     p.add_argument("--out", help="output stem (default <instance>_sweep)")
     p.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
 
@@ -67,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="emit the universal distribution-level attack")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, help=tol_help)
-    p.add_argument("--out", help="also write the couplings to this JSON path")
+    p.add_argument("--tol", type=_tol_arg, help=tol_help)
+    p.add_argument("--out", help="also write the result file (couplings and "
+                                 "exponential certificate) to this path")
 
     p = sub.add_parser("verify", help="re-check a stored result against its instance")
     p.add_argument("instance")
@@ -110,40 +120,25 @@ def _pipeline(g, measure, tol: float | None):
     return ps, ds, runtime_ms
 
 
-def _result_dict(instance_path, g, ps, ds, certs, tol, runtime_ms) -> dict:
-    """Result file contents; ``tol`` is the --tol the solve was given, or
-    None, and ``verify`` judges every certificate through ``gap_tol`` with
-    it and the instance's total mass."""
-    eta = eta_hat(ps.f)
-    return {
-        "schema_version": adio.SCHEMA_VERSION,
-        "instance": {
-            "path": os.path.basename(instance_path),
-            "n_points": int(g.n),
-            "norm": g.norm,
-            "epsilon": float(g.epsilon),
-        },
-        "provenance": {
-            "tol": None if tol is None else float(tol),
-            "primal_iterations": int(ps.iterations),
-            "dual_iterations": int(ds.iterations),
-            "runtime_ms": int(runtime_ms),
-        },
-        "f": ps.f,
-        "eta_hat": eta,
-        "m0": ds.m0,
-        "m1": ds.m1,
-        "couplings": {
-            "class0": ds.coupling0.triples(),
-            "class1": ds.coupling1.triples(),
-        },
-        "certificates": {name: c.as_dict() for name, c in certs.items()},
-    }
+def _certify(f, witness, names, g, measure):
+    """The certificates of the losses ``names`` and the support violation,
+    both read off ``eta_hat(f)``: what a result file stores."""
+    eta = eta_hat(f)
+    return (universality_check(eta, witness, names, g, measure),
+            support_conditions(snap_eta(eta), witness, g))
 
 
-def _print_cert_line(name: str, cert) -> None:
-    print(f"{name}: primal={cert.primal_value:.12g} "
-          f"dual={cert.dual_value:.12g} gap={cert.gap:.6g}")
+def _solve_and_write(args, losses, out):
+    """Solve the instance, certify ``losses`` and, whatever they are, the
+    exponential loss, and write the result file ``out`` unless it is None;
+    returns the witness, the certificates and the instance's total mass."""
+    g, measure = _load_solvable(args.instance)
+    ps, ds, runtime_ms = _pipeline(g, measure, args.tol)
+    certs, support = _certify(ps.f, ds.witness, sorted(set(losses) | {"exp"}), g, measure)
+    if out is not None:
+        adio.save_result(out, args.instance, g, ps, ds, certs, support, args.tol,
+                         runtime_ms)
+    return ds.witness, certs, measure.total
 
 
 def _warn_uncertified(certs: dict[str, Certificate], tol: float | None,
@@ -157,21 +152,14 @@ def _warn_uncertified(certs: dict[str, Certificate], tol: float | None,
 
 
 def cmd_solve(args) -> int:
-    g, measure = _load_solvable(args.instance)
-    # the exponential certificate is always computed and judged, whatever
-    # --loss asks for
-    ps, ds, runtime_ms = _pipeline(g, measure, args.tol)
-    eta = eta_hat(ps.f)
-    names = sorted(set(_requested_losses(args.loss)) | {"exp"})
-    certs = universality_check(eta, ds, names, g, measure)
-    result = _result_dict(args.instance, g, ps, ds, certs, args.tol, runtime_ms)
     out = args.out or os.path.splitext(args.instance)[0] + "_result.json"
-    adio.save_result(out, result)
-
+    _, certs, total = _solve_and_write(args, _requested_losses(args.loss), out)
     for loss_name in _requested_losses(args.loss):
-        _print_cert_line(loss_name, certs[get_loss(loss_name).kind])
+        cert = certs[get_loss(loss_name).kind]
+        print(f"{loss_name}: primal={cert.primal_value:.12g} "
+              f"dual={cert.dual_value:.12g} gap={cert.gap:.6g}")
     print(f"result written to {out}")
-    return 3 if _warn_uncertified(certs, args.tol, measure.total) else 0
+    return 3 if _warn_uncertified(certs, args.tol, total) else 0
 
 
 def cmd_sweep(args) -> int:
@@ -197,7 +185,7 @@ def cmd_sweep(args) -> int:
         try:
             ge = build_ground(g.points, g.norm, eps)
             ps, ds, _ = _pipeline(ge, measure, args.tol)
-            certs = universality_check(eta_hat(ps.f), ds, losses, ge, measure)
+            certs = universality_check(eta_hat(ps.f), ds.witness, losses, ge, measure)
         except AdvdualError as e:
             print(f"warning: eps={eps:g} failed: {e}", file=sys.stderr)
             for loss_name in losses:
@@ -238,33 +226,18 @@ def cmd_winf(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    g, measure = _load_solvable(args.instance)
-    ps, ds, runtime_ms = _pipeline(g, measure, args.tol)
-    for label, c in (("class0", ds.coupling0), ("class1", ds.coupling1)):
+    """The exponential solve's couplings, printed, and with --out written as
+    a result file that ``verify`` reads."""
+    witness, certs, total = _solve_and_write(args, ["exp"], args.out)
+    for label, c in (("class0", witness.c0), ("class1", witness.c1)):
         for i, j, w in c.triples():
             print(f"{label} {i} -> {j} mass {w:.17g}")
     if args.out:
-        adio.save_result(args.out, {
-            "couplings": {"class0": ds.coupling0.triples(),
-                          "class1": ds.coupling1.triples()},
-            "m0": ds.m0, "m1": ds.m1,
-            "provenance": {"runtime_ms": runtime_ms},
-        })
         print(f"attack written to {args.out}")
-    certs = universality_check(eta_hat(ps.f), ds, ["exp"], g, measure)
-    if _warn_uncertified(certs, args.tol, measure.total):
+    if _warn_uncertified(certs, args.tol, total):
         print("warning: the couplings are not an optimal attack", file=sys.stderr)
         return 3
     return 0
-
-
-def _stored_matches(stored, fresh) -> bool:
-    """A stored certificate value against its recomputation: floats within
-    1e-9 (a NaN never matches), everything else exactly."""
-    if isinstance(fresh, float):
-        return (isinstance(stored, (int, float)) and not isinstance(stored, bool)
-                and abs(stored - fresh) <= 1e-9)
-    return stored == fresh
 
 
 def cmd_verify(args) -> int:
@@ -275,59 +248,26 @@ def cmd_verify(args) -> int:
         return 4
 
     try:
-        # a file that is not JSON stays a parse error (exit 2)
-        data = adio.load_result(args.result)
-    except ValidationError as e:
-        return fail(str(e))
-    try:
-        f, eta, m0, m1 = (np.asarray(data[k], dtype=float)
-                          for k in ("f", "eta_hat", "m0", "m1"))
-        tr0, tr1 = (np.asarray(data["couplings"][k], dtype=float)
-                    for k in ("class0", "class1"))
-        stored = data["certificates"]
-        solve_tol = data["provenance"]["tol"]
-    except KeyError as e:
-        return fail(f"result file missing field {e}")
-    except (TypeError, ValueError) as e:
-        return fail(f"malformed result file: {e}")
-    if not isinstance(stored, dict):
-        return fail("certificates must be an object")
-    if solve_tol is not None and not isinstance(solve_tol, (int, float)):
-        return fail(f"provenance.tol must be a number or null, got {solve_tol!r}")
-    if any(t.size and (t.ndim != 2 or t.shape[1] != 3) for t in (tr0, tr1)):
-        return fail("coupling entries must be [source, target, weight] triples")
-    unknown = [k for k, c in stored.items()
-               if k not in LOSS_KINDS or not isinstance(c, dict)]
-    if unknown:
-        return fail(f"unknown or malformed certificate entry {unknown[0]!r}")
-    if any(v.shape != (g.n,) for v in (f, eta, m0, m1)):
-        return fail(f"stored vector lengths do not match the instance "
-                    f"ground set ({g.n} points)")
-    if not np.all(np.abs(eta_hat(f) - eta) <= 1e-12):
-        return fail("stored eta_hat does not match the stored score field f")
-    try:
-        c0, c1 = (Coupling.build(*t.reshape(-1, 3).T, g.n) for t in (tr0, tr1))
-    except AdvdualError as e:
-        return fail(f"stored couplings invalid: {e}")
-    try:
-        # universality_check rejects masses that are not the couplings'
-        # pushforwards before it scores each loss
-        dual = DualSolution(coupling0=c0, coupling1=c1, m0=m0, m1=m1,
-                            objective=dual_objective(get_loss("exp"), m0, m1),
-                            iterations=0)
-        fresh = universality_check(eta, dual, list(stored), g, measure)
+        stored = adio.load_result(args.result, g, measure)
+        certs, support = _certify(stored.f, stored.witness, list(stored.certificates),
+                                  g, measure)
+    except ParseError:
+        raise  # a file that is not JSON stays a parse error (exit 2)
     except AdvdualError as e:
         return fail(str(e))
-    for kind, cert in stored.items():
-        got = fresh[kind].as_dict()
-        for key in sorted(set(cert) | set(got)):
-            if not _stored_matches(cert.get(key), got.get(key)):
-                return fail(f"{kind}.{key}: stored {cert.get(key)!r} vs "
-                            f"recomputed {got.get(key)!r}")
-    bad = uncertified(fresh, solve_tol, measure.total)
+    # every stored number against its recomputation, within 1e-9; a NaN
+    # never matches
+    checks = [(f"{kind}.{key}", value, getattr(certs[kind], key))
+              for kind, cert in stored.certificates.items()
+              for key, value in asdict(cert).items() if key != "loss"]
+    checks.append(("support_violation", stored.support_violation, support))
+    for name, value, fresh in checks:
+        if not abs(value - fresh) <= 1e-9:
+            return fail(f"{name}: stored {value!r} vs recomputed {fresh!r}")
+    bad = uncertified(certs, stored.tol, measure.total)
     if bad:
-        return fail(f"{bad[0]}.gap {stored[bad[0]]['gap']!r} exceeds tolerance "
-                    f"{gap_tol(solve_tol, measure.total)}")
+        return fail(f"{bad[0]}.gap {stored.certificates[bad[0]].gap!r} exceeds tolerance "
+                    f"{gap_tol(stored.tol, measure.total)}")
     print("verify OK")
     return 0
 

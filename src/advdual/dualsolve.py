@@ -35,7 +35,7 @@ from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixForma
 from .errors import CutProgramFailed, InstanceTooLarge, NegativeMass
 from .ground import GroundSet
 from .losses import Loss
-from .measures import Coupling, SourceBalls, TwoClassMeasure, pushforward
+from .measures import SourceBalls, TwoClassMeasure, Witness, pushforward
 from .primalsolve import HPair, risk_adv
 
 EXP = Loss("exponential")
@@ -60,32 +60,20 @@ FEAS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Couplings with their pushforward masses and exponential dual value.
-
-    A solve also returns the score field ``f`` read off the cut multipliers
-    of the same program, its exponential ``risk``, and the feasible pair
-    ``hpair`` it comes from, whose ``theta`` bounds ``risk`` from above.
-    Whether the pair is optimal enough is for its certificate to say.
-    ``iterations`` counts HiGHS's iterations over every program.
+    """The validated coupling ``witness`` and its exponential dual value
+    ``objective``; the score field ``f`` read off the cut multipliers of the
+    same program, its exponential ``risk`` and the feasible pair ``hpair``
+    it comes from, whose ``theta`` bounds ``risk`` from above.  Whether the
+    pair is optimal enough is for its certificate to say.  ``iterations``
+    counts HiGHS's iterations over every program.
     """
 
-    coupling0: Coupling
-    coupling1: Coupling
-    m0: np.ndarray
-    m1: np.ndarray
+    witness: Witness
     objective: float
     iterations: int
-    f: np.ndarray | None = None
-    risk: float | None = None
-    hpair: HPair | None = None
-
-    def eta_star(self) -> np.ndarray:
-        """m1 / (m0 + m1) where defined, 0.5 elsewhere (unused mass points)."""
-        s = self.m0 + self.m1
-        out = np.full_like(s, 0.5)
-        mask = s > 0
-        out[mask] = self.m1[mask] / s[mask]
-        return out
+    f: np.ndarray
+    risk: float
+    hpair: HPair
 
 
 def dual_objective(loss: Loss, m0, m1) -> float:
@@ -338,12 +326,11 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
 
     _, field, hpair, w = best
     c0, c1 = b.couplings(w)
-    m0, m1 = pushforward(c0), pushforward(c1)
+    witness = Witness(g, measure, c0, c1, pushforward(c0), pushforward(c1))
     # recompute both values from the pair actually returned
-    obj = dual_objective(EXP, m0, m1)
+    obj = dual_objective(EXP, witness.m0, witness.m1)
     risk = risk_adv(EXP, field, g, measure)
-    return DualSolution(coupling0=c0, coupling1=c1, m0=m0, m1=m1,
-                        objective=obj, iterations=lp.iterations,
+    return DualSolution(witness=witness, objective=obj, iterations=lp.iterations,
                         f=field, risk=risk, hpair=hpair)
 
 

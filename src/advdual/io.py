@@ -1,10 +1,12 @@
 """Instance and result persistence.
 
-Instances and results are schema-versioned JSON; parameter sweeps are CSV
-with an optional static SVG chart.  Serialization is deterministic: keys are
-sorted and floats are printed with 17 significant digits, so identical runs
-produce byte-identical files.  Infinities are stored as the strings "inf"
-and "-inf" (JSON has no literal for them) and converted back on load.
+Instances and results are schema-versioned JSON; a result file has one
+layout, written by ``save_result`` and read back typed by ``load_result``.
+Parameter sweeps are CSV with an optional static SVG chart.  Serialization
+is deterministic: keys are sorted and floats are printed with 17
+significant digits, so identical runs produce byte-identical files.
+Infinities are stored as the strings "inf" and "-inf" (JSON has no literal
+for them) and converted back on load.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ import csv
 import io as _io
 import json
 import math
+import os
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .certify import Certificate, check_tol
 from .errors import ParseError, ValidationError, WriteError
 from .ground import GroundSet, build_ground, check_epsilon
-from .measures import TwoClassMeasure
+from .losses import LOSS_KINDS
+from .measures import Coupling, TwoClassMeasure, Witness
 
 SCHEMA_VERSION = 1
 
@@ -88,6 +94,19 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e.strerror}") from e
 
 
+def _load_object(path: str, kind: str) -> dict:
+    """The JSON object in the ``kind`` file at ``path``, of this schema
+    version."""
+    data = loads(_read_text(path))
+    if not isinstance(data, dict):
+        raise ValidationError(f"{kind} file must contain a JSON object")
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise ValidationError(
+            f"unsupported schema_version {data.get('schema_version')!r}; "
+            f"this reader handles version {SCHEMA_VERSION}")
+    return data
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -151,13 +170,7 @@ def load_instance(path: str):
     Refinement happens before neighbor indexing; refined points carry zero
     mass.
     """
-    data = loads(_read_text(path))
-    if not isinstance(data, dict):
-        raise ValidationError("instance file must contain a JSON object")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {data.get('schema_version')!r}; "
-            f"this reader handles version {SCHEMA_VERSION}")
+    data = _load_object(path, "instance")
     for key in ("points", "norm", "epsilon", "mass0", "mass1"):
         if key not in data:
             raise ValidationError(f"missing required field {key!r}")
@@ -207,21 +220,96 @@ def save_instance(path: str, points, norm: str, epsilon: float,
 # results
 # ---------------------------------------------------------------------------
 
-def save_result(path: str, result: dict) -> None:
-    """Write a result structure deterministically; see load_result."""
-    if "schema_version" not in result:
-        result = {"schema_version": SCHEMA_VERSION, **result}
-    _write_text(path, dumps(result))
+def save_result(path: str, instance_path: str, g: GroundSet, ps, ds,
+                certificates: dict[str, Certificate], support_violation: float,
+                tol: float | None, runtime_ms: int) -> None:
+    """Write the result of the solve (``ps``, ``ds``) of the instance at
+    ``instance_path``: the score field ``f``, the witness (``m0``, ``m1``
+    and the ``couplings`` as [source, target, weight] triples per class),
+    the one ``support_violation``, one certificate per loss kind, and the
+    provenance, whose ``tol`` is the --tol the solve was given (or None) and
+    judges every certificate in ``verify``."""
+    w = ds.witness
+    _write_text(path, dumps({
+        "schema_version": SCHEMA_VERSION,
+        "instance": {
+            "path": os.path.basename(instance_path),
+            "n_points": int(g.n),
+            "norm": g.norm,
+            "epsilon": float(g.epsilon),
+        },
+        "provenance": {
+            "tol": None if tol is None else float(tol),
+            "primal_iterations": int(ps.iterations),
+            "dual_iterations": int(ds.iterations),
+            "runtime_ms": int(runtime_ms),
+        },
+        "f": ps.f,
+        "m0": w.m0,
+        "m1": w.m1,
+        "couplings": {"class0": w.c0.triples(), "class1": w.c1.triples()},
+        "support_violation": support_violation,
+        "certificates": {kind: asdict(c) for kind, c in certificates.items()},
+    }))
 
 
-def load_result(path: str) -> dict:
-    data = loads(_read_text(path))
-    if not isinstance(data, dict):
-        raise ValidationError("result file must contain a JSON object")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {data.get('schema_version')!r}")
-    return data
+@dataclass(frozen=True)
+class StoredResult:
+    """A result file as ``load_result`` reads it, its witness validated."""
+
+    f: np.ndarray
+    witness: Witness
+    certificates: dict[str, Certificate]
+    support_violation: float
+    tol: float | None
+
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _certificate(kind, entry) -> Certificate:
+    """A stored certificate entry, named by its loss kind; a field more or
+    less than ``Certificate`` has raises TypeError."""
+    if kind not in LOSS_KINDS or not isinstance(entry, dict) or entry.get("loss") != kind:
+        raise ValidationError(f"unknown or malformed certificate entry {kind!r}")
+    return Certificate(**{key: value if key == "loss" else _number(f"{kind}.{key}", value)
+                          for key, value in entry.items()})
+
+
+def load_result(path: str, g: GroundSet, measure: TwoClassMeasure) -> StoredResult:
+    """Read a result file of the instance (``g``, ``measure``) in the layout
+    ``save_result`` writes, with the exponential certificate, and validate
+    its witness.  A file that is not JSON raises ``ParseError``, any other
+    departure from the layout ``ValidationError``, and a witness that does
+    not validate ``InfeasibleDual``."""
+    data = _load_object(path, "result")
+    try:
+        f, m0, m1 = (np.asarray(data[k], dtype=float) for k in ("f", "m0", "m1"))
+        trips = [np.asarray(data["couplings"][k], dtype=float) for k in ("class0", "class1")]
+        certs = {kind: _certificate(kind, entry)
+                 for kind, entry in data["certificates"].items()}
+        support = data["support_violation"]
+        tol = data["provenance"]["tol"]
+    except KeyError as e:
+        raise ValidationError(f"result file missing field {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed result file: {e}") from e
+    if "exponential" not in certs:
+        raise ValidationError("result file has no exponential certificate")
+    if any(v.shape != (g.n,) for v in (f, m0, m1)):
+        raise ValidationError(f"stored vector lengths do not match the instance "
+                              f"ground set ({g.n} points)")
+    if any(t.size and (t.ndim != 2 or t.shape[1] != 3 or np.any(t[:, :2] % 1 != 0))
+           for t in trips):
+        raise ValidationError("coupling entries must be [source, target, weight] "
+                              "triples with integer indices")
+    c0, c1 = (Coupling.build(*t.reshape(-1, 3).T, g.n) for t in trips)
+    return StoredResult(f=f, witness=Witness(g, measure, c0, c1, m0, m1),
+                        certificates=certs, tol=check_tol(tol),
+                        support_violation=_number("support_violation", support))
 
 
 # ---------------------------------------------------------------------------

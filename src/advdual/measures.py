@@ -1,4 +1,5 @@
-"""Two-class finite measures, couplings in the epsilon edge set, and the
+"""Two-class finite measures, couplings in the epsilon edge set, the
+validated coupling witness every certificate rests on, and the
 infinity-Wasserstein metric decided by a transport linear program."""
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import AdvdualError, MassMismatch, NegativeMass, ValidationError
+from .errors import AdvdualError, InfeasibleDual, MassMismatch, NegativeMass, ValidationError
 from .ground import GroundSet, ball_argmax, distances
 
 # absolute feasibility slack per unit of transported mass
@@ -175,6 +176,44 @@ def coupling_in_delta(g: GroundSet, c: Coupling) -> bool:
         return True
     d = distances(g.points[c.src], g.points[c.dst], g.norm)
     return bool(np.all(d[c.w > 0] <= g.epsilon + DELTA_TOL))
+
+
+class Witness:
+    """The dual witness of a solve: the class couplings ``c0``, ``c1`` and
+    their pushforward masses ``m0``, ``m1``.
+
+    The constructor raises ``InfeasibleDual`` unless each coupling lies on
+    epsilon-edges of ``g``, has the class measure as its source marginal
+    and the given masses as its pushforward, within 1e-9 per unit of total
+    mass (at least 1e-9); a NaN or infinite weight or mass fails.  So a
+    witness proves that both pushforwards lie in the infinity-Wasserstein
+    epsilon-ball of their class measures, for every loss at once.
+    """
+
+    __slots__ = ("c0", "c1", "m0", "m1")
+
+    def __init__(self, g: GroundSet, measure: TwoClassMeasure, c0: Coupling,
+                 c1: Coupling, m0, m1):
+        self.c0, self.c1 = c0, c1
+        self.m0, self.m1 = np.asarray(m0, dtype=float), np.asarray(m1, dtype=float)
+        tol = 1e-9 * max(measure.total, 1.0)
+        for c, p, m in ((c0, measure.mass0, self.m0), (c1, measure.mass1, self.m1)):
+            if not coupling_in_delta(g, c):
+                raise InfeasibleDual("coupling moves mass beyond epsilon")
+            if not np.all(np.abs(c.source_marginal() - p) <= tol):
+                raise InfeasibleDual("coupling source marginal does not match "
+                                     "the class measure")
+            if m.shape != (g.n,) or not np.all(np.abs(pushforward(c) - m) <= tol):
+                raise InfeasibleDual("dual masses do not match the coupling "
+                                     "pushforward")
+
+    def eta_star(self) -> np.ndarray:
+        """m1 / (m0 + m1) where defined, 0.5 elsewhere (unused mass points)."""
+        s = self.m0 + self.m1
+        out = np.full_like(s, 0.5)
+        mask = s > 0
+        out[mask] = self.m1[mask] / s[mask]
+        return out
 
 
 def winf_feasible(g: GroundSet, p, q, epsilon: float | None = None) -> bool:

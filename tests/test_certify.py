@@ -1,23 +1,24 @@
-import importlib
+import dataclasses
+import shutil
 
 import numpy as np
 import pytest
 
+from advdual import measures
 from advdual.certify import (
     TOL,
     Certificate,
     certify,
-    slackness,
     snap_eta,
     support_conditions,
     uncertified,
     universality_check,
 )
-from advdual.dualsolve import DualSolution, solve_dual
+from advdual.cli import main
+from advdual.dualsolve import solve_dual
 from advdual.errors import InfeasibleDual
-from advdual.ground import build_ground
 from advdual.losses import get_loss
-from advdual.measures import Coupling, TwoClassMeasure, winf_feasible
+from advdual.measures import Coupling, TwoClassMeasure, Witness, winf_feasible
 from advdual.primalsolve import construct_f, eta_hat, risk_adv, solve_exp_primal
 
 
@@ -36,13 +37,12 @@ def _solve_pair(g, measure):
 def test_twopoint_certificate_tight(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
-    cert = certify(EXP, primal.f, dual, g, measure)
+    cert = certify(EXP, primal.f, dual.witness, g, measure)
     assert cert.gap <= TOL
     assert cert.gap == pytest.approx(0.0, abs=1e-8)
     assert cert.slack_sup_r1 < 1e-8 and cert.slack_sup_r0 < 1e-8
     assert cert.slack_pointwise < 1e-8
-    assert cert.support_violation == 0.0
-    assert cert.winf_ok == (True, True)
+    assert support_conditions(eta_hat(primal.f), dual.witness, g) == 0.0
 
 
 def test_residual_identity(oracle_instances):
@@ -51,7 +51,8 @@ def test_residual_identity(oracle_instances):
         for loss in (EXP, LOG, HINGE, ZO):
             eta = snap_eta(eta_hat(primal.f))
             f = primal.f if loss is EXP else construct_f(loss, eta)
-            cert = certify(loss, f, dual, g, measure, eta=eta)
+            cert = certify(loss, f, dual.witness, g, measure)
+            assert cert.primal_value == risk_adv(loss, f, g, measure), (name, loss.kind)
             total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
             assert total == pytest.approx(cert.gap, abs=1e-12), (name, loss.kind)
             assert cert.slack_sup_r1 >= -1e-12
@@ -64,7 +65,7 @@ def test_perturbed_field_raises_residual(twopoint):
     primal, dual = _solve_pair(g, measure)
     f = primal.f.copy()
     f[2] += 0.1  # shift the score at the shared support midpoint
-    cert = certify(EXP, f, dual, g, measure)
+    cert = certify(EXP, f, dual.witness, g, measure)
     assert cert.gap > 1e-3
     total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
     assert total == pytest.approx(cert.gap, abs=1e-12)
@@ -76,17 +77,12 @@ def test_support_conditions_detects_bad_destination(twopoint):
     # eta increasing along [0, 0.5, 1]; class-1 mass at point 1 must flow to
     # the ball minimizer (the midpoint), flowing to itself violates support
     eta = np.array([0.0, 1.0, 0.5])
-    good = DualSolution(
-        coupling0=Coupling.build([0], [2], [0.5], 3),
-        coupling1=Coupling.build([1], [2], [0.5], 3),
-        m0=np.array([0.0, 0.0, 0.5]), m1=np.array([0.0, 0.0, 0.5]),
-        objective=1.0, iterations=0)
+    c0 = Coupling.build([0], [2], [0.5], 3)
+    good = Witness(g, measure, c0, Coupling.build([1], [2], [0.5], 3),
+                   [0.0, 0.0, 0.5], [0.0, 0.0, 0.5])
     assert support_conditions(eta, good, g) == 0.0
-    bad = DualSolution(
-        coupling0=good.coupling0,
-        coupling1=Coupling.build([1], [1], [0.5], 3),
-        m0=good.m0, m1=np.array([0.0, 0.5, 0.0]),
-        objective=0.0, iterations=0)
+    bad = Witness(g, measure, c0, Coupling.build([1], [1], [0.5], 3),
+                  [0.0, 0.0, 0.5], [0.0, 0.5, 0.0])
     assert support_conditions(eta, bad, g) == pytest.approx(0.5)
 
 
@@ -96,8 +92,8 @@ def test_certificate_symmetry_under_class_swap(twopoint):
     swapped = TwoClassMeasure.build(measure.mass1, measure.mass0)
     sp, sd = _solve_pair(g, swapped)
     assert np.allclose(sp.f, -primal.f, atol=1e-6)
-    ca = certify(EXP, primal.f, dual, g, measure)
-    cb = certify(EXP, sp.f, sd, g, swapped)
+    ca = certify(EXP, primal.f, dual.witness, g, measure)
+    cb = certify(EXP, sp.f, sd.witness, g, swapped)
     assert cb.primal_value == pytest.approx(ca.primal_value, abs=1e-8)
     assert cb.dual_value == pytest.approx(ca.dual_value, abs=1e-8)
 
@@ -105,21 +101,13 @@ def test_certificate_symmetry_under_class_swap(twopoint):
 def test_infeasible_dual_rejected(twopoint):
     g, measure = twopoint
     # coupling jumps the full unit distance, far beyond epsilon = 0.6
-    far = DualSolution(
-        coupling0=Coupling.build([0], [1], [0.5], 3),
-        coupling1=Coupling.build([1], [0], [0.5], 3),
-        m0=np.array([0.0, 0.5, 0.0]), m1=np.array([0.5, 0.0, 0.0]),
-        objective=1.0, iterations=0)
-    with pytest.raises(InfeasibleDual):
-        certify(EXP, np.zeros(3), far, g, measure)
+    with pytest.raises(InfeasibleDual, match="beyond epsilon"):
+        Witness(g, measure, Coupling.build([0], [1], [0.5], 3),
+                Coupling.build([1], [0], [0.5], 3), [0.0, 0.5, 0.0], [0.5, 0.0, 0.0])
     # wrong source marginal
-    short = DualSolution(
-        coupling0=Coupling.build([0], [2], [0.25], 3),
-        coupling1=Coupling.build([1], [2], [0.5], 3),
-        m0=np.array([0.0, 0.0, 0.25]), m1=np.array([0.0, 0.0, 0.5]),
-        objective=1.0, iterations=0)
-    with pytest.raises(InfeasibleDual):
-        certify(EXP, np.zeros(3), short, g, measure)
+    with pytest.raises(InfeasibleDual, match="source marginal"):
+        Witness(g, measure, Coupling.build([0], [2], [0.25], 3),
+                Coupling.build([1], [2], [0.5], 3), [0.0, 0.0, 0.25], [0.0, 0.0, 0.5])
 
 
 def test_dual_masses_must_match_pushforward(twopoint):
@@ -130,27 +118,24 @@ def test_dual_masses_must_match_pushforward(twopoint):
     # vector is not where they move the class measure
     for m0, m1 in (([0.5, 0.0, 0.0], [0.0, 0.0, 0.5]),
                    ([0.0, 0.0, 0.5], [0.0, 0.25, 0.25])):
-        bad = DualSolution(coupling0=c0, coupling1=c1, m0=np.array(m0),
-                           m1=np.array(m1), objective=1.0, iterations=0)
-        with pytest.raises(InfeasibleDual):
-            certify(EXP, np.zeros(3), bad, g, measure)
-        with pytest.raises(InfeasibleDual):
-            slackness(EXP, np.zeros(3), bad, g, measure)
-        for losses in (("exp", "zero-one"), ("zero-one",)):
-            with pytest.raises(InfeasibleDual):
-                universality_check(np.full(3, 0.5), bad, losses, g, measure)
+        with pytest.raises(InfeasibleDual, match="pushforward"):
+            Witness(g, measure, c0, c1, m0, m1)
+    # the same couplings with their own pushforwards make a witness, and
+    # its certificate's residual triple sums to the gap
+    good = Witness(g, measure, c0, c1, [0.0, 0.0, 0.5], [0.0, 0.0, 0.5])
+    cert = certify(EXP, np.zeros(3), good, g, measure)
+    total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
+    assert total == pytest.approx(cert.gap, abs=1e-12)
 
 
 def test_derived_winf_flags_match_max_flow(oracle_instances):
-    losses = ("exp", "logistic", "hinge", "zero-one")
     for name, g, measure in oracle_instances:
-        primal, dual = _solve_pair(g, measure)
-        # max-flow stays the reference for the flags read off the witness
-        ref = (winf_feasible(g, measure.mass0, dual.m0, g.epsilon),
-               winf_feasible(g, measure.mass1, dual.m1, g.epsilon))
-        certs = universality_check(eta_hat(primal.f), dual, losses, g, measure)
-        for kind, cert in certs.items():
-            assert cert.winf_ok == ref, (name, kind)
+        _, dual = _solve_pair(g, measure)
+        # every witness the solver validates is W-infinity feasible by
+        # max-flow, the reference
+        w = dual.witness
+        assert winf_feasible(g, measure.mass0, w.m0, g.epsilon), name
+        assert winf_feasible(g, measure.mass1, w.m1, g.epsilon), name
 
 
 def test_snap_eta():
@@ -164,18 +149,17 @@ def test_universality_all_losses(oracle_instances):
     losses = ("exp", "logistic", "hinge", "zero-one")
     for name, g, measure in oracle_instances:
         primal, dual = _solve_pair(g, measure)
-        certs = universality_check(eta_hat(primal.f), dual, losses, g, measure)
+        certs = universality_check(eta_hat(primal.f), dual.witness, losses, g, measure)
         # the zero-one entry is judged like the others
         assert uncertified(certs, None, measure.total) == [], name
         zo = certs["zero_one_dual"]
         assert min(zo.slack_sup_r1, zo.slack_sup_r0, zo.slack_pointwise) >= -1e-12
-        assert zo.support_violation == certs["exponential"].support_violation
 
 
 def test_universality_twopoint_values(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
-    certs = universality_check(eta_hat(primal.f), dual,
+    certs = universality_check(eta_hat(primal.f), dual.witness,
                                ("exp", "logistic", "hinge", "zero-one"),
                                g, measure)
     assert certs["exponential"].primal_value == pytest.approx(1.0, abs=1e-6)
@@ -188,42 +172,32 @@ def test_universality_twopoint_values(twopoint):
 def test_as_dict_round_keys(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
-    d = certify(EXP, primal.f, dual, g, measure).as_dict()
+    d = dataclasses.asdict(certify(EXP, primal.f, dual.witness, g, measure))
     assert d["loss"] == "exponential"
-    assert set(d) == {"loss", "primal_value", "dual_value", "gap",
-                      "slack_sup_r1", "slack_sup_r0", "slack_pointwise",
-                      "support_violation", "winf_ok"}
+    assert list(d) == ["loss", "primal_value", "dual_value", "gap",
+                       "slack_sup_r1", "slack_sup_r0", "slack_pointwise"]
 
 
-def test_universality_validates_witness_once_per_loss(twopoint, monkeypatch):
-    g, measure = twopoint
-    primal, dual = _solve_pair(g, measure)
-    # the package exports the function ``certify`` under the module's name
-    certify_mod = importlib.import_module("advdual.certify")
+def test_witness_validated_once_per_solve_and_verify(tmp_path, monkeypatch):
+    # the couplings are checked when the witness is made: once by the solve,
+    # whatever --loss asks for, and once by verify, never per loss
+    inst = str(tmp_path / "twopoint.json")
+    shutil.copy("instances/twopoint.json", inst)
+    out = str(tmp_path / "res.json")
     calls = []
-    real = certify_mod._check_dual_feasible
-    monkeypatch.setattr(certify_mod, "_check_dual_feasible",
+    real = measures.Witness.__init__
+    monkeypatch.setattr(measures.Witness, "__init__",
                         lambda *a: calls.append(1) or real(*a))
-    universality_check(eta_hat(primal.f), dual,
-                       ("exp", "logistic", "hinge", "zero-one"), g, measure)
-    assert len(calls) == 4
-
-
-def test_slackness_matches_certificate(twopoint):
-    g, measure = twopoint
-    primal, dual = _solve_pair(g, measure)
-    f = primal.f + np.array([0.0, 0.0, 0.1])
-    cert = certify(LOG, f, dual, g, measure)
-    assert slackness(LOG, f, dual, g, measure) == (
-        cert.slack_sup_r1, cert.slack_sup_r0, cert.slack_pointwise)
-    assert cert.primal_value == risk_adv(LOG, f, g, measure)
+    assert main(["solve", inst, "--loss", "all", "--out", out]) == 0
+    assert len(calls) == 1
+    assert main(["verify", inst, out]) == 0
+    assert len(calls) == 2
 
 
 def test_uncertified_verdict():
     def cert(kind, gap):
         return Certificate(loss=kind, primal_value=gap, dual_value=0.0, gap=gap,
-                           slack_sup_r1=gap, slack_sup_r0=0.0, slack_pointwise=0.0,
-                           support_violation=0.0, winf_ok=(True, True))
+                           slack_sup_r1=gap, slack_sup_r0=0.0, slack_pointwise=0.0)
 
     certs = {"exponential": cert("exponential", 5e-5),
              "logistic": cert("logistic", 5e-4),

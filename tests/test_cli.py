@@ -13,13 +13,24 @@ import pytest
 import advdual
 from advdual import cli
 from advdual.cli import main
-from advdual.io import dumps, load_result, save_instance, save_result
+from advdual.io import dumps, loads, save_instance
 
 from test_acceptance import _random_instance
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INSTANCE = "instances/twopoint.json"
+
+
+def _read(path):
+    """A result file's JSON object, as written."""
+    with open(path) as fh:
+        return loads(fh.read())
+
+
+def _write(path, data):
+    with open(path, "w") as fh:
+        fh.write(dumps(data))
 
 
 @pytest.fixture()
@@ -34,7 +45,7 @@ def test_solve_exit_zero(inst, tmp_path, capsys):
     assert main(["solve", inst, "--out", out]) == 0
     text = capsys.readouterr().out
     assert "exp" in text and f"result written to {out}" in text
-    result = load_result(out)
+    result = _read(out)
     assert result["certificates"]["exponential"]["gap"] <= 1e-4
     assert len(result["f"]) == 3
 
@@ -44,7 +55,7 @@ def test_solve_all_losses(inst, tmp_path, capsys):
     assert main(["solve", inst, "--loss", "all", "--out", out]) == 0
     text = capsys.readouterr().out
     assert "zero-one: primal=" in text
-    result = load_result(out)
+    result = _read(out)
     kinds = set(result["certificates"])
     assert {"exponential", "logistic", "hinge", "zero_one_dual"} <= kinds
 
@@ -72,9 +83,9 @@ def test_verify_ok(inst, tmp_path, capsys):
 def test_verify_tampered_result(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--out", out])
-    data = load_result(out)
-    data["eta_hat"][2] = 0.9  # no longer matches the stored certificates
-    save_result(out, data)
+    data = _read(out)
+    data["support_violation"] = 0.5  # no longer what the witness gives
+    _write(out, data)
     capsys.readouterr()
     assert main(["verify", inst, out]) == 4
     assert "FAILED" in capsys.readouterr().out
@@ -83,9 +94,9 @@ def test_verify_tampered_result(inst, tmp_path, capsys):
 def test_verify_tampered_field(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--out", out])
-    data = load_result(out)
-    data["f"] = [3.0, 0.0, -5.0]  # eta_hat and the certificates left as solved
-    save_result(out, data)
+    data = _read(out)
+    data["f"] = [3.0, 0.0, -5.0]  # the certificates left as solved
+    _write(out, data)
     capsys.readouterr()
     assert main(["verify", inst, out]) == 4
     assert "FAILED" in capsys.readouterr().out
@@ -94,9 +105,9 @@ def test_verify_tampered_field(inst, tmp_path, capsys):
 def test_verify_tampered_masses(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--out", out])
-    data = load_result(out)
+    data = _read(out)
     data["m0"] = [0.0, 0.1, 0.4]  # no longer the class-0 coupling's pushforward
-    save_result(out, data)
+    _write(out, data)
     capsys.readouterr()
     assert main(["verify", inst, out]) == 4
     assert "pushforward" in capsys.readouterr().out
@@ -106,10 +117,10 @@ def test_verify_nan_mass(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--loss", "all", "--out", out])
     for key in ("m0", "m1"):
-        data = load_result(out)
+        data = _read(out)
         data[key][0] = float("nan")  # written as "nan", read back as NaN
         bad = str(tmp_path / f"bad_{key}.json")
-        save_result(bad, data)
+        _write(bad, data)
         capsys.readouterr()
         assert main(["verify", inst, bad]) == 4, key
         assert "pushforward" in capsys.readouterr().out, key
@@ -118,9 +129,9 @@ def test_verify_nan_mass(inst, tmp_path, capsys):
 def test_verify_nan_coupling_weight(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--loss", "all", "--out", out])
-    data = load_result(out)
+    data = _read(out)
     data["couplings"]["class0"][0][2] = float("nan")
-    save_result(out, data)
+    _write(out, data)
     capsys.readouterr()
     assert main(["verify", inst, out]) == 4
 
@@ -164,14 +175,14 @@ def test_solve_and_verify_judge_at_one_tolerance(tmp_path, capsys):
                   measure.mass1)
     out = str(tmp_path / "res.json")
     assert main(["solve", path, "--loss", "all", "--tol", "1e-12", "--out", out]) == 3
-    assert load_result(out)["provenance"]["tol"] == 1e-12
+    assert _read(out)["provenance"]["tol"] == 1e-12
     capsys.readouterr()
     assert main(["verify", path, out]) == 4
     assert "exponential.gap" in capsys.readouterr().out
     assert main(["solve", path, "--tol", "0.5", "--out", out]) == 0
     assert main(["verify", path, out]) == 0
     assert main(["solve", path, "--out", out]) == 0
-    assert load_result(out)["provenance"]["tol"] is None
+    assert _read(out)["provenance"]["tol"] is None
     assert main(["verify", path, out]) == 0
 
 
@@ -179,10 +190,10 @@ def test_verify_tampered_certificate(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--out", out])
     for value in (0.25, float("nan")):
-        data = load_result(out)
+        data = _read(out)
         data["certificates"]["exponential"]["gap"] = value
         bad = str(tmp_path / "bad.json")
-        save_result(bad, data)
+        _write(bad, data)
         capsys.readouterr()
         assert main(["verify", inst, bad]) == 4, value
 
@@ -191,10 +202,12 @@ def test_verify_unknown_certificate_entry(inst, tmp_path, capsys):
     # an entry under a name that is no loss once raised ValueError
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--out", out])
-    for name, entry in (("brier", {}), ("exp", {}), ("logistic", 0.5)):
-        data = load_result(out)
-        data["certificates"][name] = entry
-        save_result(out + ".bad", data)
+    # None: the exponential entry, stored under another loss's name
+    for name, entry in (("brier", {}), ("exp", {}), ("logistic", 0.5), ("hinge", None)):
+        data = _read(out)
+        data["certificates"][name] = (data["certificates"]["exponential"]
+                                      if entry is None else entry)
+        _write(out + ".bad", data)
         capsys.readouterr()
         assert main(["verify", inst, out + ".bad"]) == 4, name
         assert "unknown or malformed certificate entry" in capsys.readouterr().out
@@ -205,18 +218,24 @@ def test_verify_unknown_certificate_entry(inst, tmp_path, capsys):
     pytest.param(lambda d: {**d, "couplings": {"class0": [d["couplings"]["class0"][0][:2]],
                                                "class1": d["couplings"]["class1"]}},
                  id="two_entry_triple"),
+    # once read as index 0
+    pytest.param(lambda d: {**d, "couplings": {"class0": [[0.5, 2, 0.5]],
+                                               "class1": d["couplings"]["class1"]}},
+                 id="fractional_index"),
     pytest.param(lambda d: {**d, "certificates": list(d["certificates"].values())},
                  id="certificate_list"),
     pytest.param(lambda d: {**d, "provenance": "solved"}, id="provenance_string"),
+    pytest.param(lambda d: {**d, "certificates": {}}, id="no_certificates"),
+    *(pytest.param(lambda d, tol=tol: {**d, "provenance": {**d["provenance"], "tol": tol}},
+                   id=f"tol_{tol}")
+      for tol in (True, 0, -1.0, float("inf"), float("nan"), "1e-3")),
     pytest.param(lambda d: [d], id="top_level_list"),
 ])
 def test_verify_malformed_result(inst, tmp_path, capsys, tamper):
     # a malformed result is one verify rejects, not a traceback or exit 2
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--out", out])
-    text = dumps(tamper(load_result(out)))
-    with open(out, "w") as fh:
-        fh.write(text)
+    _write(out, tamper(_read(out)))
     capsys.readouterr()
     assert main(["verify", inst, out]) == 4
     assert capsys.readouterr().out.startswith("verify FAILED: ")
@@ -225,16 +244,33 @@ def test_verify_malformed_result(inst, tmp_path, capsys, tamper):
 def test_verify_tampered_flags(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--out", out])
-    # a stored key the certificate does not have fails too: result files
-    # written before the zero-one entry was judged carry "diagnostic"
-    for key, value in (("winf_ok", [False, True]), ("diagnostic", True),
-                       ("diagnostic", False)):
-        data = load_result(out)
+    # a stored key the certificate does not have fails too: older result
+    # files carry "diagnostic", "winf_ok" and "support_violation" per entry
+    for key, value in (("winf_ok", [False, True]), ("winf_ok", [True, True]),
+                       ("diagnostic", True), ("diagnostic", False),
+                       ("support_violation", 0.0)):
+        data = _read(out)
         data["certificates"]["exponential"][key] = value
         bad = str(tmp_path / f"bad_{key}_{value}.json")
-        save_result(bad, data)
+        _write(bad, data)
         capsys.readouterr()
         assert main(["verify", inst, bad]) == 4, key
+
+
+def test_verify_rejects_older_layout(inst, tmp_path, capsys):
+    # the layout written before the witness was stored once: eta_hat, and
+    # support_violation and winf_ok in every certificate entry
+    out = str(tmp_path / "res.json")
+    main(["solve", inst, "--loss", "all", "--out", out])
+    data = _read(out)
+    data["eta_hat"] = [0.5, 0.5, 0.5]
+    support = data.pop("support_violation")
+    for entry in data["certificates"].values():
+        entry.update(support_violation=support, winf_ok=[True, True])
+    _write(out, data)
+    capsys.readouterr()
+    assert main(["verify", inst, out]) == 4
+    assert capsys.readouterr().out.startswith("verify FAILED: ")
 
 
 def test_verify_wrong_instance(inst, tmp_path, capsys):
@@ -299,6 +335,11 @@ def test_sweep_rejects_eps_outside_range(inst, tmp_path, grid, capsys):
     ["winf", "--tol", "1e-3"],
     ["verify", "res.json", "--loss", "exp"],
     ["oracle", "--out", "x.json"],
+    # --tol takes only a finite number greater than 0
+    ["solve", "--tol", "inf"],
+    ["solve", "--tol", "-1"],
+    ["sweep", "--eps", "0.3", "--tol", "0"],
+    ["attack", "--tol", "nan"],
 ])
 def test_unread_flags_rejected(inst, argv, capsys):
     with pytest.raises(SystemExit) as exc:

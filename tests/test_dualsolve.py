@@ -78,7 +78,7 @@ def test_weak_duality_random_fields(twopoint):
     rng = np.random.default_rng(5)
     sol = _hinted(g, measure)
     for loss in (EXP, LOG, HINGE):
-        dual = dual_objective(loss, sol.m0, sol.m1)
+        dual = dual_objective(loss, sol.witness.m0, sol.witness.m1)
         for _ in range(20):
             f = rng.normal(scale=2.0, size=g.n)
             assert risk_adv(loss, f, g, measure) >= dual - 1e-9
@@ -90,14 +90,14 @@ def test_solve_dual_twopoint_exp(twopoint):
     assert _within_tol(sol)
     assert sol.objective == pytest.approx(1.0, abs=1e-8)
     # both class masses meet at the midpoint
-    assert sol.m0[2] == pytest.approx(0.5, abs=1e-8)
-    assert sol.m1[2] == pytest.approx(0.5, abs=1e-8)
+    assert sol.witness.m0[2] == pytest.approx(0.5, abs=1e-8)
+    assert sol.witness.m1[2] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_solve_dual_twopoint_zero_one(twopoint):
     g, measure = twopoint
     sol = _hinted(g, measure)
-    assert dual_objective(ZO, sol.m0, sol.m1) == pytest.approx(0.5, abs=1e-8)
+    assert dual_objective(ZO, sol.witness.m0, sol.witness.m1) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_solve_dual_eps_zero_is_pointwise():
@@ -108,20 +108,20 @@ def test_solve_dual_eps_zero_is_pointwise():
     measure = TwoClassMeasure.build(p0, p1)
     sol = _hinted(g, measure)
     # no transport possible: marginals are the masses themselves
-    assert np.allclose(sol.m0, p0, atol=1e-12)
-    assert np.allclose(sol.m1, p1, atol=1e-12)
+    assert np.allclose(sol.witness.m0, p0, atol=1e-12)
+    assert np.allclose(sol.witness.m1, p1, atol=1e-12)
     assert sol.objective == pytest.approx(dual_objective(EXP, p0, p1), abs=1e-12)
 
 
 def test_solution_couplings_feasible(oracle_instances):
     for name, g, measure in oracle_instances:
         sol = _hinted(g, measure)
-        assert coupling_in_delta(g, sol.coupling0), name
-        assert coupling_in_delta(g, sol.coupling1), name
-        assert np.allclose(pushforward(sol.coupling0), sol.m0, atol=1e-12)
-        assert np.allclose(pushforward(sol.coupling1), sol.m1, atol=1e-12)
-        assert winf_feasible(g, measure.mass0, sol.m0, g.epsilon + 1e-9)
-        assert winf_feasible(g, measure.mass1, sol.m1, g.epsilon + 1e-9)
+        assert coupling_in_delta(g, sol.witness.c0), name
+        assert coupling_in_delta(g, sol.witness.c1), name
+        assert np.allclose(pushforward(sol.witness.c0), sol.witness.m0, atol=1e-12)
+        assert np.allclose(pushforward(sol.witness.c1), sol.witness.m1, atol=1e-12)
+        assert winf_feasible(g, measure.mass0, sol.witness.m0, g.epsilon + 1e-9)
+        assert winf_feasible(g, measure.mass1, sol.witness.m1, g.epsilon + 1e-9)
 
 
 def test_solve_dual_matches_brute(oracle_instances):
@@ -130,7 +130,7 @@ def test_solve_dual_matches_brute(oracle_instances):
         sol = _hinted(g, measure)
         for loss in (EXP, LOG, HINGE, ZO):
             ref = brute_dual(loss, g, measure, grid_steps=60)
-            value = dual_objective(loss, sol.m0, sol.m1)
+            value = dual_objective(loss, sol.witness.m0, sol.witness.m1)
             assert value >= ref - 2e-3, (name, loss.kind)
 
 
@@ -152,16 +152,16 @@ def test_solve_dual_deterministic(twopoint):
     a = _hinted(g, measure)
     b = _hinted(g, measure)
     assert a.objective == b.objective
-    assert np.array_equal(a.m0, b.m0) and np.array_equal(a.m1, b.m1)
+    assert np.array_equal(a.witness.m0, b.witness.m0) and np.array_equal(a.witness.m1, b.witness.m1)
 
 
 def _assert_feasible_dual(g, measure, sol):
-    assert coupling_in_delta(g, sol.coupling0)
-    assert coupling_in_delta(g, sol.coupling1)
-    assert np.allclose(pushforward(sol.coupling0), sol.m0, atol=1e-12)
-    assert np.allclose(pushforward(sol.coupling1), sol.m1, atol=1e-12)
-    assert np.allclose(sol.coupling0.source_marginal(), measure.mass0, atol=1e-12)
-    assert np.allclose(sol.coupling1.source_marginal(), measure.mass1, atol=1e-12)
+    assert coupling_in_delta(g, sol.witness.c0)
+    assert coupling_in_delta(g, sol.witness.c1)
+    assert np.allclose(pushforward(sol.witness.c0), sol.witness.m0, atol=1e-12)
+    assert np.allclose(pushforward(sol.witness.c1), sol.witness.m1, atol=1e-12)
+    assert np.allclose(sol.witness.c0.source_marginal(), measure.mass0, atol=1e-12)
+    assert np.allclose(sol.witness.c1.source_marginal(), measure.mass1, atol=1e-12)
 
 
 def test_hinted_dual_matches_brute(oracle_instances):
@@ -171,7 +171,7 @@ def test_hinted_dual_matches_brute(oracle_instances):
         assert sol.objective >= brute_dual(EXP, g, measure, 60) - 2e-3, name
         _assert_feasible_dual(g, measure, sol)
         assert _within_tol(sol), name
-        assert sol.objective == dual_objective(EXP, sol.m0, sol.m1)
+        assert sol.objective == dual_objective(EXP, sol.witness.m0, sol.witness.m1)
         assert sol.objective <= min(ps.risk, sol.risk) + 1e-9, name
 
 
@@ -186,8 +186,8 @@ def test_hinted_dual_splits_tied_source():
     sol = solve_dual(g, measure, ps.f)
     assert sol.objective >= brute_dual(EXP, g, measure, 60) - 2e-3
     assert sol.objective == pytest.approx(2.0 * np.sqrt(0.3 * 0.6), abs=1e-6)
-    assert sol.m1[1] == pytest.approx(0.1, abs=1e-3)
-    assert sol.m1[3] == pytest.approx(0.2, abs=1e-3)
+    assert sol.witness.m1[1] == pytest.approx(0.1, abs=1e-3)
+    assert sol.witness.m1[3] == pytest.approx(0.2, abs=1e-3)
     _assert_feasible_dual(g, measure, sol)
     assert _within_tol(sol)
 
@@ -198,7 +198,7 @@ def test_hinted_dual_single_class():
     ps = solve_exp_primal(g, measure)
     sol = solve_dual(g, measure, ps.f)
     assert sol.objective == 0.0
-    assert sol.coupling0.w.size == 0
+    assert sol.witness.c0.w.size == 0
     _assert_feasible_dual(g, measure, sol)
     assert _within_tol(sol)
 
@@ -246,7 +246,7 @@ def test_one_sided_point_gets_binding_score(twopoint):
 def test_eta_star_bounds(oracle_instances):
     for _, g, measure in oracle_instances:
         sol = _hinted(g, measure)
-        eta = sol.eta_star()
+        eta = sol.witness.eta_star()
         assert np.all(eta >= 0.0) and np.all(eta <= 1.0)
 
 

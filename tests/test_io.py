@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from advdual.certify import universality_check
+from advdual.dualsolve import solve_dual
 from advdual.errors import NegativeEpsilon, ParseError, ValidationError
 from advdual.io import (
     SCHEMA_VERSION,
@@ -16,6 +18,7 @@ from advdual.io import (
     save_sweep_svg,
     sweep_svg,
 )
+from advdual.primalsolve import eta_hat, solve_exp_primal
 
 from conftest import refine_points_loop
 
@@ -53,7 +56,8 @@ def test_instance_validation_errors(tmp_path):
     path = str(tmp_path / "bad.json")
 
     def write(data):
-        save_result(path, data)  # raw deterministic writer
+        with open(path, "w") as fh:
+            fh.write(dumps(data))
 
     write({"schema_version": 99, "points": [[0]], "norm": "l2",
            "epsilon": 0.1, "mass0": [1], "mass1": [0]})
@@ -80,8 +84,9 @@ def test_nonfinite_mass_is_a_validation_error(tmp_path):
     # load_instance leaves mass sign and finiteness to TwoClassMeasure.build
     path = str(tmp_path / "bad.json")
     for bad in (float("nan"), float("inf")):
-        save_result(path, {"schema_version": 1, "points": [[0], [1]], "norm": "l2",
-                           "epsilon": 0.1, "mass0": [1, bad], "mass1": [0, 0]})
+        with open(path, "w") as fh:
+            fh.write(dumps({"schema_version": 1, "points": [[0], [1]], "norm": "l2",
+                            "epsilon": 0.1, "mass0": [1, bad], "mass1": [0, 0]}))
         with pytest.raises(ValidationError, match="mass0"):
             load_instance(path)
 
@@ -134,10 +139,8 @@ def test_dumps_deterministic_and_sorted():
     assert a.index('"a"') < a.index('"b"')
 
 
-def test_inf_round_trip(tmp_path):
-    path = str(tmp_path / "r.json")
-    save_result(path, {"f": [np.inf, -np.inf, 1.5], "v": float("nan")})
-    data = load_result(path)
+def test_inf_round_trip():
+    data = loads(dumps({"f": [np.inf, -np.inf, 1.5], "v": float("nan")}))
     assert data["f"][0] == np.inf and data["f"][1] == -np.inf
     assert data["f"][2] == 1.5
     assert np.isnan(data["v"])
@@ -148,22 +151,33 @@ def test_float_precision_survives():
     assert loads(dumps({"x": x}))["x"] == x
 
 
-def test_result_round_trip(tmp_path):
+def test_result_round_trip(tmp_path, twopoint):
+    g, measure = twopoint
+    ps = solve_exp_primal(g, measure)
+    ds = solve_dual(g, measure, ps.f)
+    certs = universality_check(eta_hat(ps.f), ds.witness, ["exp", "hinge"], g, measure)
     path = str(tmp_path / "out.json")
-    result = {"instance": {"n": 3}, "f": [0.0, 1.0], "gap": 1e-12}
-    save_result(path, result)
-    back = load_result(path)
-    assert back["schema_version"] == SCHEMA_VERSION
-    assert back["f"] == [0.0, 1.0]
-    assert back["gap"] == 1e-12
+    save_result(path, "dir/twopoint.json", g, ps, ds, certs, 0.25, 1e-3, 7)
+    with open(path) as fh:
+        raw = loads(fh.read())
+    assert raw["schema_version"] == SCHEMA_VERSION
+    assert raw["instance"]["path"] == "twopoint.json"
+    back = load_result(path, g, measure)
+    assert np.array_equal(back.f, ps.f)
+    assert np.array_equal(back.witness.m0, ds.witness.m0)
+    assert np.array_equal(back.witness.m1, ds.witness.m1)
+    assert back.witness.c0.triples() == ds.witness.c0.triples()
+    assert back.witness.c1.triples() == ds.witness.c1.triples()
+    assert back.certificates == certs
+    assert (back.support_violation, back.tol) == (0.25, 1e-3)
 
 
-def test_parse_error_diagnostics(tmp_path):
+def test_parse_error_diagnostics(tmp_path, twopoint):
     path = str(tmp_path / "broken.json")
     with open(path, "w") as fh:
         fh.write('{"a": 1,\n  "b": }\n')
     with pytest.raises(ParseError) as exc:
-        load_result(path)
+        load_result(path, *twopoint)
     assert "line 2" in str(exc.value)
 
 

@@ -211,7 +211,7 @@ def test_solve_exp_primal_stage_work_on_a_scatter(scale):
     g = build_ground(pts, "l1", 0.3)
     assert solve_exp_primal(g, measure).iterations <= 600
     ps, ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(eta_hat(ps.f), ds, ["exp", "logistic", "hinge"],
+    certs = universality_check(eta_hat(ps.f), ds.witness, ["exp", "logistic", "hinge"],
                                g, measure)
     assert set(certs) == {"exponential", "logistic", "hinge"}
     assert uncertified(certs, 1e-4, measure.total) == []

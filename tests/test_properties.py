@@ -131,7 +131,7 @@ def _build(inst):
 def test_residuals_sum_to_gap_and_round_trip_verifies(inst):
     g, measure = _build(inst)
     ps, ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(eta_hat(ps.f), ds,
+    certs = universality_check(eta_hat(ps.f), ds.witness,
                                ["exp", "logistic", "hinge", "zero-one"], g, measure)
     for kind, c in certs.items():
         total = c.slack_sup_r1 + c.slack_sup_r0 + c.slack_pointwise
@@ -166,7 +166,7 @@ def test_weak_duality_against_brute_oracles(inst):
     # zero-one loss), so neither may cross the solver's values
     g, measure = _build(inst)
     ps, ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(eta_hat(ps.f), ds,
+    certs = universality_check(eta_hat(ps.f), ds.witness,
                                ["exp", "logistic", "hinge", "zero-one"], g, measure)
     slack = 1e-9 * max(1.0, measure.total)
     for kind, c in certs.items():
@@ -219,5 +219,5 @@ def test_degenerate_inputs_keep_an_edge_per_source_and_price_out(case):
         with mock.patch.object(dualsolve._CutLP, "solve", solve):
             sol = solve_dual(g, measure, f, 1e-6 * measure.total)
         assert ends and all(ends)
-    certs = universality_check(eta_hat(sol.f), sol, ["exp"], g, measure)
+    certs = universality_check(eta_hat(sol.f), sol.witness, ["exp"], g, measure)
     assert uncertified(certs, 1e-6, measure.total) == []
