@@ -17,11 +17,12 @@ HiGHS binding.  By complementary slackness the optimal couplings move each
 source's mass only to the extremum of the optimal score field on its ball,
 so the model starts with the edges that end near the seed field's ball
 extrema, and every other edge joins as a column once its reduced cost shows
-it can improve the program.  The first program is solved from scratch by
-the primal simplex.  Each later cut round only adds its tangents as rows,
-so the dual simplex restarts from the last basis, which stays dual
-feasible; each pricing round only adds columns, so the primal simplex
-restarts from a basis that stays primal feasible.
+it can improve the program.  The first program is solved by the primal
+simplex from the greedy attack's vertex, where each source sends its mass
+to the seed field's ball extremum.  Each later cut round only adds its
+tangents as rows, so the dual simplex restarts from the last basis, which
+stays dual feasible; each pricing round only adds columns, so the primal
+simplex restarts from a basis that stays primal feasible.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
+from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus, HighsLp,
+                                           HighsModelStatus, HighsStatus, MatrixFormat, _Highs)
 
 from .errors import CutProgramFailed, InstanceTooLarge, NegativeMass
-from .ground import GroundSet
+from .ground import GroundSet, segment_argmax
 from .losses import Loss
 from .measures import SourceBalls, TwoClassMeasure, Witness, pushforward
 from .primalsolve import HPair, risk_adv
@@ -111,7 +113,8 @@ class _CutLP:
     nonzeros, added by ``add_cuts``.  Adding rows keeps the last optimal
     basis dual feasible and adding columns keeps it primal feasible, so each
     cut round is solved by the dual simplex and each pricing round by the
-    primal simplex, both from the last basis.
+    primal simplex, both from the last basis.  The first program starts the
+    primal simplex at the seed's greedy attack (``crash``).
     """
 
     def __init__(self, b: SourceBalls, f: np.ndarray):
@@ -149,8 +152,11 @@ class _CutLP:
         self.logt = np.zeros(0)
         self.programs = 0
         self.iterations = 0
-        near = b.sign * f[b.ix] >= b.top(f)[b.seg] - max(SEED_DELTAS)
-        self.add_edges(np.flatnonzero(near))
+        # per source, the greedy attack's edge: its first ball extremum
+        v = b.sign * f[b.ix]
+        self.greedy = segment_argmax(v, np.append(b.starts, self.E))
+        self.add_edges(np.flatnonzero(v >= v[self.greedy][b.seg] - max(SEED_DELTAS)))
+        self.greedy_mass = b.push(np.bincount(self.greedy, b.p, self.E))[:, self.K]
 
     def add_edges(self, idx: np.ndarray) -> None:
         """Add the edges ``idx`` (class 0's edges first, then class 1's) as
@@ -185,6 +191,30 @@ class _CutLP:
         self.pt = np.concatenate([self.pt, pt])
         self.logt = np.concatenate([self.logt, logt])
 
+    def crash(self) -> None:
+        """Set HiGHS's basis to the greedy attack's vertex.  Basic are each
+        source's greedy edge, every m0, m1 and z, and the slack of every cut
+        but the tightest at each point of K (least t m0 + m1 / t at the
+        greedy masses, the first on ties), which is nonbasic at its bound 0;
+        the rest is nonbasic at its lower bound.  The basis matrix is
+        triangular (source rows and greedy edges, tie rows and masses, tight
+        cuts and z, other cuts and their slacks), and its vertex feasible."""
+        B, k, pt = HighsBasisStatus, self.k, self.pt
+        col = np.full(3 * k + self.cols.size, B.kLower, dtype=object)
+        col[:3 * k] = B.kBasic
+        col[3 * k + np.searchsorted(self.cols, self.greedy)] = B.kBasic
+        t = np.exp(self.logt)
+        m0, m1 = self.greedy_mass
+        order = np.lexsort((t * m0[pt] + m1[pt] / t, pt))
+        row = np.full(self.neq + pt.size, B.kBasic, dtype=object)
+        row[:self.neq] = B.kLower
+        row[self.neq + order[np.searchsorted(pt[order], np.arange(k))]] = B.kUpper
+        basis = HighsBasis()
+        basis.col_status, basis.row_status = col.tolist(), row.tolist()
+        basis.valid, basis.alien = True, False
+        if self.highs.setBasis(basis) != HighsStatus.kOk:
+            raise AssertionError("HiGHS rejected the greedy basis")
+
     def _run(self, strategy: int):
         """One run by the simplex ``strategy`` from the last basis.  The
         simplex can end without a status on the degenerate programs of
@@ -207,12 +237,15 @@ class _CutLP:
 
     def solve(self):
         """Solve the program with every cut added so far: the first by the
-        primal simplex and every other by the dual simplex.  Then, while a
+        primal simplex from the greedy basis ``crash`` sets, and every other
+        by the dual simplex from the last basis.  Then, while a
         left-out edge prices out, add every such edge and solve again by the
         primal simplex.  ``iterations`` sums both methods' counts over every
         run.  Returns the weight of every edge (0 off the model) and one
         multiplier per cut, or None if a run does not end optimal."""
         strategy = 1 if self.programs else 4  # dual, primal
+        if not self.programs:
+            self.crash()
         self.programs += 1
         while True:
             sol = self._run(strategy)

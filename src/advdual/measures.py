@@ -182,12 +182,13 @@ class Witness:
     """The dual witness of a solve: the class couplings ``c0``, ``c1`` and
     their pushforward masses ``m0``, ``m1``.
 
-    The constructor raises ``InfeasibleDual`` unless each coupling lies on
-    epsilon-edges of ``g``, has the class measure as its source marginal
-    and the given masses as its pushforward, within 1e-9 per unit of total
-    mass (at least 1e-9); a NaN or infinite weight or mass fails.  So a
-    witness proves that both pushforwards lie in the infinity-Wasserstein
-    epsilon-ball of their class measures, for every loss at once.
+    The constructor raises ``InfeasibleDual`` unless each coupling is built
+    for the ``g.n`` points of ``g``, lies on its epsilon-edges, has the class
+    measure as its source marginal and the given masses as its pushforward,
+    within 1e-9 per unit of total mass (at least 1e-9); a NaN or infinite
+    weight or mass fails.  So a witness proves that both pushforwards lie
+    in the infinity-Wasserstein epsilon-ball of their class measures, for
+    every loss at once.
     """
 
     __slots__ = ("c0", "c1", "m0", "m1")
@@ -198,6 +199,8 @@ class Witness:
         self.m0, self.m1 = np.asarray(m0, dtype=float), np.asarray(m1, dtype=float)
         tol = 1e-9 * max(measure.total, 1.0)
         for c, p, m in ((c0, measure.mass0, self.m0), (c1, measure.mass1, self.m1)):
+            if c.n != g.n:
+                raise InfeasibleDual(f"coupling is built for {c.n} points, not {g.n}")
             if not coupling_in_delta(g, c):
                 raise InfeasibleDual("coupling moves mass beyond epsilon")
             if not np.all(np.abs(c.source_marginal() - p) <= tol):

@@ -57,8 +57,9 @@ def stalled_highs(monkeypatch):
     """``stall(n)`` makes every cut-program model skip its first ``n``
     runs, which leaves the model status unset as a run that ends without a
     status would.  Each model records the solver, simplex strategy and
-    (rows, columns) shape of every run it is asked for and the iterations
-    HiGHS reports after each run it makes; ``stall`` returns the list of
+    (rows, columns) shape of every run it is asked for, the iterations
+    HiGHS reports after each run it makes and, per ``setBasis`` call, the
+    number of runs asked for before it; ``stall`` returns the list of
     models made."""
     def stall(n: int) -> list:
         made = []
@@ -67,8 +68,12 @@ def stalled_highs(monkeypatch):
             def __init__(self):
                 super().__init__()
                 self.solvers, self.strategies, self.counts = [], [], []
-                self.shapes = []
+                self.shapes, self.bases = [], []
                 made.append(self)
+
+            def setBasis(self, *args):
+                self.bases.append(len(self.solvers))
+                return super().setBasis(*args)
 
             def run(self):
                 self.solvers.append(self.getOptionValue("solver")[1])

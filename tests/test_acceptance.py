@@ -342,3 +342,18 @@ def test_universality_exact_at_full_size(random_suite):
             assert abs(c.dual_value - exact[kind]) <= slack, (name, kind, c.dual_value)
         zo = certs["zero_one_dual"]
         assert zo.primal_value - exact["zero_one_dual"] <= slack, (name, zo.primal_value)
+
+
+def test_scatter_l2_800_certified_in_its_first_program(stalled_highs):
+    # twice the bench's scatter size: the first cut program, started at the
+    # greedy attack's vertex, already certifies, so no cut round follows
+    made = stalled_highs(0)
+    g, measure = _scatter_l2(800)
+    ps, ds, _ = _pipeline(g, measure, 1e-4)
+    cert = universality_check(eta_hat(ps.f), ds.witness, ["exp"], g, measure)["exponential"]
+    assert cert.gap <= 1e-4
+    _assert_certified(g, measure, ps, ds, 1e-4, "scatter l2 800")
+    # one program: every run, pricing re-solves included, has the seed cuts'
+    # rows only
+    (model,) = made
+    assert len({rows for rows, _ in model.shapes}) == 1 and model.bases == [0]

@@ -110,6 +110,15 @@ def test_infeasible_dual_rejected(twopoint):
                 Coupling.build([1], [2], [0.5], 3), [0.0, 0.0, 0.25], [0.0, 0.0, 0.5])
 
 
+def test_witness_rejects_coupling_of_another_ground_size(twopoint):
+    # a coupling built for 4 points on the 3-point ground is no witness,
+    # whatever its edges
+    g, measure = twopoint
+    with pytest.raises(InfeasibleDual, match="built for 4 points"):
+        Witness(g, measure, Coupling.build([0], [2], [0.5], 4),
+                Coupling.build([1], [2], [0.5], 3), [0.0, 0.0, 0.5], [0.0, 0.0, 0.5])
+
+
 def test_dual_masses_must_match_pushforward(twopoint):
     g, measure = twopoint
     c0 = Coupling.build([0], [2], [0.5], 3)

@@ -12,6 +12,7 @@ from advdual.measures import (
     SourceBalls,
     TwoClassMeasure,
     coupling_in_delta,
+    greedy_attack,
     pushforward,
     winf_feasible,
 )
@@ -267,6 +268,14 @@ def _run_kinds(model):
     return kinds
 
 
+def _first_program(g, measure, f):
+    """The first cut program seeded by ``f``, with its seed cuts, not yet
+    run."""
+    lp = dualsolve._CutLP(SourceBalls(g, measure), f)
+    lp.add_cuts(*dualsolve._seed_cuts(f[lp.K]))
+    return lp
+
+
 def test_iterations_sum_every_run_and_warm_rounds_are_short(stalled_highs):
     # HiGHS reports the iterations of one run; the solve counts them all.
     # Each later run only adds cuts or edges and restarts from the last
@@ -276,19 +285,44 @@ def test_iterations_sum_every_run_and_warm_rounds_are_short(stalled_highs):
     made = stalled_highs(0)
     sols = [solve_dual(g, measure, f, 1e-6)]
     g, measure = _scatter_l2()
-    sols.append(solve_dual(g, measure, -solve_exp_primal(g, measure).f, 1e-6))
+    f = solve_exp_primal(g, measure).f
+    sols.append(solve_dual(g, measure, -f, 1e-6))
     for model, sol in zip(made, sols):
         assert len(model.counts) > 2 and set(model.solvers) == {"simplex"}
         assert sol.iterations == sum(model.counts)
-        assert max(model.counts[1:]) < model.counts[0]
     assert set(_run_kinds(made[0])) == {"cut"}
     assert {"cut", "price"} <= set(_run_kinds(made[1]))
+    # the first program starts at the greedy attack's vertex: at iteration
+    # limit 0 its couplings are the greedy attack's, for the seed and its
+    # negation
+    for seed in (f, -f):
+        lp = _first_program(g, measure, seed)
+        lp.crash()
+        lp.highs.setOptionValue("simplex_iteration_limit", 0)
+        lp.highs.run()
+        assert lp.highs.getInfo().simplex_iteration_count == 0
+        w = np.zeros(lp.E)
+        w[lp.cols] = np.asarray(lp.highs.getSolution().col_value)[3 * lp.k:]
+        crashed = SourceBalls(g, measure).couplings(w)
+        greedy = (greedy_attack(g, seed, measure.mass0), greedy_attack(g, -seed, measure.mass1))
+        for c, ref in zip(crashed, greedy):
+            for a in ("src", "dst", "w"):
+                assert np.array_equal(getattr(c, a), getattr(ref, a))
+    # and from there it takes fewer iterations than from the slack basis
+    runs = []
+    for crash in (True, False):
+        lp = _first_program(g, measure, f)
+        if crash:
+            lp.crash()
+        assert lp._run(4) is not None
+        runs.append(lp.iterations)
+    assert 0 < runs[0] < runs[1]
 
 
-def test_first_program_simplex_by_size(stalled_highs):
-    # the primal simplex for the first program, small (a suite instance) or
-    # large (the 400-point scatter); every cut round restarts the dual
-    # simplex and every pricing re-solve the primal simplex
+def test_simplex_strategy_of_each_round(stalled_highs):
+    # the primal simplex for the first program; every cut round restarts
+    # the dual simplex and every pricing re-solve the primal simplex.  Each
+    # solve sets the greedy basis once, before its first run
     made = stalled_highs(0)
     g, measure, f = _suite_first()
     solve_dual(g, measure, f, 1e-6)
@@ -302,7 +336,23 @@ def test_first_program_simplex_by_size(stalled_highs):
     kinds = {"cut": 1, "price": 4}
     for model in made:
         assert [kinds[kind] for kind in _run_kinds(model)] == model.strategies[1:]
+        assert model.bases == [0]
     assert "cut" in _run_kinds(large) and "price" in _run_kinds(priced)
+
+
+def test_stalled_crash_started_simplex_is_solved_by_ipm(stalled_highs):
+    # the scatter's crash-started first simplex run ends without a status;
+    # the interior point rerun from the same model certifies, and the basis
+    # is set only before that first run
+    g, measure = _scatter_l2()
+    f = solve_exp_primal(g, measure).f
+    made = stalled_highs(1)
+    sol = solve_dual(g, measure, f, 1e-4)
+    (model,) = made
+    assert model.bases == [0] and model.solvers[:2] == ["simplex", "ipm"]
+    assert sol.risk - sol.objective <= 1e-4
+    assert hpair_feasible(EXP, sol.hpair.h0, sol.hpair.h1)
+    _assert_feasible_dual(g, measure, sol)
 
 
 def test_stalled_simplex_is_solved_again_by_ipm(stalled_highs):
@@ -426,8 +476,7 @@ def test_no_left_out_edge_prices_out_after_any_program(monkeypatch):
                          ids=["suite first", "scatter l2", "scatter l2 negated seed"])
 def test_first_priced_program_equals_all_edge_program(case):
     name, g, measure, f = list(_pricing_cases())[case]
-    lp = dualsolve._CutLP(SourceBalls(g, measure), f)
-    lp.add_cuts(*dualsolve._seed_cuts(f[lp.K]))
+    lp = _first_program(g, measure, f)
     assert lp.solve() is not None
     cost, A_eq, b_eq, A_ub = _full_program(lp, g, measure)
     ref = linprog(cost, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=A_eq,
