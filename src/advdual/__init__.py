@@ -2,7 +2,7 @@
 metric ground sets, with machine-checkable optimality certificates."""
 
 # not the function certify.certify: it would shadow its module's name
-from .certify import Certificate, support_conditions, uncertified, universality_check
+from .certify import Certificate, Result, support_conditions, uncertified, universality_check
 from .dualsolve import (
     DualSolution,
     brute_dual,
@@ -50,6 +50,7 @@ __all__ = [
     "GroundSet",
     "Loss",
     "PrimalSolution",
+    "Result",
     "TwoClassMeasure",
     "Witness",
     "brute_dual",

@@ -6,11 +6,13 @@ suboptimality, and it splits exactly into two supremum residuals and a
 pointwise residual that witness complementary slackness.  The support
 check, which reads only the conditional-probability field and the
 couplings, verifies that each coupling moves mass only to extremizers of
-that field in the epsilon-ball.  ``uncertified`` is the one verdict: the
-losses whose gap misses the tolerance.  Every loss, the zero-one loss
-included, is judged alike: weak duality holds for any score field (or sign
-classifier) against any feasible pair of couplings, and each residual is
-nonnegative, so a gap within tolerance certifies both sides.
+that field in the epsilon-ball.  ``universality_check`` bundles both, for
+one exponential field and witness, as the ``Result`` a result file stores.
+``uncertified`` is the one verdict: the losses whose gap misses the
+tolerance.  Every loss, the zero-one loss included, is judged alike: weak
+duality holds for any score field (or sign classifier) against any feasible
+pair of couplings, and each residual is nonnegative, so a gap within
+tolerance certifies both sides.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .ground import GroundSet, inf_ball, sup_ball
 from .losses import Loss, get_loss, mul0
 from .measures import TwoClassMeasure, Witness
 from .measures import winf_feasible  # noqa: F401  unused; bench/spans.py patches this name
-from .primalsolve import construct_f
+from .primalsolve import construct_f, eta_hat
 
 #: default gap tolerance per unit of total mass, for every loss
 TOL = 1e-4
@@ -53,9 +55,10 @@ def check_tol(tol):
 # threshold classifier jump there)
 ETA_HALF_SNAP = 1e-6
 # a support destination violates when its eta differs from the ball extremum
-# at its source by more than this: well above the flat-direction noise of a
-# polished score field (about 2e-3 in eta) and well below the mismatch of a
-# genuinely wrong destination (0.1 and up)
+# at its source by more than this: well above the mismatch left by the cut
+# program's field (at most 2.7e-5 in eta over coupling entries above 1e-12 of
+# the total mass, on criterion 01's suite and the 400-point l2 scatter) and
+# well below the mismatch of a genuinely wrong destination (0.1 and up)
 SUPPORT_MATCH_TOL = 5e-3
 
 
@@ -134,19 +137,31 @@ def snap_eta(eta) -> np.ndarray:
     return out
 
 
-def universality_check(eta_hat, witness: Witness, losses, g: GroundSet,
-                       measure: TwoClassMeasure) -> dict[str, Certificate]:
-    """Certify every requested loss with the one witness of the exponential
-    solve.
+@dataclass(frozen=True)
+class Result:
+    """One certified solve: the exponential score field ``f``, the validated
+    ``witness``, one certificate per loss kind and the coupling mass that
+    violates the support conditions, all read off ``f`` and ``witness``."""
 
-    For each loss the primal witness is ``construct_f(loss, eta_hat)``: the
-    pointwise minimizer f = alpha(eta_hat), or the thresholded classifier
-    for the zero-one loss.  The dual value is the witness's masses
-    re-scored under that loss.
+    f: np.ndarray
+    witness: Witness
+    certificates: dict[str, Certificate]
+    support_violation: float
+
+
+def universality_check(f, witness: Witness, losses, g: GroundSet,
+                       measure: TwoClassMeasure) -> Result:
+    """Certify every requested loss with the one witness of the exponential
+    solve whose score field is ``f``.
+
+    With eta = ``snap_eta(eta_hat(f))``, each loss's primal witness is
+    ``construct_f(loss, eta)``: the pointwise minimizer f = alpha(eta), or
+    the thresholded classifier for the zero-one loss.  The dual value is the
+    witness's masses re-scored under that loss.  The support check reads
+    the same eta.
     """
-    eta = snap_eta(eta_hat)
-    out: dict[str, Certificate] = {}
-    for name in losses:
-        loss = get_loss(name)
-        out[loss.kind] = certify(loss, construct_f(loss, eta), witness, g, measure)
-    return out
+    eta = snap_eta(eta_hat(f))
+    certs = {loss.kind: certify(loss, construct_f(loss, eta), witness, g, measure)
+             for loss in map(get_loss, losses)}
+    return Result(f=f, witness=witness, certificates=certs,
+                  support_violation=support_conditions(eta, witness, g))

@@ -9,9 +9,10 @@ reference values for tiny fixtures).
 Every command that solves judges the solve by ``certify.uncertified``: the
 losses whose certificate gap exceeds the one tolerance, zero-one included.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 an uncertified gap in
-solve, sweep or attack (or a solver error), 4 a stored result that verify
-rejects: malformed, not reproduced by its witness, or uncertified.
+Exit codes: 0 success, 2 parse/validation failure or an output file that
+cannot be written, 3 an uncertified gap in solve, sweep or attack (or a
+solver error), 4 a stored result that verify rejects: malformed, not
+reproduced by its witness, or uncertified.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import time
 from dataclasses import asdict
 
 from . import io as adio
-from .certify import (Certificate, check_tol, gap_tol, snap_eta, support_conditions,
-                      uncertified, universality_check)
+from .certify import Certificate, check_tol, gap_tol, uncertified, universality_check
 from .dualsolve import brute_dual, solve_dual
-from .errors import AdvdualError, InstanceTooLarge, ParseError, ValidationError
+from .errors import AdvdualError, InstanceTooLarge, ParseError, ValidationError, WriteError
 from .ground import build_ground
 from .losses import get_loss
 from .measures import winf_distance
-from .primalsolve import PrimalSolution, brute_primal, eta_hat, solve_exp_primal
+from .primalsolve import brute_primal, solve_exp_primal
 
 LOSS_CHOICES = ("exp", "logistic", "hinge", "zero-one")
 ALL_LOSSES = list(LOSS_CHOICES)
@@ -43,6 +43,13 @@ def _tol_arg(text: str) -> float:
         return check_tol(float(text))
     except ValidationError as e:
         raise argparse.ArgumentTypeError(str(e)) from e
+
+
+def _grid_steps_arg(text: str) -> int:
+    """--grid-steps: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force reference values (tiny instances)")
     p.add_argument("instance")
     p.add_argument("--loss", choices=losses, default="exp", help="surrogate loss")
-    p.add_argument("--grid-steps", type=int, default=60)
+    p.add_argument("--grid-steps", type=_grid_steps_arg, default=60)
     return ap
 
 
@@ -109,36 +116,27 @@ def _pipeline(g, measure, tol: float | None):
     """Smoothed L-BFGS exponential primal, then the tangent-cut programs
     (``solve_dual``) seeded by its field, until their exponential gap is
     within ``gap_tol(tol, measure.total)``, the gap every certificate is
-    judged at, or they stop improving.  The programs'
-    couplings and the field read off their cut multipliers are returned as
-    the primal and dual solutions; their certificates judge them."""
+    judged at, or they stop improving.  Returns the programs' solution,
+    whose couplings and field ``universality_check`` judges, and the
+    provenance a result file stores: ``tol`` and the work of both solves."""
     t0 = time.perf_counter()
     ps = solve_exp_primal(g, measure)
     ds = solve_dual(g, measure, ps.f, gap_tol(tol, measure.total))
-    ps = PrimalSolution(f=ds.f, risk=ds.risk, iterations=ps.iterations)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - t0)))
-    return ps, ds, runtime_ms
-
-
-def _certify(f, witness, names, g, measure):
-    """The certificates of the losses ``names`` and the support violation,
-    both read off ``eta_hat(f)``: what a result file stores."""
-    eta = eta_hat(f)
-    return (universality_check(eta, witness, names, g, measure),
-            support_conditions(snap_eta(eta), witness, g))
+    return ds, {"tol": tol, "primal_iterations": ps.iterations,
+                "dual_iterations": ds.iterations, "runtime_ms": runtime_ms}
 
 
 def _solve_and_write(args, losses, out):
     """Solve the instance, certify ``losses`` and, whatever they are, the
     exponential loss, and write the result file ``out`` unless it is None;
-    returns the witness, the certificates and the instance's total mass."""
+    returns the ``Result`` and the instance's total mass."""
     g, measure = _load_solvable(args.instance)
-    ps, ds, runtime_ms = _pipeline(g, measure, args.tol)
-    certs, support = _certify(ps.f, ds.witness, sorted(set(losses) | {"exp"}), g, measure)
+    ds, provenance = _pipeline(g, measure, args.tol)
+    result = universality_check(ds.f, ds.witness, sorted(set(losses) | {"exp"}), g, measure)
     if out is not None:
-        adio.save_result(out, args.instance, g, ps, ds, certs, support, args.tol,
-                         runtime_ms)
-    return ds.witness, certs, measure.total
+        adio.save_result(out, args.instance, g, result, provenance)
+    return result, measure.total
 
 
 def _warn_uncertified(certs: dict[str, Certificate], tol: float | None,
@@ -153,7 +151,8 @@ def _warn_uncertified(certs: dict[str, Certificate], tol: float | None,
 
 def cmd_solve(args) -> int:
     out = args.out or os.path.splitext(args.instance)[0] + "_result.json"
-    _, certs, total = _solve_and_write(args, _requested_losses(args.loss), out)
+    result, total = _solve_and_write(args, _requested_losses(args.loss), out)
+    certs = result.certificates
     for loss_name in _requested_losses(args.loss):
         cert = certs[get_loss(loss_name).kind]
         print(f"{loss_name}: primal={cert.primal_value:.12g} "
@@ -184,8 +183,8 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         try:
             ge = build_ground(g.points, g.norm, eps)
-            ps, ds, _ = _pipeline(ge, measure, args.tol)
-            certs = universality_check(eta_hat(ps.f), ds.witness, losses, ge, measure)
+            ds, provenance = _pipeline(ge, measure, args.tol)
+            certs = universality_check(ds.f, ds.witness, losses, ge, measure).certificates
         except AdvdualError as e:
             print(f"warning: eps={eps:g} failed: {e}", file=sys.stderr)
             for loss_name in losses:
@@ -201,8 +200,8 @@ def cmd_sweep(args) -> int:
             cert = certs[get_loss(loss_name).kind]
             rows.append(dict(eps=eps, loss=loss_name, primal=cert.primal_value,
                              dual=cert.dual_value, gap=cert.gap,
-                             primal_iters=ps.iterations,
-                             dual_iters=ds.iterations,
+                             primal_iters=provenance["primal_iterations"],
+                             dual_iters=provenance["dual_iterations"],
                              runtime_ms=ms))
     stem = args.out or os.path.splitext(args.instance)[0] + "_sweep"
     stem = stem[:-4] if stem.endswith((".csv", ".svg")) else stem
@@ -228,13 +227,13 @@ def cmd_winf(args) -> int:
 def cmd_attack(args) -> int:
     """The exponential solve's couplings, printed, and with --out written as
     a result file that ``verify`` reads."""
-    witness, certs, total = _solve_and_write(args, ["exp"], args.out)
-    for label, c in (("class0", witness.c0), ("class1", witness.c1)):
+    result, total = _solve_and_write(args, ["exp"], args.out)
+    for label, c in (("class0", result.witness.c0), ("class1", result.witness.c1)):
         for i, j, w in c.triples():
             print(f"{label} {i} -> {j} mass {w:.17g}")
     if args.out:
         print(f"attack written to {args.out}")
-    if _warn_uncertified(certs, args.tol, total):
+    if _warn_uncertified(result.certificates, args.tol, total):
         print("warning: the couplings are not an optimal attack", file=sys.stderr)
         return 3
     return 0
@@ -248,26 +247,26 @@ def cmd_verify(args) -> int:
         return 4
 
     try:
-        stored = adio.load_result(args.result, g, measure)
-        certs, support = _certify(stored.f, stored.witness, list(stored.certificates),
-                                  g, measure)
+        stored, tol = adio.load_result(args.result, g, measure)
+        fresh = universality_check(stored.f, stored.witness, list(stored.certificates),
+                                   g, measure)
     except ParseError:
         raise  # a file that is not JSON stays a parse error (exit 2)
     except AdvdualError as e:
         return fail(str(e))
     # every stored number against its recomputation, within 1e-9; a NaN
     # never matches
-    checks = [(f"{kind}.{key}", value, getattr(certs[kind], key))
+    checks = [(f"{kind}.{key}", value, getattr(fresh.certificates[kind], key))
               for kind, cert in stored.certificates.items()
               for key, value in asdict(cert).items() if key != "loss"]
-    checks.append(("support_violation", stored.support_violation, support))
-    for name, value, fresh in checks:
-        if not abs(value - fresh) <= 1e-9:
-            return fail(f"{name}: stored {value!r} vs recomputed {fresh!r}")
-    bad = uncertified(certs, stored.tol, measure.total)
+    checks.append(("support_violation", stored.support_violation, fresh.support_violation))
+    for name, value, recomputed in checks:
+        if not abs(value - recomputed) <= 1e-9:
+            return fail(f"{name}: stored {value!r} vs recomputed {recomputed!r}")
+    bad = uncertified(fresh.certificates, tol, measure.total)
     if bad:
         return fail(f"{bad[0]}.gap {stored.certificates[bad[0]].gap!r} exceeds tolerance "
-                    f"{gap_tol(stored.tol, measure.total)}")
+                    f"{gap_tol(tol, measure.total)}")
     print("verify OK")
     return 0
 
@@ -298,7 +297,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError, InstanceTooLarge) as e:
+    except (ParseError, ValidationError, InstanceTooLarge, WriteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AdvdualError as e:

@@ -64,8 +64,8 @@ FEAS_TOL = 1e-10
 class DualSolution:
     """The validated coupling ``witness`` and its exponential dual value
     ``objective``; the score field ``f`` read off the cut multipliers of the
-    same program, its exponential ``risk`` and the feasible pair ``hpair``
-    it comes from, whose ``theta`` bounds ``risk`` from above.  Whether the
+    same program and the feasible pair ``hpair`` it comes from, whose
+    ``theta`` bounds the exponential risk of ``f`` from above.  Whether the
     pair is optimal enough is for its certificate to say.  ``iterations``
     counts HiGHS's iterations over every program.
     """
@@ -74,7 +74,6 @@ class DualSolution:
     objective: float
     iterations: int
     f: np.ndarray
-    risk: float
     hpair: HPair
 
 
@@ -360,11 +359,10 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     _, field, hpair, w = best
     c0, c1 = b.couplings(w)
     witness = Witness(g, measure, c0, c1, pushforward(c0), pushforward(c1))
-    # recompute both values from the pair actually returned
+    # the dual value of the couplings actually returned
     obj = dual_objective(EXP, witness.m0, witness.m1)
-    risk = risk_adv(EXP, field, g, measure)
     return DualSolution(witness=witness, objective=obj, iterations=lp.iterations,
-                        f=field, risk=risk, hpair=hpair)
+                        f=field, hpair=hpair)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +411,7 @@ def _class_mass_grid(g: GroundSet, p: np.ndarray, steps: int) -> np.ndarray:
 
 
 def brute_dual(loss: Loss, g: GroundSet, measure: TwoClassMeasure,
-               grid_steps: int = 50) -> float:
+               grid_steps: int) -> float:
     """Exhaustive grid search over both coupling simplices; test oracle only."""
     m0s = _class_mass_grid(g, measure.mass0, grid_steps)
     m1s = _class_mass_grid(g, measure.mass1, grid_steps)

@@ -16,11 +16,11 @@ import io as _io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
-from .certify import Certificate, check_tol
+from .certify import Certificate, Result, check_tol
 from .errors import ParseError, ValidationError, WriteError
 from .ground import GroundSet, build_ground, check_epsilon
 from .losses import LOSS_KINDS
@@ -220,16 +220,16 @@ def save_instance(path: str, points, norm: str, epsilon: float,
 # results
 # ---------------------------------------------------------------------------
 
-def save_result(path: str, instance_path: str, g: GroundSet, ps, ds,
-                certificates: dict[str, Certificate], support_violation: float,
-                tol: float | None, runtime_ms: int) -> None:
-    """Write the result of the solve (``ps``, ``ds``) of the instance at
+def save_result(path: str, instance_path: str, g: GroundSet, result: Result,
+                provenance: dict) -> None:
+    """Write ``result``, the certified solve of the instance at
     ``instance_path``: the score field ``f``, the witness (``m0``, ``m1``
     and the ``couplings`` as [source, target, weight] triples per class),
     the one ``support_violation``, one certificate per loss kind, and the
-    provenance, whose ``tol`` is the --tol the solve was given (or None) and
-    judges every certificate in ``verify``."""
-    w = ds.witness
+    ``provenance`` that ``cli._pipeline`` returns, whose ``tol`` is the
+    --tol the solve was given (or None) and judges every certificate in
+    ``verify``."""
+    w = result.witness
     _write_text(path, dumps({
         "schema_version": SCHEMA_VERSION,
         "instance": {
@@ -238,30 +238,14 @@ def save_result(path: str, instance_path: str, g: GroundSet, ps, ds,
             "norm": g.norm,
             "epsilon": float(g.epsilon),
         },
-        "provenance": {
-            "tol": None if tol is None else float(tol),
-            "primal_iterations": int(ps.iterations),
-            "dual_iterations": int(ds.iterations),
-            "runtime_ms": int(runtime_ms),
-        },
-        "f": ps.f,
+        "provenance": provenance,
+        "f": result.f,
         "m0": w.m0,
         "m1": w.m1,
         "couplings": {"class0": w.c0.triples(), "class1": w.c1.triples()},
-        "support_violation": support_violation,
-        "certificates": {kind: asdict(c) for kind, c in certificates.items()},
+        "support_violation": result.support_violation,
+        "certificates": {kind: asdict(c) for kind, c in result.certificates.items()},
     }))
-
-
-@dataclass(frozen=True)
-class StoredResult:
-    """A result file as ``load_result`` reads it, its witness validated."""
-
-    f: np.ndarray
-    witness: Witness
-    certificates: dict[str, Certificate]
-    support_violation: float
-    tol: float | None
 
 
 def _number(name: str, value) -> float:
@@ -279,12 +263,13 @@ def _certificate(kind, entry) -> Certificate:
                           for key, value in entry.items()})
 
 
-def load_result(path: str, g: GroundSet, measure: TwoClassMeasure) -> StoredResult:
-    """Read a result file of the instance (``g``, ``measure``) in the layout
-    ``save_result`` writes, with the exponential certificate, and validate
-    its witness.  A file that is not JSON raises ``ParseError``, any other
-    departure from the layout ``ValidationError``, and a witness that does
-    not validate ``InfeasibleDual``."""
+def load_result(path: str, g: GroundSet, measure: TwoClassMeasure):
+    """The ``Result`` stored in a result file of the instance (``g``,
+    ``measure``) in the layout ``save_result`` writes, with the exponential
+    certificate and its witness validated, and the stored ``tol``.  A file
+    that is not JSON raises ``ParseError``, any other departure from the
+    layout ``ValidationError``, and a witness that does not validate
+    ``InfeasibleDual``."""
     data = _load_object(path, "result")
     try:
         f, m0, m1 = (np.asarray(data[k], dtype=float) for k in ("f", "m0", "m1"))
@@ -307,9 +292,8 @@ def load_result(path: str, g: GroundSet, measure: TwoClassMeasure) -> StoredResu
         raise ValidationError("coupling entries must be [source, target, weight] "
                               "triples with integer indices")
     c0, c1 = (Coupling.build(*t.reshape(-1, 3).T, g.n) for t in trips)
-    return StoredResult(f=f, witness=Witness(g, measure, c0, c1, m0, m1),
-                        certificates=certs, tol=check_tol(tol),
-                        support_violation=_number("support_violation", support))
+    return Result(f=f, witness=Witness(g, measure, c0, c1, m0, m1), certificates=certs,
+                  support_violation=_number("support_violation", support)), check_tol(tol)
 
 
 # ---------------------------------------------------------------------------

@@ -61,22 +61,22 @@ def random_suite():
     t0 = time.perf_counter()
     for _ in range(50):
         g, measure = _random_instance(rng)
-        ps, ds, _ = _pipeline(g, measure, 1e-4)
-        out.append((g, measure, ps, ds))
+        ds, _ = _pipeline(g, measure, 1e-4)
+        out.append((g, measure, ds))
     elapsed = time.perf_counter() - t0
     return out, elapsed
 
 
 def test_criterion_01_strong_duality(random_suite, oracle_instances):
     suite, elapsed = random_suite
-    worst = max((ps.risk - ds.objective) / max(ps.risk, 1e-30)
-                for _, _, ps, ds in suite)
+    pairs = [(risk_adv(EXP, ds.f, g, measure), ds.objective) for g, measure, ds in suite]
+    worst = max((risk - dual) / max(risk, 1e-30) for risk, dual in pairs)
 
     t0 = time.perf_counter()
     diffs = []
     for name, g, measure in oracle_instances:
-        ps, ds, _ = _pipeline(g, measure, 1e-4)
-        diffs.append(abs(ps.risk - brute_primal(EXP, g, measure)))
+        ds, _ = _pipeline(g, measure, 1e-4)
+        diffs.append(abs(risk_adv(EXP, ds.f, g, measure) - brute_primal(EXP, g, measure)))
         diffs.append(abs(ds.objective - brute_dual(EXP, g, measure, 60)))
     runtime = elapsed + (time.perf_counter() - t0)
     ok = worst <= 1e-3 and all(d <= 2e-3 for d in diffs) and runtime <= 60.0
@@ -88,8 +88,8 @@ def test_criterion_01_strong_duality(random_suite, oracle_instances):
 def test_criterion_02_weak_duality(random_suite, oracle_instances):
     ok = True
     suite, _ = random_suite
-    for g, measure, ps, ds in suite:
-        ok = ok and ps.risk >= ds.objective - 1e-9
+    for g, measure, ds in suite:
+        ok = ok and risk_adv(EXP, ds.f, g, measure) >= ds.objective - 1e-9
         ok = ok and theta(EXP, ds.hpair, g, measure) >= ds.objective - 1e-9
     rng = np.random.default_rng(77)
     for name, g, measure in oracle_instances:
@@ -109,8 +109,8 @@ def _slackness(f, ds, g, measure):
 def test_criterion_03_complementary_slackness(random_suite, oracle_instances):
     ok = True
     suite, _ = random_suite
-    for g, measure, ps, ds in suite:
-        ok = ok and max(_slackness(ps.f, ds, g, measure)) <= 1e-3 * measure.total
+    for g, measure, ds in suite:
+        ok = ok and max(_slackness(ds.f, ds, g, measure)) <= 1e-3 * measure.total
     # a 0.1 score shift at a kink support point must blow up a residual;
     # this is a first-order effect only when transport is active (eps > 0)
     for name, g, measure in oracle_instances:
@@ -134,8 +134,8 @@ def test_criterion_04_loss_universality(oracle_instances):
     for name, g, measure in oracle_instances:
         ps = solve_exp_primal(g, measure)
         ds = solve_dual(g, measure, ps.f)
-        certs = universality_check(eta_hat(ps.f), ds.witness,
-                                   ("logistic", "hinge"), g, measure)
+        certs = universality_check(ps.f, ds.witness, ("logistic", "hinge"), g,
+                                   measure).certificates
         for cert in certs.values():
             ok = ok and cert.gap <= 1e-3
     _report(4, "one exponential dual pair certifies logistic and hinge "
@@ -145,8 +145,8 @@ def test_criterion_04_loss_universality(oracle_instances):
 def test_criterion_05_support_conditions(random_suite, oracle_instances):
     ok = True
     suite, _ = random_suite
-    for g, measure, ps, ds in suite:
-        bad = support_conditions(eta_hat(ps.f), ds.witness, g)
+    for g, measure, ds in suite:
+        bad = support_conditions(eta_hat(ds.f), ds.witness, g)
         ok = ok and bad <= 1e-3 * measure.total
     for name, g, measure in oracle_instances:
         ps = solve_exp_primal(g, measure)
@@ -251,8 +251,8 @@ def test_criterion_12_epsilon_monotonicity(oracle_instances):
         cols = {get_loss(x).kind: [] for x in losses}
         for eps in (0.0, 0.15, 0.3, 0.45, 0.6):
             ge = build_ground(g.points, g.norm, eps)
-            ps, ds, _ = _pipeline(ge, measure, 1e-4)
-            certs = universality_check(eta_hat(ps.f), ds.witness, losses, ge, measure)
+            ds, _ = _pipeline(ge, measure, 1e-4)
+            certs = universality_check(ds.f, ds.witness, losses, ge, measure).certificates
             for kind, cert in certs.items():
                 cols[kind].append((cert.primal_value, cert.dual_value))
         for kind, vals in cols.items():
@@ -273,11 +273,10 @@ def _scatter_l2(n=400, eps=0.3, seed=1):
     return build_ground(pts, "l2", eps), TwoClassMeasure.build(1.0 / n - m1, m1)
 
 
-def _assert_certified(g, measure, ps, ds, tol, name):
+def _assert_certified(g, measure, ds, tol, name):
     """The returned pair's exponential gap is within tolerance, and the
     multiplier pair bounds the field's risk."""
-    risk = risk_adv(EXP, ps.f, g, measure)
-    assert risk == ps.risk, name
+    risk = risk_adv(EXP, ds.f, g, measure)
     assert risk - ds.objective <= tol, name
     assert hpair_feasible(EXP, ds.hpair.h0, ds.hpair.h1), name
     assert theta(EXP, ds.hpair, g, measure) >= risk - 1e-12 * max(1.0, risk), name
@@ -285,14 +284,14 @@ def _assert_certified(g, measure, ps, ds, tol, name):
 
 def test_pipeline_convergence_is_certified(random_suite, oracle_instances):
     suite, _ = random_suite
-    for k, (g, measure, ps, ds) in enumerate(suite):
-        _assert_certified(g, measure, ps, ds, 1e-4, f"suite {k}")
+    for k, (g, measure, ds) in enumerate(suite):
+        _assert_certified(g, measure, ds, 1e-4, f"suite {k}")
     for name, g, measure in oracle_instances:
-        ps, ds, _ = _pipeline(g, measure, 1e-4)
-        _assert_certified(g, measure, ps, ds, 1e-4, name)
+        ds, _ = _pipeline(g, measure, 1e-4)
+        _assert_certified(g, measure, ds, 1e-4, name)
     g, measure = _scatter_l2()
-    ps, ds, _ = _pipeline(g, measure, 1e-4)
-    _assert_certified(g, measure, ps, ds, 1e-4, "scatter l2")
+    ds, _ = _pipeline(g, measure, 1e-4)
+    _assert_certified(g, measure, ds, 1e-4, "scatter l2")
 
 
 def test_suite_certified_at_tol_1e5():
@@ -301,14 +300,14 @@ def test_suite_certified_at_tol_1e5():
     rng = np.random.default_rng(12345)
     for k in range(50):
         g, measure = _random_instance(rng)
-        ps, ds, _ = _pipeline(g, measure, 1e-5)
-        _assert_certified(g, measure, ps, ds, 1e-5, f"suite {k}")
+        ds, _ = _pipeline(g, measure, 1e-5)
+        _assert_certified(g, measure, ds, 1e-5, f"suite {k}")
 
 
 def test_scatter_l2_certified_at_tol_1e6():
     g, measure = _scatter_l2()
-    ps, ds, _ = _pipeline(g, measure, 1e-6)
-    _assert_certified(g, measure, ps, ds, 1e-6, "scatter l2")
+    ds, _ = _pipeline(g, measure, 1e-6)
+    _assert_certified(g, measure, ds, 1e-6, "scatter l2")
 
 
 @pytest.mark.parametrize("seed, draw", [(3, 106), (2, 105), (5, 112), (1, 14), (5, 44)])
@@ -320,10 +319,10 @@ def test_fresh_draw_exponential_certificate(seed, draw):
     rng = np.random.default_rng(seed)
     for _ in range(draw):
         g, measure = _random_instance(rng)
-    ps, ds, _ = _pipeline(g, measure, 1e-4)
-    cert = universality_check(eta_hat(ps.f), ds.witness, ["exp"], g, measure)["exponential"]
+    ds, _ = _pipeline(g, measure, 1e-4)
+    cert = universality_check(ds.f, ds.witness, ["exp"], g, measure).certificates["exponential"]
     assert cert.gap <= 1e-4
-    _assert_certified(g, measure, ps, ds, 1e-4, f"seed {seed} draw {draw}")
+    _assert_certified(g, measure, ds, 1e-4, f"seed {seed} draw {draw}")
 
 
 def test_universality_exact_at_full_size(random_suite):
@@ -333,9 +332,10 @@ def test_universality_exact_at_full_size(random_suite):
     suite, _ = random_suite
     cases = [(f"suite {k}", *case) for k, case in enumerate(suite)]
     g, measure = _scatter_l2()
-    cases.append(("scatter l2", g, measure, *_pipeline(g, measure, 1e-4)[:2]))
-    for name, g, measure, ps, ds in cases:
-        certs = universality_check(eta_hat(ps.f), ds.witness, ["hinge", "zero-one"], g, measure)
+    cases.append(("scatter l2", g, measure, _pipeline(g, measure, 1e-4)[0]))
+    for name, g, measure, ds in cases:
+        certs = universality_check(ds.f, ds.witness, ["hinge", "zero-one"], g,
+                                   measure).certificates
         slack = 1e-9 * measure.total
         exact = {kind: exact_dual_lp(get_loss(kind), g, measure) for kind in certs}
         for kind, c in certs.items():
@@ -349,10 +349,10 @@ def test_scatter_l2_800_certified_in_its_first_program(stalled_highs):
     # greedy attack's vertex, already certifies, so no cut round follows
     made = stalled_highs(0)
     g, measure = _scatter_l2(800)
-    ps, ds, _ = _pipeline(g, measure, 1e-4)
-    cert = universality_check(eta_hat(ps.f), ds.witness, ["exp"], g, measure)["exponential"]
+    ds, _ = _pipeline(g, measure, 1e-4)
+    cert = universality_check(ds.f, ds.witness, ["exp"], g, measure).certificates["exponential"]
     assert cert.gap <= 1e-4
-    _assert_certified(g, measure, ps, ds, 1e-4, "scatter l2 800")
+    _assert_certified(g, measure, ds, 1e-4, "scatter l2 800")
     # one program: every run, pricing re-solves included, has the seed cuts'
     # rows only
     (model,) = made

@@ -158,7 +158,7 @@ def test_universality_all_losses(oracle_instances):
     losses = ("exp", "logistic", "hinge", "zero-one")
     for name, g, measure in oracle_instances:
         primal, dual = _solve_pair(g, measure)
-        certs = universality_check(eta_hat(primal.f), dual.witness, losses, g, measure)
+        certs = universality_check(primal.f, dual.witness, losses, g, measure).certificates
         # the zero-one entry is judged like the others
         assert uncertified(certs, None, measure.total) == [], name
         zo = certs["zero_one_dual"]
@@ -168,9 +168,13 @@ def test_universality_all_losses(oracle_instances):
 def test_universality_twopoint_values(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
-    certs = universality_check(eta_hat(primal.f), dual.witness,
-                               ("exp", "logistic", "hinge", "zero-one"),
-                               g, measure)
+    result = universality_check(primal.f, dual.witness,
+                                ("exp", "logistic", "hinge", "zero-one"), g, measure)
+    # the Result carries the field and witness it was read off, and their
+    # support check
+    assert result.f is primal.f and result.witness is dual.witness
+    assert result.support_violation == support_conditions(eta_hat(primal.f), dual.witness, g)
+    certs = result.certificates
     assert certs["exponential"].primal_value == pytest.approx(1.0, abs=1e-6)
     assert certs["logistic"].primal_value == pytest.approx(np.log(2.0), abs=1e-6)
     assert certs["hinge"].primal_value == pytest.approx(1.0, abs=1e-6)

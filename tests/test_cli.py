@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -340,6 +341,10 @@ def test_sweep_rejects_eps_outside_range(inst, tmp_path, grid, capsys):
     ["solve", "--tol", "-1"],
     ["sweep", "--eps", "0.3", "--tol", "0"],
     ["attack", "--tol", "nan"],
+    # --grid-steps takes only an integer >= 1: 0 once raised ZeroDivisionError
+    # and -3 ValueError, each a traceback
+    ["oracle", "--grid-steps", "0"],
+    ["oracle", "--grid-steps", "-3"],
 ])
 def test_unread_flags_rejected(inst, argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -391,16 +396,40 @@ def test_attack_triples(inst, capsys):
     assert "class1 1 -> 2 mass 0.5" in out
 
 
+def test_attack_out_is_the_exponential_solve_result(inst, tmp_path, capsys):
+    # attack --out writes the file that solve --loss exp writes, runtime
+    # aside, and verify accepts it
+    attack, solve = str(tmp_path / "attack.json"), str(tmp_path / "solve.json")
+    assert main(["attack", inst, "--out", attack]) == 0
+    assert main(["solve", inst, "--loss", "exp", "--out", solve]) == 0
+    texts = []
+    for path in (attack, solve):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', fh.read()))
+    assert texts[0] == texts[1]
+    assert main(["verify", inst, attack]) == 0
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--eps", "0.3"], ["attack"]],
+                         ids=["solve", "sweep", "attack"])
+def test_unwritable_out_exits_2(inst, tmp_path, argv, capsys):
+    # an output file in a directory that does not exist is a usage error,
+    # like an input file that cannot be read, not an uncertified solve
+    out = str(tmp_path / "no" / "such" / "r.json")
+    assert main([argv[0], inst, *argv[1:], "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
 def _bend_pipeline(monkeypatch):
     """Make every solve return its field shifted by 0.1: a sound witness
     whose certificate gap is far above any default tolerance."""
-    real = cli._pipeline
+    real = cli.solve_dual
 
-    def pipeline(g, measure, tol):
-        ps, ds, ms = real(g, measure, tol)
-        return dataclasses.replace(ps, f=ps.f + 0.1), ds, ms
+    def solve_dual(*args):
+        ds = real(*args)
+        return dataclasses.replace(ds, f=ds.f + 0.1)
 
-    monkeypatch.setattr(cli, "_pipeline", pipeline)
+    monkeypatch.setattr(cli, "solve_dual", solve_dual)
 
 
 @pytest.mark.parametrize("bend", [_bend_pipeline], ids=["loose-gap"])

@@ -18,7 +18,7 @@ from advdual.io import (
     save_sweep_svg,
     sweep_svg,
 )
-from advdual.primalsolve import eta_hat, solve_exp_primal
+from advdual.primalsolve import solve_exp_primal
 
 from conftest import refine_points_loop
 
@@ -153,23 +153,24 @@ def test_float_precision_survives():
 
 def test_result_round_trip(tmp_path, twopoint):
     g, measure = twopoint
-    ps = solve_exp_primal(g, measure)
-    ds = solve_dual(g, measure, ps.f)
-    certs = universality_check(eta_hat(ps.f), ds.witness, ["exp", "hinge"], g, measure)
+    ds = solve_dual(g, measure, solve_exp_primal(g, measure).f)
+    result = universality_check(ds.f, ds.witness, ["exp", "hinge"], g, measure)
+    provenance = {"tol": 1e-3, "primal_iterations": 3, "dual_iterations": 5, "runtime_ms": 7}
     path = str(tmp_path / "out.json")
-    save_result(path, "dir/twopoint.json", g, ps, ds, certs, 0.25, 1e-3, 7)
+    save_result(path, "dir/twopoint.json", g, result, provenance)
     with open(path) as fh:
         raw = loads(fh.read())
     assert raw["schema_version"] == SCHEMA_VERSION
     assert raw["instance"]["path"] == "twopoint.json"
-    back = load_result(path, g, measure)
-    assert np.array_equal(back.f, ps.f)
+    assert raw["provenance"] == provenance
+    back, tol = load_result(path, g, measure)
+    assert np.array_equal(back.f, result.f)
     assert np.array_equal(back.witness.m0, ds.witness.m0)
     assert np.array_equal(back.witness.m1, ds.witness.m1)
     assert back.witness.c0.triples() == ds.witness.c0.triples()
     assert back.witness.c1.triples() == ds.witness.c1.triples()
-    assert back.certificates == certs
-    assert (back.support_violation, back.tol) == (0.25, 1e-3)
+    assert back.certificates == result.certificates
+    assert (back.support_violation, tol) == (result.support_violation, 1e-3)
 
 
 def test_parse_error_diagnostics(tmp_path, twopoint):

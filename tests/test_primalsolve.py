@@ -210,9 +210,9 @@ def test_solve_exp_primal_stage_work_on_a_scatter(scale):
                                     np.where(label, scale / 400, 0.0))
     g = build_ground(pts, "l1", 0.3)
     assert solve_exp_primal(g, measure).iterations <= 600
-    ps, ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(eta_hat(ps.f), ds.witness, ["exp", "logistic", "hinge"],
-                               g, measure)
+    ds, _ = _pipeline(g, measure, 1e-4)
+    certs = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge"], g,
+                               measure).certificates
     assert set(certs) == {"exponential", "logistic", "hinge"}
     assert uncertified(certs, 1e-4, measure.total) == []
 

@@ -21,7 +21,7 @@ from advdual.measures import (
     pushforward,
     winf_distance,
 )
-from advdual.primalsolve import brute_primal, eta_hat, solve_exp_primal
+from advdual.primalsolve import brute_primal, solve_exp_primal
 
 from conftest import naive_window_max
 
@@ -130,9 +130,9 @@ def _build(inst):
           np.array([0.0, 0.0, 0.25, 0.25]), 0))
 def test_residuals_sum_to_gap_and_round_trip_verifies(inst):
     g, measure = _build(inst)
-    ps, ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(eta_hat(ps.f), ds.witness,
-                               ["exp", "logistic", "hinge", "zero-one"], g, measure)
+    ds, _ = _pipeline(g, measure, 1e-4)
+    certs = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge", "zero-one"],
+                               g, measure).certificates
     for kind, c in certs.items():
         total = c.slack_sup_r1 + c.slack_sup_r0 + c.slack_pointwise
         assert abs(total - c.gap) <= 1e-12, (kind, total, c.gap)
@@ -165,9 +165,9 @@ def test_weak_duality_against_brute_oracles(inst):
     # returns the risk of one score field (one sign classifier for the
     # zero-one loss), so neither may cross the solver's values
     g, measure = _build(inst)
-    ps, ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(eta_hat(ps.f), ds.witness,
-                               ["exp", "logistic", "hinge", "zero-one"], g, measure)
+    ds, _ = _pipeline(g, measure, 1e-4)
+    certs = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge", "zero-one"],
+                               g, measure).certificates
     slack = 1e-9 * max(1.0, measure.total)
     for kind, c in certs.items():
         loss = get_loss(kind)
@@ -219,5 +219,5 @@ def test_degenerate_inputs_keep_an_edge_per_source_and_price_out(case):
         with mock.patch.object(dualsolve._CutLP, "solve", solve):
             sol = solve_dual(g, measure, f, 1e-6 * measure.total)
         assert ends and all(ends)
-    certs = universality_check(eta_hat(sol.f), sol.witness, ["exp"], g, measure)
+    certs = universality_check(sol.f, sol.witness, ["exp"], g, measure).certificates
     assert uncertified(certs, 1e-6, measure.total) == []
