@@ -2,22 +2,24 @@
 
 Subcommands: solve (full pipeline plus certificates), sweep (epsilon grid to
 CSV/SVG), winf (infinity-Wasserstein distance between the class measures),
-attack (print the universal attack's couplings; --out writes them as a
-result file), verify (re-check a stored result), oracle (brute-force
-reference values for tiny fixtures).
+attack (print the universal attack's couplings and the gap of every loss
+they are certified for; --out writes them as a result file), verify
+(re-check a stored result), oracle (brute-force reference values for tiny
+fixtures).
 
 Every command that solves judges the solve by ``certify.uncertified``: the
 losses whose certificate gap exceeds the one tolerance, zero-one included.
 
 Exit codes: 0 success, 2 parse/validation failure or an output file that
-cannot be written, 3 an uncertified gap in solve, sweep or attack (or a
-solver error), 4 a stored result that verify rejects: malformed, not
-reproduced by its witness, or uncertified.
+cannot be written (found before any solve), 3 an uncertified gap in solve,
+sweep or attack (or a solver error), 4 a stored result that verify rejects:
+malformed, not reproduced by its witness, or uncertified.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -52,7 +54,9 @@ def _grid_steps_arg(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     ap = argparse.ArgumentParser(
         prog="advdual",
         description="Adversarial surrogate risk and its transport dual on "
@@ -81,11 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
                                     "the normalized class measures")
     p.add_argument("instance")
 
-    p = sub.add_parser("attack", help="emit the universal distribution-level attack")
+    p = sub.add_parser("attack", help="emit the universal distribution-level attack, "
+                                      "certified for every loss")
     p.add_argument("instance")
     p.add_argument("--tol", type=_tol_arg, help=tol_help)
     p.add_argument("--out", help="also write the result file (couplings and "
-                                 "exponential certificate) to this path")
+                                 "every loss's certificate) to this path")
 
     p = sub.add_parser("verify", help="re-check a stored result against its instance")
     p.add_argument("instance")
@@ -129,8 +134,11 @@ def _pipeline(g, measure, tol: float | None):
 
 def _solve_and_write(args, losses, out):
     """Solve the instance, certify ``losses`` and, whatever they are, the
-    exponential loss, and write the result file ``out`` unless it is None;
-    returns the ``Result`` and the instance's total mass."""
+    exponential loss, and write the result file ``out`` unless it is None,
+    whose writability is checked before the solve; returns the ``Result``
+    and the instance's total mass."""
+    if out is not None:
+        adio.check_writable(out)
     g, measure = _load_solvable(args.instance)
     ds, provenance = _pipeline(g, measure, args.tol)
     result = universality_check(ds.f, ds.witness, sorted(set(losses) | {"exp"}), g, measure)
@@ -173,6 +181,11 @@ def cmd_sweep(args) -> int:
     if bad:
         raise ValidationError(f"--eps values must be finite and nonnegative, "
                               f"got {bad[0]}")
+    stem = args.out or os.path.splitext(args.instance)[0] + "_sweep"
+    stem = stem[:-4] if stem.endswith((".csv", ".svg")) else stem
+    outs = {fmt: f"{stem}.{fmt}" for fmt in ("csv", "svg") if args.format in (fmt, "both")}
+    for path in outs.values():
+        adio.check_writable(path)
     uniq = sorted(set(eps_grid))
     if len(uniq) < len(eps_grid):
         print("warning: duplicate epsilon values removed", file=sys.stderr)
@@ -203,14 +216,12 @@ def cmd_sweep(args) -> int:
                              primal_iters=provenance["primal_iterations"],
                              dual_iters=provenance["dual_iterations"],
                              runtime_ms=ms))
-    stem = args.out or os.path.splitext(args.instance)[0] + "_sweep"
-    stem = stem[:-4] if stem.endswith((".csv", ".svg")) else stem
-    if args.format in ("csv", "both"):
-        adio.save_sweep_csv(stem + ".csv", rows)
-        print(f"sweep written to {stem}.csv")
-    if args.format in ("svg", "both"):
-        adio.save_sweep_svg(stem + ".svg", rows)
-        print(f"chart written to {stem}.svg")
+    if "csv" in outs:
+        adio.save_sweep_csv(outs["csv"], rows)
+        print(f"sweep written to {outs['csv']}")
+    if "svg" in outs:
+        adio.save_sweep_svg(outs["svg"], rows)
+        print(f"chart written to {outs['svg']}")
     return code
 
 
@@ -225,12 +236,15 @@ def cmd_winf(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    """The exponential solve's couplings, printed, and with --out written as
-    a result file that ``verify`` reads."""
-    result, total = _solve_and_write(args, ["exp"], args.out)
+    """The solve's couplings, printed with the gap of every loss they are
+    certified for, and with --out written as the result file that ``solve
+    --loss all`` writes."""
+    result, total = _solve_and_write(args, ALL_LOSSES, args.out)
     for label, c in (("class0", result.witness.c0), ("class1", result.witness.c1)):
         for i, j, w in c.triples():
             print(f"{label} {i} -> {j} mass {w:.17g}")
+    for loss_name in ALL_LOSSES:
+        print(f"{loss_name}: gap={result.certificates[get_loss(loss_name).kind].gap:.6g}")
     if args.out:
         print(f"attack written to {args.out}")
     if _warn_uncertified(result.certificates, args.tol, total):

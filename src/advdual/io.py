@@ -12,6 +12,7 @@ for them) and converted back on load.
 from __future__ import annotations
 
 import csv
+import errno
 import io as _io
 import json
 import math
@@ -105,6 +106,22 @@ def _load_object(path: str, kind: str) -> dict:
             f"unsupported schema_version {data.get('schema_version')!r}; "
             f"this reader handles version {SCHEMA_VERSION}")
     return data
+
+
+def check_writable(path: str) -> None:
+    """Raise the ``WriteError`` that writing ``path`` would meet for want of
+    its directory, for a directory in its place or for want of permission,
+    creating and truncating nothing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise WriteError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_text(path: str, text: str) -> None:

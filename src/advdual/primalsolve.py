@@ -12,7 +12,9 @@ that the tangent-cut dual (``dualsolve.solve_dual``) certifies; the reported
 risk always uses the hard ball max.  The stages minimize the risk per unit
 mass over one CSR layout of both classes' source balls, class-1 scores
 negated, so each evaluation of the smoothed objective and its gradient is
-one pass of segment reductions.
+one pass of segment reductions.  Only the scores on K, the points both
+classes reach, are optimized; by complementary slackness a point one class
+reaches takes the cap that moves no ball extremum of that class.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ import numpy as np
 import scipy.optimize as opt
 
 from .errors import InfeasiblePair, InstanceTooLarge
-from .ground import GroundSet, build_ground, sup_ball
+from .ground import GroundSet, sup_ball
+from .ground import build_ground  # noqa: F401  unused; bench/spans.py patches this name
 from .losses import Loss, mul0, transform_h
 from .measures import SourceBalls, TwoClassMeasure
 
+# finite stand-in score, while the stages run, of the points one class
+# reaches: -CLAMP where class 0 does, +CLAMP where class 1 does
 CLAMP = 50.0
 # L-BFGS-B iteration cap of each smoothed stage
 STAGE_ITERS = 1000
@@ -121,51 +126,51 @@ class _ExpPrimalProblem:
 def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     """Minimize a smoothed exponential adversarial risk over score fields.
 
-    Temperature continuation 1e-1, 1e-2, 1e-3 on a soft maximum over each
-    ball, each stage solved by L-BFGS-B on the risk per unit mass to the
-    library's default tolerances; the field of least hard-max risk is
-    returned.  It is only a seed: ``dualsolve.solve_dual`` places its cuts at
-    log t = f +- 0.05 around it, and the certificate judges the pair that
-    program returns.  Points whose two-epsilon neighborhood carries no
-    class-0 (class-1) mass are snapped to +inf (-inf) after the iteration;
-    points with no mass at all within two epsilon get score zero.
+    Only the scores on K, the points both classes' balls reach (the dual's
+    K), are free.  The objective is coercive there, as each point of K lies
+    in a class-0 ball and in a class-1 ball, so L-BFGS-B runs without
+    bounds.  It starts at the log-odds of the class masses whose balls hold
+    each point and minimizes the risk per unit mass under temperature
+    continuation 1e-1, 1e-2, 1e-3 of a soft maximum over each ball, to the
+    library's default tolerances, with the points one class reaches pinned
+    at +-``CLAMP``.  With the K scores of least hard-max risk, each point one
+    class reaches takes the cap ``SourceBalls.cap`` gives, as in
+    ``dualsolve.solve_dual``, and points no class reaches take 0; ``risk`` is
+    the exact risk of that field.  It is only a seed: ``solve_dual`` places
+    its cuts at log t = f +- 0.05 around it, and the certificate judges the
+    pair that program returns.
     """
-    g2 = build_ground(g.points, g.norm, 2.0 * g.epsilon)
-    b0 = np.add.reduceat(measure.mass0[g2.indices], g2.indptr[:-1])
-    b1 = np.add.reduceat(measure.mass1[g2.indices], g2.indptr[:-1])
-    near0 = b0 > 0
-    near1 = b1 > 0
-    free = near0 & near1
-
     prob = _ExpPrimalProblem(g, measure)
+    b = prob.b
+    on_k = b.reach[0] & b.reach[1]
+    K = np.flatnonzero(on_k)
+    only0, only1 = b.reach[0] & ~on_k, b.reach[1] & ~on_k
     f = np.zeros(g.n)
-    # local log-odds warm start from two-epsilon ball masses
-    tiny = 1e-9 * max(measure.total, 1.0)
-    f[free] = 0.5 * np.log((b1[free] + tiny) / (b0[free] + tiny))
-    f[~near0 & near1] = CLAMP
-    f[near0 & ~near1] = -CLAMP
+    f[only0], f[only1] = -CLAMP, CLAMP
+    m0, m1 = b.push(b.p[b.seg])
+    f[K] = 0.5 * np.log(m1[K] / m0[K])
 
-    best_f = f.copy()
-    best_val = prob.risk(f)
+    def value_grad(x, tau):
+        f[K] = x
+        val, grad = prob.value_grad(f, tau)
+        return val, grad[K]
+
+    best_k, best_val = f[K], prob.risk(f)
     it_count = 0
-    # bound coordinates to the clamp box; frozen coordinates are pinned
-    bounds = opt.Bounds(np.where(free, -CLAMP, f), np.where(free, CLAMP, f))
-    for tau in (1e-1, 1e-2, 1e-3):
-        res = opt.minimize(prob.value_grad, f, args=(tau,), jac=True,
-                           method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": STAGE_ITERS})
-        it_count += int(getattr(res, "nit", 0))
-        f = np.asarray(res.x, dtype=float)
+    for tau in (1e-1, 1e-2, 1e-3) if K.size else ():
+        res = opt.minimize(value_grad, f[K], args=(tau,), jac=True,
+                           method="L-BFGS-B", options={"maxiter": STAGE_ITERS})
+        it_count += int(res.nit)
+        f[K] = res.x
         hard = prob.risk(f)
         if hard < best_val:
-            best_val = hard
-            best_f = f.copy()
+            best_k, best_val = res.x, hard
 
-    out = best_f.copy()
-    out[~near0 & near1] = np.inf
-    out[near0 & ~near1] = -np.inf
-    out[~near0 & ~near1] = 0.0
-    return PrimalSolution(f=out, risk=best_val * measure.total, iterations=it_count)
+    out = np.zeros(g.n)
+    out[K] = best_k
+    cap = b.cap(out, on_k)
+    out[only0], out[only1] = cap[0, only0], -cap[1, only1]
+    return PrimalSolution(f=out, risk=prob.risk(out) * measure.total, iterations=it_count)
 
 
 def eta_hat(f) -> np.ndarray:

@@ -396,12 +396,20 @@ def test_attack_triples(inst, capsys):
     assert "class1 1 -> 2 mass 0.5" in out
 
 
-def test_attack_out_is_the_exponential_solve_result(inst, tmp_path, capsys):
-    # attack --out writes the file that solve --loss exp writes, runtime
+def test_attack_prints_every_loss_gap(inst, capsys):
+    assert main(["attack", inst]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    gaps = [line for line in lines if ": gap=" in line]
+    assert [line.split(":")[0] for line in gaps] == ["exp", "logistic", "hinge", "zero-one"]
+    assert all(abs(float(line.split("=")[1])) <= 1e-4 for line in gaps)
+
+
+def test_attack_out_is_the_all_loss_solve_result(inst, tmp_path, capsys):
+    # attack --out writes the file that solve --loss all writes, runtime
     # aside, and verify accepts it
     attack, solve = str(tmp_path / "attack.json"), str(tmp_path / "solve.json")
     assert main(["attack", inst, "--out", attack]) == 0
-    assert main(["solve", inst, "--loss", "exp", "--out", solve]) == 0
+    assert main(["solve", inst, "--loss", "all", "--out", solve]) == 0
     texts = []
     for path in (attack, solve):
         with open(path, encoding="utf-8") as fh:
@@ -412,12 +420,40 @@ def test_attack_out_is_the_exponential_solve_result(inst, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["solve"], ["sweep", "--eps", "0.3"], ["attack"]],
                          ids=["solve", "sweep", "attack"])
-def test_unwritable_out_exits_2(inst, tmp_path, argv, capsys):
+def test_unwritable_out_exits_2(inst, tmp_path, argv, monkeypatch, capsys):
     # an output file in a directory that does not exist is a usage error,
-    # like an input file that cannot be read, not an uncertified solve
+    # like an input file that cannot be read, not an uncertified solve; it
+    # is found before any solve, and nothing is created
+    calls = []
+    monkeypatch.setattr(cli, "solve_exp_primal", lambda *a: calls.append(a))
     out = str(tmp_path / "no" / "such" / "r.json")
     assert main([argv[0], inst, *argv[1:], "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert calls == []
+    assert not os.path.exists(tmp_path / "no")
+
+
+def test_sweep_checks_every_output_before_solving(inst, tmp_path, monkeypatch, capsys):
+    # --format both writes a .csv and an .svg; a directory in the place of
+    # the .svg stops the sweep before it solves, and no .csv is written
+    calls = []
+    monkeypatch.setattr(cli, "solve_exp_primal", lambda *a: calls.append(a))
+    stem = str(tmp_path / "sw")
+    os.mkdir(stem + ".svg")
+    assert main(["sweep", inst, "--eps", "0.3", "--format", "both", "--out", stem]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {stem}.svg")
+    assert calls == []
+    assert not os.path.exists(stem + ".csv")
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(inst, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", inst, "--tol", "-1"])
+    assert exc.value.code == 2
+    out = str(tmp_path / "r.json")
+    assert main(["solve", inst, "--out", out]) == 0
+    assert _read(out)["provenance"]["tol"] is None
 
 
 def _bend_pipeline(monkeypatch):
@@ -561,3 +597,12 @@ def test_cli_import_leaves_networkx_out():
 def test_package_exports_resolve():
     missing = [name for name in advdual.__all__ if not hasattr(advdual, name)]
     assert not missing
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block, run as written: its last line prints the
+    # uncertified losses, none
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "[]"

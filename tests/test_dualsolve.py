@@ -205,7 +205,7 @@ def test_hinted_dual_single_class():
 
 
 def test_hinted_dual_infinite_scores():
-    # the outer points see only one class within two epsilon, so the primal
+    # the outer points see only one class within epsilon, so the primal
     # snaps them to -inf and +inf; the inner pair meets at 0.5
     g = build_ground(np.array([[-5.0], [0.0], [0.5], [1.0], [5.0]]), "l2", 0.6)
     measure = TwoClassMeasure.build([0.2, 0.25, 0.0, 0.0, 0.0],

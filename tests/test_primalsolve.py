@@ -6,11 +6,13 @@ import pytest
 from advdual.certify import uncertified, universality_check
 from advdual.cli import _pipeline
 from advdual.dualsolve import solve_dual
+from advdual import ground, primalsolve
 from advdual.errors import InfeasiblePair, InstanceTooLarge
 from advdual.ground import build_ground
 from advdual.losses import get_loss
-from advdual.measures import TwoClassMeasure
+from advdual.measures import SourceBalls, TwoClassMeasure
 from advdual.primalsolve import (
+    CLAMP,
     HPair,
     _ExpPrimalProblem,
     brute_primal,
@@ -22,6 +24,8 @@ from advdual.primalsolve import (
     theta,
     threshold_classifier,
 )
+
+from test_acceptance import _random_instance
 
 
 EXP = get_loss("exp")
@@ -120,7 +124,7 @@ def test_solve_exp_primal_single_class():
                                           ([0.0, 0.4, 0.0], [0.0, 0.0, 0.0])])
 def test_solve_exp_primal_empty_classes(mass0, mass1):
     # no mass at all: the zero field at risk 0; one empty class: every point
-    # that mass reaches within two epsilon is snapped to the infinite score
+    # that mass reaches within epsilon is snapped to the infinite score
     g = build_ground(np.array([[0.0], [0.5], [3.0]]), "l2", 0.5)
     measure = TwoClassMeasure.build(mass0, mass1)
     with warnings.catch_warnings():
@@ -131,6 +135,49 @@ def test_solve_exp_primal_empty_classes(mass0, mass1):
     snapped = np.inf if sum(mass1) else -np.inf
     assert np.all(sol.f[reached] == snapped)
     assert np.all(sol.f[~reached] == 0.0)
+
+
+def _criterion_01_suite():
+    rng = np.random.default_rng(12345)
+    return [_random_instance(rng) for _ in range(50)]
+
+
+def test_solve_exp_primal_leaves_no_clamp_pin():
+    # the pins of the points one class reaches are a stand-in while the
+    # stages run; none of them is returned
+    for k, (g, measure) in enumerate(_criterion_01_suite()):
+        f = solve_exp_primal(g, measure).f
+        assert not np.any(np.abs(f) == CLAMP), k
+
+
+def test_solve_exp_primal_caps_points_one_class_reaches():
+    # a point one class reaches holds exactly the cap of the K scores, the
+    # rule solve_dual applies; no class reaches a point: score 0; and the
+    # risk is the exact risk of the returned field
+    for k, (g, measure) in enumerate(_criterion_01_suite()):
+        sol = solve_exp_primal(g, measure)
+        b = SourceBalls(g, measure)
+        on_k = b.reach[0] & b.reach[1]
+        only0, only1 = b.reach[0] & ~on_k, b.reach[1] & ~on_k
+        cap = b.cap(sol.f, on_k)
+        assert np.array_equal(sol.f[only0], cap[0, only0]), k
+        assert np.array_equal(sol.f[only1], -cap[1, only1]), k
+        assert np.all(sol.f[~b.reach[0] & ~b.reach[1]] == 0.0), k
+        assert np.all(np.isfinite(sol.f[on_k])), k
+        assert sol.risk == pytest.approx(risk_adv(EXP, sol.f, g, measure), rel=1e-12), k
+
+
+def test_solve_exp_primal_builds_no_neighbour_index(twopoint, monkeypatch):
+    # the primal reads only the source balls of the ground set it is given
+    instances = [twopoint, *_criterion_01_suite()[:5]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_exp_primal built a neighbour index")
+
+    monkeypatch.setattr(primalsolve, "build_ground", refuse)
+    monkeypatch.setattr(ground, "build_ground", refuse)
+    for g, measure in instances:
+        assert np.isfinite(solve_exp_primal(g, measure).risk)
 
 
 def _drawn_instances():
