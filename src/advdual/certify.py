@@ -26,7 +26,7 @@ from .dualsolve import dual_objective
 from .errors import ValidationError
 from .ground import GroundSet, inf_ball, sup_ball
 from .losses import Loss, get_loss, mul0
-from .measures import TwoClassMeasure, Witness
+from .measures import SourceBalls, TwoClassMeasure, Witness
 from .measures import winf_feasible  # noqa: F401  unused; bench/spans.py patches this name
 from .primalsolve import construct_f, eta_hat
 
@@ -90,11 +90,11 @@ def support_conditions(eta, witness: Witness, g: GroundSet) -> float:
     return bad
 
 
-def certify(loss: Loss, f, witness: Witness, g: GroundSet,
-            measure: TwoClassMeasure) -> Certificate:
+def certify(loss: Loss, f, witness: Witness, balls: SourceBalls) -> Certificate:
     """Gap and complementary-slackness residual triple (r1, r0, r_pt) of
     the score field ``f`` against a validated witness, from one evaluation
-    of ``loss.margins(f)`` and their ball suprema.
+    of ``loss.margins(f)`` and their worst cases over the source balls of
+    the instance (``balls.worst``).
 
     With (h1, h0) = ``loss.margins(f)``, r1 compares the worst-case class-1
     integral of h1 with its value under the transported mass; r0 does the
@@ -104,15 +104,14 @@ def certify(loss: Loss, f, witness: Witness, g: GroundSet,
     their sum equals the duality gap.  The primal value is summed exactly
     as ``risk_adv`` sums it.
     """
-    h1, h0 = loss.margins(g.check_field(f))
-    worst1 = mul0(measure.mass1, sup_ball(g, h1)).sum()
-    worst0 = mul0(measure.mass0, sup_ball(g, h0)).sum()
+    h1, h0 = loss.margins(balls.g.check_field(f))
+    worst1, worst0 = balls.worst(h1, h0)
     r1 = float(worst1 - mul0(witness.m1, h1).sum())
     r0 = float(worst0 - mul0(witness.m0, h0).sum())
     eta = np.clip(witness.eta_star(), 0.0, 1.0)
     cond = mul0(eta, h1) + mul0(1.0 - eta, h0) - loss.cstar(eta)
     r_pt = float(mul0(witness.m0 + witness.m1, cond).sum())
-    primal = float(worst1 + worst0)
+    primal = worst1 + worst0
     dual_val = dual_objective(loss, witness.m0, witness.m1)
     return Certificate(loss=loss.kind, primal_value=primal, dual_value=dual_val,
                        gap=primal - dual_val, slack_sup_r1=r1, slack_sup_r0=r0,
@@ -161,7 +160,8 @@ def universality_check(f, witness: Witness, losses, g: GroundSet,
     the same eta.
     """
     eta = snap_eta(eta_hat(f))
-    certs = {loss.kind: certify(loss, construct_f(loss, eta), witness, g, measure)
+    balls = SourceBalls(g, measure)
+    certs = {loss.kind: certify(loss, construct_f(loss, eta), witness, balls)
              for loss in map(get_loss, losses)}
     return Result(f=f, witness=witness, certificates=certs,
                   support_violation=support_conditions(eta, witness, g))

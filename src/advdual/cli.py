@@ -170,7 +170,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    g, measure = _load_solvable(args.instance)
     try:
         eps_grid = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     except ValueError as e:
@@ -186,6 +185,7 @@ def cmd_sweep(args) -> int:
     outs = {fmt: f"{stem}.{fmt}" for fmt in ("csv", "svg") if args.format in (fmt, "both")}
     for path in outs.values():
         adio.check_writable(path)
+    g, measure = _load_solvable(args.instance)
     uniq = sorted(set(eps_grid))
     if len(uniq) < len(eps_grid):
         print("warning: duplicate epsilon values removed", file=sys.stderr)

@@ -38,9 +38,7 @@ from .errors import CutProgramFailed, InstanceTooLarge, NegativeMass
 from .ground import GroundSet, segment_argmax
 from .losses import Loss
 from .measures import SourceBalls, TwoClassMeasure, Witness, pushforward
-from .primalsolve import HPair, risk_adv
-
-EXP = Loss("exponential")
+from .primalsolve import EXP, HPair
 
 # the first program cuts each point at t = exp(f + delta) around the score
 # field it is given (and at the pair of ``_seed_cuts``)
@@ -117,16 +115,14 @@ class _CutLP:
     """
 
     def __init__(self, b: SourceBalls, f: np.ndarray):
-        self.on_k = b.reach[0] & b.reach[1]
-        self.K = np.flatnonzero(self.on_k)
-        k, ns = self.K.size, b.src.size
+        k, ns = b.K.size, b.src.size
         self.k, self.E = k, b.ix.size
         self.neq = ns + 2 * k
         # per edge, the row of its source and the tie row of its destination
         # (-1 off K, where no row ties the mass): class c's tie rows of K
         # follow the ns source rows at ns + c k
         tie = np.full((2, b.n), -1)
-        tie[:, self.K] = ns + np.arange(2 * k).reshape(2, k)
+        tie[:, b.K] = ns + np.arange(2 * k).reshape(2, k)
         self.src_row, self.tie_row = b.seg, tie.ravel()[b.slot]
 
         lp = HighsLp()
@@ -155,7 +151,7 @@ class _CutLP:
         v = b.sign * f[b.ix]
         self.greedy = segment_argmax(v, np.append(b.starts, self.E))
         self.add_edges(np.flatnonzero(v >= v[self.greedy][b.seg] - max(SEED_DELTAS)))
-        self.greedy_mass = b.push(np.bincount(self.greedy, b.p, self.E))[:, self.K]
+        self.greedy_mass = b.push(np.bincount(self.greedy, b.p, self.E))[:, b.K]
 
     def add_edges(self, idx: np.ndarray) -> None:
         """Add the edges ``idx`` (class 0's edges first, then class 1's) as
@@ -286,17 +282,15 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     """Exponential dual couplings and a primal field certified together by
     the tangent-cut program, seeded by the score field ``f``.
 
-    K is the set of points both classes reach.  Every program is the one on
-    all edges, solved on the edges ``_CutLP`` prices in.  The first program
-    cuts each point of K as ``_seed_cuts`` says.  Its couplings give masses
-    m0, m1 and their dual value D; its cut multipliers lambda give, per
-    point of K, h0 = sum lambda t and h1 = sum lambda / t, a pair with
-    h0 h1 >= 1 whose relaxed risk ``theta`` is the program's value, so the
-    field 1/2 (log h0 - log h1) has at most that risk.  A point reached by one
-    class only takes the largest score that raises no ball maximum of that
-    class (the smallest that lowers no ball minimum, for class 1), unless
-    ``f`` is already infinite there in the same direction; points no class
-    reaches keep ``f``.
+    K is the set of points both classes reach (``SourceBalls.K``).  Every
+    program is the one on all edges, solved on the edges ``_CutLP`` prices
+    in.  The first program cuts each point of K as ``_seed_cuts`` says.  Its
+    couplings give masses m0, m1 and their dual value D; its cut multipliers
+    lambda give, per point of K, h0 = sum lambda t and h1 = sum lambda / t, a
+    pair with h0 h1 >= 1 whose relaxed risk ``theta`` is the program's value,
+    so the field 1/2 (log h0 - log h1) has at most that risk.  Each point one
+    class reaches takes the score ``SourceBalls.complete`` gives it, and
+    points no class reaches keep ``f``.
 
     While risk - D > tol (the CLI passes ``certify.gap_tol``, the gap the
     certificate is judged at), the next program adds the exact tangent
@@ -309,9 +303,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
     f = g.check_field(f)
     b = SourceBalls(g, measure)
     lp = _CutLP(b, f)
-    K, k, on_k = lp.K, lp.k, lp.on_k
-    only0 = b.reach[0] & ~b.reach[1] & (f != -np.inf)
-    only1 = b.reach[1] & ~b.reach[0] & (f != np.inf)
+    K, k = b.K, lp.k
 
     best = None  # (gap, field, hpair, w) of the least gap so far
     lp.add_cuts(*_seed_cuts(f[K]))
@@ -330,10 +322,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
         h0k, h1k = np.bincount(pt, lam * t, k), np.bincount(pt, lam / t, k)
         field = f.copy()
         field[K] = 0.5 * np.log(h0k / h1k)
-        cap = b.cap(field, on_k)
-        field[only0] = cap[0, only0]
-        field[only1] = -cap[1, only1]
-        risk = risk_adv(EXP, field, g, measure)
+        risk = b.risk(EXP, b.complete(field))
         gap = risk - dual_objective(EXP, m0, m1)
         if best is None or gap < best[0]:
             h0, h1 = EXP.phi(-field), EXP.phi(field)

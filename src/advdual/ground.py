@@ -143,16 +143,6 @@ def segment_argmax(vals: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(np.where(hit, np.arange(vals.size), vals.size), starts)
 
 
-def ball_argmax(g: GroundSet, f: np.ndarray) -> np.ndarray:
-    """Index of the ball maximum for each point, ties broken by lowest index.
-
-    Neighbor lists are sorted, so the first position attaining the segment
-    maximum is the lowest attaining index.
-    """
-    f = g.check_field(f)
-    return g.indices[segment_argmax(f[g.indices], g.indptr)]
-
-
 def dilate(g: GroundSet, a) -> np.ndarray:
     """Indices within epsilon of the set ``a`` (Minkowski expansion)."""
     return np.unique(g.neighbor_csr(sorted(a))[1])

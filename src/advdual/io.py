@@ -165,17 +165,20 @@ def refine_points(points: np.ndarray, epsilon: float, r: int,
     return np.vstack([pts, allpts[np.sort(first[first >= pts.shape[0]])]])
 
 
-def _parse(key: str, value, convert):
-    """``convert(value)``, with a value it cannot convert (a word where a
-    number belongs, ragged nesting) reported as a ValidationError."""
+def _floats(key: str, value) -> np.ndarray:
+    """``value``, nested lists of JSON numbers, as a float array; any other
+    entry (a bool, a string) or ragged nesting raises ValidationError."""
+    todo, what = [value], f"each entry of {key!r}"
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            todo.extend(v)
+        else:
+            _number(what, v)
     try:
-        return convert(value)
-    except (TypeError, ValueError) as e:
+        return np.asarray(value, dtype=float)
+    except ValueError as e:
         raise ValidationError(f"malformed field {key!r}: {e}") from e
-
-
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
 
 
 def load_instance(path: str):
@@ -191,16 +194,15 @@ def load_instance(path: str):
     for key in ("points", "norm", "epsilon", "mass0", "mass1"):
         if key not in data:
             raise ValidationError(f"missing required field {key!r}")
-    pts = _parse("points", data["points"], _floats)
+    pts = _floats("points", data["points"])
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValidationError("points must be a non-empty list of coordinates")
     norm = str(data["norm"])
     # checked here, where the value is the file's: refinement builds on 2 epsilon
-    epsilon = check_epsilon(_parse("epsilon", data["epsilon"], float))
-    m0 = _parse("mass0", data["mass0"], _floats)
-    m1 = _parse("mass1", data["mass1"], _floats)
+    epsilon = check_epsilon(_number("epsilon", data["epsilon"]))
+    m0, m1 = _floats("mass0", data["mass0"]), _floats("mass1", data["mass1"])
     n = pts.shape[0]
     if m0.shape != (n,) or m1.shape != (n,):
         raise ValidationError(

@@ -11,7 +11,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import AdvdualError, InfeasibleDual, MassMismatch, NegativeMass, ValidationError
-from .ground import GroundSet, ball_argmax, distances
+from .ground import GroundSet, distances, segment_argmax
+from .losses import Loss
 
 # absolute feasibility slack per unit of transported mass
 FLOW_SLACK = 1e-10
@@ -100,21 +101,24 @@ class SourceBalls:
     """Every positive-mass source's epsilon-ball, class 0's first, as one
     CSR layout.  By complementary slackness an optimal coupling moves each
     source's mass only to the extremum of the optimal field on its ball: the
-    maximum for class 0, the minimum for class 1.
+    maximum for class 0, the minimum for class 1.  So every adversarial risk
+    is a ``worst`` sum over these balls, and only the scores on ``K``, the
+    points both classes reach, are free (``complete`` scores the rest).
 
     Segment s is the ball of source ``src[s]`` of mass ``p[s]``: the points
-    ``ix`` from ``starts[s]`` on, ascending.  Per entry, ``seg`` is its
-    segment, ``sign`` is +1 in class 0 and -1 in class 1 (so a segment's
-    largest ``sign * f[ix]`` is a class-0 ball max or minus a class-1 ball
-    min) and ``slot`` = class * n + ix indexes a (2, n) array.  Entries
-    before ``split`` are class 0's; ``reach[c]`` marks the points class c's
-    balls hold.  Per-class results have one row per class.
+    ``ix`` from ``starts[s]`` on, ascending; the first ``nsrc0`` segments
+    are class 0's.  Per entry, ``seg`` is its segment, ``sign`` is +1 in
+    class 0 and -1 in class 1 (so a segment's largest ``sign * f[ix]`` is a
+    class-0 ball max or minus a class-1 ball min) and ``slot`` = class * n +
+    ix indexes a (2, n) array.  Entries before ``split`` are class 0's;
+    ``reach[c]`` marks the points class c's balls hold, and ``on_k`` those
+    of ``K``.  Per-class results have one row per class.
     """
 
     def __init__(self, g: GroundSet, measure: TwoClassMeasure):
         s0 = np.flatnonzero(measure.mass0 > 0)
         s1 = np.flatnonzero(measure.mass1 > 0)
-        self.n = g.n
+        self.g, self.n, self.nsrc0 = g, g.n, s0.size
         self.src = np.concatenate((s0, s1))
         self.p = np.concatenate((measure.mass0[s0], measure.mass1[s1]))
         indptr, self.ix = g.neighbor_csr(self.src)
@@ -125,10 +129,36 @@ class SourceBalls:
         self.sign = np.where(cls, -1.0, 1.0)
         self.slot = self.ix + self.n * cls
         self.reach = np.bincount(self.slot, minlength=2 * self.n).reshape(2, self.n) > 0
+        self.on_k = self.reach[0] & self.reach[1]
+        self.K = np.flatnonzero(self.on_k)
 
-    def top(self, f: np.ndarray) -> np.ndarray:
-        """Per segment, the largest ``sign * f`` on its ball."""
-        return np.maximum.reduceat(self.sign * f[self.ix], self.starts)
+    def worst(self, h1: np.ndarray, h0: np.ndarray) -> tuple[float, float]:
+        """Per class, the sum over its sources of the source's mass times
+        the largest value on its ball: (class 1's with the per-point values
+        ``h1``, class 0's with ``h0``)."""
+        top = np.maximum.reduceat(np.concatenate((h0, h1))[self.slot], self.starts)
+        cost = self.p * top
+        return float(cost[self.nsrc0:].sum()), float(cost[:self.nsrc0].sum())
+
+    def risk(self, loss: Loss, f) -> float:
+        """Adversarial risk of ``f``: ``worst`` of its margins, class 1 first."""
+        worst1, worst0 = self.worst(*loss.margins(self.g.check_field(f)))
+        return worst1 + worst0
+
+    def complete(self, field: np.ndarray) -> np.ndarray:
+        """Give, in place, each point only class 0 reaches the largest score
+        that raises the max of the K scores of ``field`` on no class-0 ball,
+        and each point only class 1 reaches the smallest that lowers no such
+        class-1 ball min, unless it is already -inf (class 0) or +inf (class
+        1); return ``field``."""
+        vals = np.where(self.on_k[self.ix], self.sign * field[self.ix], -np.inf)
+        top = np.maximum.reduceat(vals, self.starts)
+        cap = np.full((2, self.n), np.inf)
+        np.minimum.at(cap.reshape(-1), self.slot, top[self.seg])
+        only0 = self.reach[0] & ~self.on_k & (field != -np.inf)
+        only1 = self.reach[1] & ~self.on_k & (field != np.inf)
+        field[only0], field[only1] = cap[0, only0], -cap[1, only1]
+        return field
 
     def renormalize(self, w: np.ndarray) -> np.ndarray:
         """Clip the entry weights ``w`` at zero and rescale each segment to
@@ -150,18 +180,6 @@ class SourceBalls:
         src, dst, w = self.src[self.seg[keep]], self.ix[keep], w[keep]
         return tuple(Coupling.build(src[part], dst[part], w[part], self.n)
                      for part in (slice(0, cut), slice(cut, None)))
-
-    def cap(self, v: np.ndarray, on: np.ndarray) -> np.ndarray:
-        """Per point and class, the least over the class's balls holding it
-        of the largest ``sign * v`` on that ball's ``on`` points (inf where
-        no ball holds it): row 0 is the largest value the point can take
-        without raising a class-0 ball max, and minus row 1 the smallest
-        that lowers no class-1 ball min."""
-        vals = np.where(on[self.ix], self.sign * v[self.ix], -np.inf)
-        top = np.maximum.reduceat(vals, self.starts)
-        out = np.full(2 * self.n, np.inf)
-        np.minimum.at(out, self.slot, top[self.seg])
-        return out.reshape(2, self.n)
 
 
 def pushforward(c: Coupling) -> np.ndarray:
@@ -289,8 +307,8 @@ def greedy_attack(g: GroundSet, field, p) -> Coupling:
     field = g.check_field(field)
     p = _check_mass(p, g.n, "p")
     srcs = np.flatnonzero(p > 0)
-    targets = ball_argmax(g, field)[srcs]
-    return Coupling.build(srcs, targets, p[srcs], g.n)
+    indptr, ix = g.neighbor_csr(srcs)
+    return Coupling.build(srcs, ix[segment_argmax(field[ix], indptr)], p[srcs], g.n)
 
 
 def transported_integral(g: GroundSet, field, c: Coupling) -> float:

@@ -7,14 +7,10 @@ classifier for the zero-one loss).
 
 The exponential primal is minimized in the score parametrization: the map
 f -> sum p1 * exp(-ball_min(f)) + sum p0 * exp(ball_max(f)) is convex in the
-value vector.  Temperature-continuation smoothed stages give a seed field
-that the tangent-cut dual (``dualsolve.solve_dual``) certifies; the reported
-risk always uses the hard ball max.  The stages minimize the risk per unit
-mass over one CSR layout of both classes' source balls, class-1 scores
-negated, so each evaluation of the smoothed objective and its gradient is
-one pass of segment reductions.  Only the scores on K, the points both
-classes reach, are optimized; by complementary slackness a point one class
-reaches takes the cap that moves no ball extremum of that class.
+value vector.  Temperature-continuation smoothed stages over the scores on
+K of the ``measures.SourceBalls`` layout give a seed field that the
+tangent-cut dual (``dualsolve.solve_dual``) certifies; the reported risk
+always uses the hard ball max.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ import numpy as np
 import scipy.optimize as opt
 
 from .errors import InfeasiblePair, InstanceTooLarge
-from .ground import GroundSet, sup_ball
+from .ground import GroundSet
 from .ground import build_ground  # noqa: F401  unused; bench/spans.py patches this name
 from .losses import Loss, mul0, transform_h
 from .measures import SourceBalls, TwoClassMeasure
@@ -43,6 +39,8 @@ BRUTE_SPAN = 4.0
 BRUTE_COARSE = 0.1
 BRUTE_REFINE = (0.01, 0.001)
 
+EXP = Loss("exponential")
+
 
 @dataclass(frozen=True)
 class PrimalSolution:
@@ -53,10 +51,9 @@ class PrimalSolution:
 
 def risk_adv(loss: Loss, f, g: GroundSet, measure: TwoClassMeasure) -> float:
     """Worst-case risk under epsilon-ball input perturbations; for the
-    zero-one loss, that of the sign classifier of ``f``."""
-    h1, h0 = loss.margins(g.check_field(f))
-    return float(mul0(measure.mass1, sup_ball(g, h1)).sum()
-                 + mul0(measure.mass0, sup_ball(g, h0)).sum())
+    zero-one loss, that of the sign classifier of ``f``.  Builds a layout per
+    call: to score many fields, call one ``SourceBalls``'s ``risk``."""
+    return SourceBalls(g, measure).risk(loss, f)
 
 
 @dataclass(frozen=True)
@@ -81,96 +78,75 @@ def hpair_feasible(loss: Loss, h0, h1) -> bool:
 
 
 def theta(loss: Loss, hp: HPair, g: GroundSet, measure: TwoClassMeasure) -> float:
-    """Convex relaxation of the adversarial risk on a feasible field pair."""
-    if not hpair_feasible(loss, hp.h0, hp.h1):
+    """Convex relaxation of the adversarial risk on a feasible field pair:
+    ``SourceBalls.worst`` of (h1, h0), from a layout built per call."""
+    h0, h1 = g.check_field(hp.h0), g.check_field(hp.h1)
+    if not hpair_feasible(loss, h0, h1):
         raise InfeasiblePair("pair violates the conditional-risk constraint")
-    return float(mul0(measure.mass1, sup_ball(g, hp.h1)).sum()
-                 + mul0(measure.mass0, sup_ball(g, hp.h0)).sum())
+    return sum(SourceBalls(g, measure).worst(h1, h0))
 
 
 # ---------------------------------------------------------------------------
 # exponential primal
 # ---------------------------------------------------------------------------
 
-class _ExpPrimalProblem:
-    """Hard-max risk, and the soft-max objective with its gradient, per unit
-    mass: L-BFGS-B's default stop rule is not scale-free, and per unit mass
-    it stops alike at every total mass.
-
-    Both classes' source balls are one ``SourceBalls`` layout, so each
-    segment's maximum of ``sign * f[ix]`` is the ball max of f (class 0) or
-    minus its ball min (class 1), and ``w`` holds each segment's source mass
-    per unit total mass.
-    """
-
-    def __init__(self, g: GroundSet, measure: TwoClassMeasure):
-        self.b = SourceBalls(g, measure)
-        self.w = self.b.p / measure.total
-
-    def risk(self, f: np.ndarray) -> float:
-        return float(np.dot(self.w, np.exp(self.b.top(f))))
-
-    def value_grad(self, f: np.ndarray, tau: float):
-        """Objective and gradient with the temperature-tau soft maximum over
-        each ball in place of the hard one."""
-        b = self.b
-        v = b.sign * f[b.ix]
-        top = np.maximum.reduceat(v, b.starts)
-        z = np.exp((v - top[b.seg]) / tau)
-        zsum = np.add.reduceat(z, b.starts)
-        term = self.w * np.exp(top + tau * np.log(zsum))
-        grad = np.bincount(b.ix, weights=b.sign * z * (term / zsum)[b.seg], minlength=f.size)
-        return float(term.sum()), grad
+def _soft_risk(b: SourceBalls, w: np.ndarray, f: np.ndarray, tau: float):
+    """The exponential risk per unit mass (``w``: each source's mass per unit
+    total mass, at which L-BFGS-B's default stop rule, not scale-free, stops
+    alike at every total mass), with the temperature-tau soft maximum over
+    each ball of ``b`` in place of the hard one, and its gradient."""
+    v = b.sign * f[b.ix]
+    top = np.maximum.reduceat(v, b.starts)
+    z = np.exp((v - top[b.seg]) / tau)
+    zsum = np.add.reduceat(z, b.starts)
+    term = w * np.exp(top + tau * np.log(zsum))
+    grad = np.bincount(b.ix, weights=b.sign * z * (term / zsum)[b.seg], minlength=f.size)
+    return float(term.sum()), grad
 
 
 def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     """Minimize a smoothed exponential adversarial risk over score fields.
 
-    Only the scores on K, the points both classes' balls reach (the dual's
-    K), are free.  The objective is coercive there, as each point of K lies
-    in a class-0 ball and in a class-1 ball, so L-BFGS-B runs without
-    bounds.  It starts at the log-odds of the class masses whose balls hold
-    each point and minimizes the risk per unit mass under temperature
-    continuation 1e-1, 1e-2, 1e-3 of a soft maximum over each ball, to the
+    Only the scores on K (``SourceBalls.K``, the dual's K) are free.  The
+    objective is coercive there, as each point of K lies in a class-0 ball
+    and in a class-1 ball, so L-BFGS-B runs without bounds.  It starts at
+    the log-odds of the class masses whose balls hold each point and
+    minimizes the risk per unit mass under temperature continuation 1e-1,
+    1e-2, 1e-3 of a soft maximum over each ball (``_soft_risk``), to the
     library's default tolerances, with the points one class reaches pinned
-    at +-``CLAMP``.  With the K scores of least hard-max risk, each point one
-    class reaches takes the cap ``SourceBalls.cap`` gives, as in
-    ``dualsolve.solve_dual``, and points no class reaches take 0; ``risk`` is
-    the exact risk of that field.  It is only a seed: ``solve_dual`` places
-    its cuts at log t = f +- 0.05 around it, and the certificate judges the
-    pair that program returns.
+    at +-``CLAMP``.  The K scores of least hard-max risk (``SourceBalls.risk``)
+    are kept, ``SourceBalls.complete`` gives each point one class reaches its
+    score, as in ``dualsolve.solve_dual``, and points no class reaches take
+    0; ``risk`` is the exact risk of that field.  It is only a seed:
+    ``solve_dual`` places its cuts at log t = f +- 0.05 around it, and the
+    certificate judges the pair that program returns.
     """
-    prob = _ExpPrimalProblem(g, measure)
-    b = prob.b
-    on_k = b.reach[0] & b.reach[1]
-    K = np.flatnonzero(on_k)
-    only0, only1 = b.reach[0] & ~on_k, b.reach[1] & ~on_k
-    f = np.zeros(g.n)
-    f[only0], f[only1] = -CLAMP, CLAMP
+    b = SourceBalls(g, measure)
+    K, w = b.K, b.p / measure.total
+    f = CLAMP * (b.reach[1] - b.reach[0].astype(float))
     m0, m1 = b.push(b.p[b.seg])
     f[K] = 0.5 * np.log(m1[K] / m0[K])
 
     def value_grad(x, tau):
         f[K] = x
-        val, grad = prob.value_grad(f, tau)
+        val, grad = _soft_risk(b, w, f, tau)
         return val, grad[K]
 
-    best_k, best_val = f[K], prob.risk(f)
+    best_k, best_val = f[K], b.risk(EXP, f)
     it_count = 0
     for tau in (1e-1, 1e-2, 1e-3) if K.size else ():
         res = opt.minimize(value_grad, f[K], args=(tau,), jac=True,
                            method="L-BFGS-B", options={"maxiter": STAGE_ITERS})
         it_count += int(res.nit)
         f[K] = res.x
-        hard = prob.risk(f)
+        hard = b.risk(EXP, f)
         if hard < best_val:
             best_k, best_val = res.x, hard
 
     out = np.zeros(g.n)
     out[K] = best_k
-    cap = b.cap(out, on_k)
-    out[only0], out[only1] = cap[0, only0], -cap[1, only1]
-    return PrimalSolution(f=out, risk=prob.risk(out) * measure.total, iterations=it_count)
+    b.complete(out)
+    return PrimalSolution(f=out, risk=b.risk(EXP, out), iterations=it_count)
 
 
 def eta_hat(f) -> np.ndarray:

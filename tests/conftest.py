@@ -3,6 +3,7 @@ implementations used to cross-check the solvers."""
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 
 import numpy as np
@@ -13,9 +14,12 @@ from scipy.optimize._highspy._core import HighsStatus
 
 from advdual import dualsolve
 from advdual.errors import AdvdualError
-from advdual.ground import GroundSet, build_ground
-from advdual.losses import Loss, _check_eta, conditional_risk
+from advdual.ground import GroundSet, build_ground, sup_ball
+from advdual.losses import Loss, _check_eta, conditional_risk, mul0
 from advdual.measures import Coupling, TwoClassMeasure
+
+# the repository root: the tests open its files from any working directory
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -172,6 +176,14 @@ def naive_window_max(values: np.ndarray, k: int) -> np.ndarray:
     for i in range(n):
         out[i] = values[max(0, i - k):min(n, i + k + 1)].max()
     return out
+
+
+def ball_by_ball_risk(g: GroundSet, measure: TwoClassMeasure, h1, h0) -> float:
+    """The adversarial sum point by point over every ball: class 1's masses
+    times the ball maxima of ``h1`` plus class 0's times those of ``h0``,
+    with 0 * inf = 0."""
+    return float(mul0(measure.mass1, sup_ball(g, h1)).sum()
+                 + mul0(measure.mass0, sup_ball(g, h0)).sum())
 
 
 def identity_coupling(p) -> Coupling:

@@ -15,7 +15,8 @@ from advdual.cli import _pipeline
 from advdual.dualsolve import brute_dual, solve_dual
 from advdual.ground import build_ground, dilate, sliding_max_1d, sup_ball
 from advdual.losses import conditional_risk, get_loss, transform_h
-from advdual.measures import TwoClassMeasure, greedy_attack, transported_integral, winf_distance
+from advdual.measures import (SourceBalls, TwoClassMeasure, greedy_attack,
+                              transported_integral, winf_distance)
 from advdual.primalsolve import (
     brute_primal,
     eta_hat,
@@ -102,7 +103,7 @@ def test_criterion_02_weak_duality(random_suite, oracle_instances):
 
 def _slackness(f, ds, g, measure):
     """The exponential certificate's residual triple (r1, r0, r_pt)."""
-    cert = certify(EXP, f, ds.witness, g, measure)
+    cert = certify(EXP, f, ds.witness, SourceBalls(g, measure))
     return cert.slack_sup_r1, cert.slack_sup_r0, cert.slack_pointwise
 
 

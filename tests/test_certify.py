@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import shutil
 
 import numpy as np
@@ -18,8 +19,10 @@ from advdual.cli import main
 from advdual.dualsolve import solve_dual
 from advdual.errors import InfeasibleDual
 from advdual.losses import get_loss
-from advdual.measures import Coupling, TwoClassMeasure, Witness, winf_feasible
+from advdual.measures import Coupling, SourceBalls, TwoClassMeasure, Witness, winf_feasible
 from advdual.primalsolve import construct_f, eta_hat, risk_adv, solve_exp_primal
+
+from conftest import ROOT
 
 
 EXP = get_loss("exp")
@@ -37,7 +40,7 @@ def _solve_pair(g, measure):
 def test_twopoint_certificate_tight(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
-    cert = certify(EXP, primal.f, dual.witness, g, measure)
+    cert = certify(EXP, primal.f, dual.witness, SourceBalls(g, measure))
     assert cert.gap <= TOL
     assert cert.gap == pytest.approx(0.0, abs=1e-8)
     assert cert.slack_sup_r1 < 1e-8 and cert.slack_sup_r0 < 1e-8
@@ -51,7 +54,7 @@ def test_residual_identity(oracle_instances):
         for loss in (EXP, LOG, HINGE, ZO):
             eta = snap_eta(eta_hat(primal.f))
             f = primal.f if loss is EXP else construct_f(loss, eta)
-            cert = certify(loss, f, dual.witness, g, measure)
+            cert = certify(loss, f, dual.witness, SourceBalls(g, measure))
             assert cert.primal_value == risk_adv(loss, f, g, measure), (name, loss.kind)
             total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
             assert total == pytest.approx(cert.gap, abs=1e-12), (name, loss.kind)
@@ -65,7 +68,7 @@ def test_perturbed_field_raises_residual(twopoint):
     primal, dual = _solve_pair(g, measure)
     f = primal.f.copy()
     f[2] += 0.1  # shift the score at the shared support midpoint
-    cert = certify(EXP, f, dual.witness, g, measure)
+    cert = certify(EXP, f, dual.witness, SourceBalls(g, measure))
     assert cert.gap > 1e-3
     total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
     assert total == pytest.approx(cert.gap, abs=1e-12)
@@ -92,8 +95,8 @@ def test_certificate_symmetry_under_class_swap(twopoint):
     swapped = TwoClassMeasure.build(measure.mass1, measure.mass0)
     sp, sd = _solve_pair(g, swapped)
     assert np.allclose(sp.f, -primal.f, atol=1e-6)
-    ca = certify(EXP, primal.f, dual.witness, g, measure)
-    cb = certify(EXP, sp.f, sd.witness, g, swapped)
+    ca = certify(EXP, primal.f, dual.witness, SourceBalls(g, measure))
+    cb = certify(EXP, sp.f, sd.witness, SourceBalls(g, swapped))
     assert cb.primal_value == pytest.approx(ca.primal_value, abs=1e-8)
     assert cb.dual_value == pytest.approx(ca.dual_value, abs=1e-8)
 
@@ -132,7 +135,7 @@ def test_dual_masses_must_match_pushforward(twopoint):
     # the same couplings with their own pushforwards make a witness, and
     # its certificate's residual triple sums to the gap
     good = Witness(g, measure, c0, c1, [0.0, 0.0, 0.5], [0.0, 0.0, 0.5])
-    cert = certify(EXP, np.zeros(3), good, g, measure)
+    cert = certify(EXP, np.zeros(3), good, SourceBalls(g, measure))
     total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
     assert total == pytest.approx(cert.gap, abs=1e-12)
 
@@ -185,7 +188,8 @@ def test_universality_twopoint_values(twopoint):
 def test_as_dict_round_keys(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
-    d = dataclasses.asdict(certify(EXP, primal.f, dual.witness, g, measure))
+    cert = certify(EXP, primal.f, dual.witness, SourceBalls(g, measure))
+    d = dataclasses.asdict(cert)
     assert d["loss"] == "exponential"
     assert list(d) == ["loss", "primal_value", "dual_value", "gap",
                        "slack_sup_r1", "slack_sup_r0", "slack_pointwise"]
@@ -195,7 +199,7 @@ def test_witness_validated_once_per_solve_and_verify(tmp_path, monkeypatch):
     # the couplings are checked when the witness is made: once by the solve,
     # whatever --loss asks for, and once by verify, never per loss
     inst = str(tmp_path / "twopoint.json")
-    shutil.copy("instances/twopoint.json", inst)
+    shutil.copy(os.path.join(ROOT, "instances", "twopoint.json"), inst)
     out = str(tmp_path / "res.json")
     calls = []
     real = measures.Witness.__init__

@@ -16,11 +16,11 @@ from advdual import cli
 from advdual.cli import main
 from advdual.io import dumps, loads, save_instance
 
+from conftest import ROOT
 from test_acceptance import _random_instance
 
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-INSTANCE = "instances/twopoint.json"
+INSTANCE = os.path.join(ROOT, "instances", "twopoint.json")
 
 
 def _read(path):
@@ -313,9 +313,13 @@ def test_sweep_duplicate_eps_warns(inst, tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
-def test_sweep_bad_eps(inst, capsys):
+def test_sweep_bad_eps(inst, monkeypatch, capsys):
+    # the grid is checked before the instance is read
+    calls = []
+    monkeypatch.setattr(cli.adio, "load_instance", lambda *a: calls.append(a))
     assert main(["sweep", inst, "--eps", "0.1,zebra"]) == 2
     assert main(["sweep", inst, "--eps", ","]) == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("grid", ["-0.1,0.3", "nan", "0.3,inf"])
@@ -569,9 +573,16 @@ def test_broken_json(tmp_path, capsys):
     ("refinement", 1.5),
     ("refinement", True),
     ("refinement", "2"),
+    ("epsilon", True),
+    ("epsilon", "0.6"),
+    ("mass0", [True, False]),
+    ("mass1", ["0", "0.5"]),
+    ("points", [[False], [True]]),
+    ("points", [["0"], ["1"]]),
 ], ids=["word-epsilon", "ragged-points", "word-refinement", "negative-epsilon",
         "nan-epsilon", "infinite-coordinate", "fractional-refinement",
-        "boolean-refinement", "string-refinement"])
+        "boolean-refinement", "string-refinement", "boolean-epsilon", "string-epsilon",
+        "boolean-mass", "string-mass", "boolean-coordinate", "string-coordinate"])
 def test_malformed_instance_field_exits_2(inst, field, value, capsys):
     with open(inst) as fh:
         data = json.load(fh)

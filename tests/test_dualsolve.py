@@ -270,8 +270,9 @@ def _run_kinds(model):
 def _first_program(g, measure, f):
     """The first cut program seeded by ``f``, with its seed cuts, not yet
     run."""
-    lp = dualsolve._CutLP(SourceBalls(g, measure), f)
-    lp.add_cuts(*dualsolve._seed_cuts(f[lp.K]))
+    b = SourceBalls(g, measure)
+    lp = dualsolve._CutLP(b, f)
+    lp.add_cuts(*dualsolve._seed_cuts(f[b.K]))
     return lp
 
 
@@ -414,7 +415,7 @@ def _full_program(lp, g, measure):
     src_row, dst, cls, p = map(np.concatenate, (src_row, dst, cls, p))
     ns = p.size
     pos = np.full(g.n, -1)
-    pos[lp.K] = np.arange(k)
+    pos[np.intersect1d(dst[cls == 0], dst[cls == 1])] = np.arange(k)
     tie = ns + cls * k + pos[dst]
     into, col = pos[dst] >= 0, 3 * k + dst.size
     edge = 3 * k + np.arange(dst.size)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,11 @@ from advdual.io import (
 )
 from advdual.primalsolve import solve_exp_primal
 
-from conftest import refine_points_loop
+from conftest import ROOT, refine_points_loop
 
 
 def test_load_bundled_twopoint_instance():
-    g, measure = load_instance("instances/twopoint.json")
+    g, measure = load_instance(os.path.join(ROOT, "instances", "twopoint.json"))
     # refinement level 1 inserts the midpoint of the single 2-epsilon edge
     assert g.n == 3
     assert np.allclose(sorted(g.points[:, 0]), [0.0, 0.5, 1.0])

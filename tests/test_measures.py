@@ -182,7 +182,8 @@ def test_coupling_pushforward_within_eps_of_source():
 def _source_ball_cases():
     """Duplicate points at epsilon 0 with zero-mass points, one empty class,
     no mass at all, and drawn 2-D instances; each with a field holding
-    +-inf, a mask and entry weights that leave some balls with none."""
+    +-inf, per-point values holding +inf and entry weights that leave some
+    balls with none."""
     rng = np.random.default_rng(3)
     dup = build_ground(np.array([[0.0], [0.0], [1.0], [1.0], [2.0]]), "l2", 0.0)
     yield dup, TwoClassMeasure.build([0.5, 0.0, 0.25, 0.0, 0.0], [0.0, 0.5, 0.25, 0.0, 0.0])
@@ -203,33 +204,47 @@ def test_source_balls_match_ball_by_ball_loops():
     for g, measure in _source_ball_cases():
         b = SourceBalls(g, measure)
         f = rng.choice([-np.inf, -1.0, 0.0, 0.5, np.inf], g.n)
-        on = rng.uniform(size=g.n) < 0.6
+        h = rng.choice([0.0, 0.25, 1.0, 3.0, np.inf], (2, g.n))  # h0, h1
         x = rng.choice([-1.0, 0.0, 0.5, 2.0], b.ix.size)
         w = b.renormalize(x)
-        top, renorm, pairs = [], [], ([], [])
+        worst, renorm, pairs = [0.0, 0.0], [], ([], [])
         m, cap = np.zeros((2, g.n)), np.full((2, g.n), np.inf)
         reach = np.zeros((2, g.n), dtype=bool)
+        balls = []
         at = 0
         for c, (mass, sign) in enumerate(((measure.mass0, 1.0), (measure.mass1, -1.0))):
             for i in np.flatnonzero(mass > 0):
                 ball = g.neighbors(i)
-                top.append((sign * f[ball]).max())
+                balls.append((c, sign, ball))
+                worst[c] += mass[i] * h[c, ball].max()
                 y = np.maximum(x[at:at + ball.size], 0.0)
                 y = np.ones(ball.size) if y.sum() == 0 else y
                 y = y * (mass[i] / y.sum())
                 renorm.append(y)
                 np.add.at(m[c], ball, y)
                 pairs[c].extend((i, j, v) for j, v in zip(ball, y) if v > 0)
-                vals = (sign * f[ball])[on[ball]]
-                cap[c, ball] = np.minimum(cap[c, ball], vals.max(initial=-np.inf))
                 reach[c, ball] = True
                 at += ball.size
         assert at == b.ix.size
-        assert b.top(f).tolist() == top
+        on_k = reach[0] & reach[1]
+        for c, sign, ball in balls:
+            vals = (sign * f[ball])[on_k[ball]]
+            cap[c, ball] = np.minimum(cap[c, ball], vals.max(initial=-np.inf))
+        # class 1 first; the sums of one class in another order
+        np.testing.assert_allclose(b.worst(h[1], h[0]), worst[::-1], rtol=1e-14, atol=0)
         # the same sums in the same order: equal to the last bit
         assert w.tolist() == np.concatenate(renorm or [np.zeros(0)]).tolist()
         assert np.array_equal(b.push(w), m)
         for c, coupling in enumerate(b.couplings(w)):
             assert coupling.n == g.n and coupling.triples() == pairs[c]
-        assert np.array_equal(b.cap(f, on), cap)
+        # each point one class reaches takes its cap unless its score is
+        # already infinite in that class's direction
+        want = f.copy()
+        only0 = reach[0] & ~on_k & (f != -np.inf)
+        only1 = reach[1] & ~on_k & (f != np.inf)
+        want[only0], want[only1] = cap[0, only0], -cap[1, only1]
+        done = f.copy()
+        assert b.complete(done) is done
+        assert np.array_equal(done, want)
         assert np.array_equal(b.reach, reach)
+        assert np.array_equal(b.on_k, on_k) and np.array_equal(b.K, np.flatnonzero(on_k))

@@ -3,18 +3,18 @@ import warnings
 import numpy as np
 import pytest
 
-from advdual.certify import uncertified, universality_check
+from advdual.certify import certify, uncertified, universality_check
 from advdual.cli import _pipeline
 from advdual.dualsolve import solve_dual
 from advdual import ground, primalsolve
 from advdual.errors import InfeasiblePair, InstanceTooLarge
 from advdual.ground import build_ground
 from advdual.losses import get_loss
-from advdual.measures import SourceBalls, TwoClassMeasure
+from advdual.measures import SourceBalls, TwoClassMeasure, Witness
 from advdual.primalsolve import (
     CLAMP,
     HPair,
-    _ExpPrimalProblem,
+    _soft_risk,
     brute_primal,
     construct_f,
     eta_hat,
@@ -25,6 +25,7 @@ from advdual.primalsolve import (
     threshold_classifier,
 )
 
+from conftest import ball_by_ball_risk, identity_coupling
 from test_acceptance import _random_instance
 
 
@@ -88,6 +89,15 @@ def test_theta_rejects_infeasible(twopoint):
     g, measure = twopoint
     with pytest.raises(InfeasiblePair):
         theta(EXP, HPair(h0=np.zeros(3), h1=np.zeros(3)), g, measure)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_theta_rejects_wrong_length_pair(twopoint, m):
+    # a feasible pair of any length but n is refused, not read past its end
+    # or into the other class's half
+    g, measure = twopoint
+    with pytest.raises(ValueError, match="shape"):
+        theta(EXP, HPair(h0=np.ones(m), h1=np.ones(m)), g, measure)
 
 
 def test_solve_exp_primal_eps_zero_closed_form():
@@ -157,14 +167,10 @@ def test_solve_exp_primal_caps_points_one_class_reaches():
     for k, (g, measure) in enumerate(_criterion_01_suite()):
         sol = solve_exp_primal(g, measure)
         b = SourceBalls(g, measure)
-        on_k = b.reach[0] & b.reach[1]
-        only0, only1 = b.reach[0] & ~on_k, b.reach[1] & ~on_k
-        cap = b.cap(sol.f, on_k)
-        assert np.array_equal(sol.f[only0], cap[0, only0]), k
-        assert np.array_equal(sol.f[only1], -cap[1, only1]), k
+        assert np.array_equal(b.complete(np.where(b.on_k, sol.f, 0.0)), sol.f), k
         assert np.all(sol.f[~b.reach[0] & ~b.reach[1]] == 0.0), k
-        assert np.all(np.isfinite(sol.f[on_k])), k
-        assert sol.risk == pytest.approx(risk_adv(EXP, sol.f, g, measure), rel=1e-12), k
+        assert np.all(np.isfinite(sol.f[b.on_k])), k
+        assert sol.risk == risk_adv(EXP, sol.f, g, measure), k
 
 
 def test_solve_exp_primal_builds_no_neighbour_index(twopoint, monkeypatch):
@@ -214,18 +220,42 @@ def _two_loop_value_grad(g, measure, f, tau):
 @pytest.mark.parametrize("tau", [1e-1, 1e-2, 1e-3])
 def test_exp_primal_value_grad_matches_reference(tau):
     for g, measure, f in _drawn_instances():
-        prob = _ExpPrimalProblem(g, measure)
-        val, grad = prob.value_grad(f, tau)
+        b = SourceBalls(g, measure)
+        w = b.p / measure.total
+        val, grad = _soft_risk(b, w, f, tau)
         ref_val, ref_grad = _two_loop_value_grad(g, measure, f, tau)
         assert val == pytest.approx(ref_val, rel=1e-10, abs=1e-13)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-13)
         # central differences, steps small against tau
         h = 1e-3 * tau
-        fd = [(prob.value_grad(f + h * e, tau)[0] - prob.value_grad(f - h * e, tau)[0])
+        fd = [(_soft_risk(b, w, f + h * e, tau)[0] - _soft_risk(b, w, f - h * e, tau)[0])
               / (2.0 * h) for e in np.eye(g.n)]
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
-        assert prob.risk(f) == pytest.approx(risk_adv(EXP, f, g, measure) / measure.total,
-                                             rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["exp", "logistic", "hinge", "zero-one"])
+def test_risks_match_the_ball_by_ball_sum(name):
+    # risk_adv, theta and the certificate's primal value sum over the source
+    # balls alone; the sum over every point's ball agrees to 4 ulp, on
+    # criterion 01's suite and on instances with epsilon 0, one empty class
+    # and zero-mass points, every other field with +-inf scores
+    loss, rng = get_loss(name), np.random.default_rng(21)
+    cases = [*_criterion_01_suite(), *((g, m) for g, m, _ in _drawn_instances())]
+    for k, (g, measure) in enumerate(cases):
+        f = 2.0 * rng.normal(size=g.n)
+        if k % 2:
+            f[rng.uniform(size=g.n) < 0.2] = rng.choice([-np.inf, np.inf])
+        h1, h0 = loss.margins(f)
+        ref = ball_by_ball_risk(g, measure, h1, h0)
+        witness = Witness(g, measure, identity_coupling(measure.mass0),
+                          identity_coupling(measure.mass1), measure.mass0, measure.mass1)
+        # the identity witness may leave inf - inf in a residual
+        with np.errstate(invalid="ignore"):
+            cert = certify(loss, f, witness, SourceBalls(g, measure))
+        values = (risk_adv(loss, f, g, measure), theta(loss, HPair(h0=h0, h1=h1), g, measure),
+                  cert.primal_value)
+        for v in values:
+            assert v == ref or abs(v - ref) <= 4 * np.spacing(abs(ref)), (k, v, ref)
 
 
 def test_solve_exp_primal_matches_brute(oracle_instances):
