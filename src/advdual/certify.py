@@ -24,9 +24,9 @@ import numpy as np
 
 from .dualsolve import dual_objective
 from .errors import ValidationError
-from .ground import GroundSet, inf_ball, sup_ball
+from .ground import inf_ball, sup_ball
 from .losses import Loss, get_loss, mul0
-from .measures import SourceBalls, TwoClassMeasure, Witness
+from .measures import Witness
 from .measures import winf_feasible  # noqa: F401  unused; bench/spans.py patches this name
 from .primalsolve import construct_f, eta_hat
 
@@ -75,14 +75,15 @@ class Certificate:
     slack_pointwise: float
 
 
-def support_conditions(eta, witness: Witness, g: GroundSet) -> float:
-    """Total coupling mass violating the extremizer-support conditions.
+def support_conditions(eta, witness: Witness) -> float:
+    """Total coupling mass of ``witness`` violating the support conditions.
 
     Class-1 mass may only flow to ball minimizers of the
     conditional-probability field, class-0 mass only to ball maximizers;
     a destination counts as violating when its eta value differs from the
     ball extremum at the source by more than ``SUPPORT_MATCH_TOL``.
     """
+    g = witness.balls.g
     eta = np.clip(g.check_field(eta), 0.0, 1.0)
     bad = 0.0
     for c, ext in ((witness.c1, inf_ball(g, eta)), (witness.c0, sup_ball(g, eta))):
@@ -90,11 +91,11 @@ def support_conditions(eta, witness: Witness, g: GroundSet) -> float:
     return bad
 
 
-def certify(loss: Loss, f, witness: Witness, balls: SourceBalls) -> Certificate:
+def certify(loss: Loss, f, witness: Witness) -> Certificate:
     """Gap and complementary-slackness residual triple (r1, r0, r_pt) of
     the score field ``f`` against a validated witness, from one evaluation
     of ``loss.margins(f)`` and their worst cases over the source balls of
-    the instance (``balls.worst``).
+    the witness's instance (``witness.balls.worst``).
 
     With (h1, h0) = ``loss.margins(f)``, r1 compares the worst-case class-1
     integral of h1 with its value under the transported mass; r0 does the
@@ -104,8 +105,8 @@ def certify(loss: Loss, f, witness: Witness, balls: SourceBalls) -> Certificate:
     their sum equals the duality gap.  The primal value is summed exactly
     as ``risk_adv`` sums it.
     """
-    h1, h0 = loss.margins(balls.g.check_field(f))
-    worst1, worst0 = balls.worst(h1, h0)
+    h1, h0 = loss.margins(witness.balls.g.check_field(f))
+    worst1, worst0 = witness.balls.worst(h1, h0)
     r1 = float(worst1 - mul0(witness.m1, h1).sum())
     r0 = float(worst0 - mul0(witness.m0, h0).sum())
     eta = np.clip(witness.eta_star(), 0.0, 1.0)
@@ -148,10 +149,9 @@ class Result:
     support_violation: float
 
 
-def universality_check(f, witness: Witness, losses, g: GroundSet,
-                       measure: TwoClassMeasure) -> Result:
+def universality_check(f, witness: Witness, losses) -> Result:
     """Certify every requested loss with the one witness of the exponential
-    solve whose score field is ``f``.
+    solve whose score field is ``f``, on the witness's instance.
 
     With eta = ``snap_eta(eta_hat(f))``, each loss's primal witness is
     ``construct_f(loss, eta)``: the pointwise minimizer f = alpha(eta), or
@@ -160,8 +160,7 @@ def universality_check(f, witness: Witness, losses, g: GroundSet,
     the same eta.
     """
     eta = snap_eta(eta_hat(f))
-    balls = SourceBalls(g, measure)
-    certs = {loss.kind: certify(loss, construct_f(loss, eta), witness, balls)
+    certs = {loss.kind: certify(loss, construct_f(loss, eta), witness)
              for loss in map(get_loss, losses)}
     return Result(f=f, witness=witness, certificates=certs,
-                  support_violation=support_conditions(eta, witness, g))
+                  support_violation=support_conditions(eta, witness))

@@ -141,9 +141,9 @@ def _solve_and_write(args, losses, out):
         adio.check_writable(out)
     g, measure = _load_solvable(args.instance)
     ds, provenance = _pipeline(g, measure, args.tol)
-    result = universality_check(ds.f, ds.witness, sorted(set(losses) | {"exp"}), g, measure)
+    result = universality_check(ds.f, ds.witness, sorted(set(losses) | {"exp"}))
     if out is not None:
-        adio.save_result(out, args.instance, g, result, provenance)
+        adio.save_result(out, args.instance, result, provenance)
     return result, measure.total
 
 
@@ -193,11 +193,9 @@ def cmd_sweep(args) -> int:
     rows = []
     code = 0
     for eps in uniq:
-        t0 = time.perf_counter()
         try:
-            ge = build_ground(g.points, g.norm, eps)
-            ds, provenance = _pipeline(ge, measure, args.tol)
-            certs = universality_check(ds.f, ds.witness, losses, ge, measure).certificates
+            ds, provenance = _pipeline(build_ground(g.points, g.norm, eps), measure, args.tol)
+            certs = universality_check(ds.f, ds.witness, losses).certificates
         except AdvdualError as e:
             print(f"warning: eps={eps:g} failed: {e}", file=sys.stderr)
             for loss_name in losses:
@@ -206,7 +204,6 @@ def cmd_sweep(args) -> int:
                                  primal_iters=0, dual_iters=0, runtime_ms=0))
             code = 3
             continue
-        ms = int(round(1000.0 * (time.perf_counter() - t0)))
         if _warn_uncertified(certs, args.tol, measure.total, f"eps={eps:g}: "):
             code = 3
         for loss_name in losses:
@@ -215,7 +212,7 @@ def cmd_sweep(args) -> int:
                              dual=cert.dual_value, gap=cert.gap,
                              primal_iters=provenance["primal_iterations"],
                              dual_iters=provenance["dual_iterations"],
-                             runtime_ms=ms))
+                             runtime_ms=provenance["runtime_ms"]))
     if "csv" in outs:
         adio.save_sweep_csv(outs["csv"], rows)
         print(f"sweep written to {outs['csv']}")
@@ -262,8 +259,7 @@ def cmd_verify(args) -> int:
 
     try:
         stored, tol = adio.load_result(args.result, g, measure)
-        fresh = universality_check(stored.f, stored.witness, list(stored.certificates),
-                                   g, measure)
+        fresh = universality_check(stored.f, stored.witness, list(stored.certificates))
     except ParseError:
         raise  # a file that is not JSON stays a parse error (exit 2)
     except AdvdualError as e:

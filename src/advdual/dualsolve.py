@@ -37,7 +37,7 @@ from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus, HighsLp
 from .errors import CutProgramFailed, InstanceTooLarge, NegativeMass
 from .ground import GroundSet, segment_argmax
 from .losses import Loss
-from .measures import SourceBalls, TwoClassMeasure, Witness, pushforward
+from .measures import SourceBalls, TwoClassMeasure, Witness
 from .primalsolve import EXP, HPair
 
 # the first program cuts each point at t = exp(f + delta) around the score
@@ -347,7 +347,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f,
 
     _, field, hpair, w = best
     c0, c1 = b.couplings(w)
-    witness = Witness(g, measure, c0, c1, pushforward(c0), pushforward(c1))
+    witness = Witness(b, c0, c1)
     # the dual value of the couplings actually returned
     obj = dual_objective(EXP, witness.m0, witness.m1)
     return DualSolution(witness=witness, objective=obj, iterations=lp.iterations,

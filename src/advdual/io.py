@@ -22,10 +22,10 @@ from dataclasses import asdict
 import numpy as np
 
 from .certify import Certificate, Result, check_tol
-from .errors import ParseError, ValidationError, WriteError
+from .errors import InfeasibleDual, ParseError, ValidationError, WriteError
 from .ground import GroundSet, build_ground, check_epsilon
 from .losses import LOSS_KINDS
-from .measures import Coupling, TwoClassMeasure, Witness
+from .measures import Coupling, SourceBalls, TwoClassMeasure, Witness
 
 SCHEMA_VERSION = 1
 
@@ -239,16 +239,17 @@ def save_instance(path: str, points, norm: str, epsilon: float,
 # results
 # ---------------------------------------------------------------------------
 
-def save_result(path: str, instance_path: str, g: GroundSet, result: Result,
-                provenance: dict) -> None:
+def save_result(path: str, instance_path: str, result: Result, provenance: dict) -> None:
     """Write ``result``, the certified solve of the instance at
-    ``instance_path``: the score field ``f``, the witness (``m0``, ``m1``
-    and the ``couplings`` as [source, target, weight] triples per class),
+    ``instance_path``, whose ground its witness holds: the score field
+    ``f``, the witness (``m0``, ``m1`` and the ``couplings`` as [source,
+    target, weight] triples per class),
     the one ``support_violation``, one certificate per loss kind, and the
     ``provenance`` that ``cli._pipeline`` returns, whose ``tol`` is the
     --tol the solve was given (or None) and judges every certificate in
     ``verify``."""
     w = result.witness
+    g = w.balls.g
     _write_text(path, dumps({
         "schema_version": SCHEMA_VERSION,
         "instance": {
@@ -270,7 +271,10 @@ def save_result(path: str, instance_path: str, g: GroundSet, result: Result,
 def _number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as e:
+        raise ValidationError(f"{name}: {e}") from e
 
 
 def _certificate(kind, entry) -> Certificate:
@@ -283,12 +287,12 @@ def _certificate(kind, entry) -> Certificate:
 
 
 def load_result(path: str, g: GroundSet, measure: TwoClassMeasure):
-    """The ``Result`` stored in a result file of the instance (``g``,
-    ``measure``) in the layout ``save_result`` writes, with the exponential
-    certificate and its witness validated, and the stored ``tol``.  A file
+    """The ``Result`` in a result file of the instance (``g``, ``measure``)
+    in the layout ``save_result`` writes, and the stored ``tol``.  A file
     that is not JSON raises ``ParseError``, any other departure from the
-    layout ``ValidationError``, and a witness that does not validate
-    ``InfeasibleDual``."""
+    layout ``ValidationError``, and ``InfeasibleDual`` a witness that does
+    not validate on ``SourceBalls(g, measure)`` or stored masses more than
+    ``witness.tol`` off its pushforwards."""
     data = _load_object(path, "result")
     try:
         f, m0, m1 = (np.asarray(data[k], dtype=float) for k in ("f", "m0", "m1"))
@@ -296,10 +300,10 @@ def load_result(path: str, g: GroundSet, measure: TwoClassMeasure):
         certs = {kind: _certificate(kind, entry)
                  for kind, entry in data["certificates"].items()}
         support = data["support_violation"]
-        tol = data["provenance"]["tol"]
+        tol = check_tol(data["provenance"]["tol"])
     except KeyError as e:
         raise ValidationError(f"result file missing field {e}") from e
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"malformed result file: {e}") from e
     if "exponential" not in certs:
         raise ValidationError("result file has no exponential certificate")
@@ -311,8 +315,11 @@ def load_result(path: str, g: GroundSet, measure: TwoClassMeasure):
         raise ValidationError("coupling entries must be [source, target, weight] "
                               "triples with integer indices")
     c0, c1 = (Coupling.build(*t.reshape(-1, 3).T, g.n) for t in trips)
-    return Result(f=f, witness=Witness(g, measure, c0, c1, m0, m1), certificates=certs,
-                  support_violation=_number("support_violation", support)), check_tol(tol)
+    witness = Witness(SourceBalls(g, measure), c0, c1)
+    if not np.all(np.abs(np.stack((m0, m1)) - (witness.m0, witness.m1)) <= witness.tol):
+        raise InfeasibleDual("dual masses do not match the coupling pushforward")
+    return Result(f=f, witness=witness, certificates=certs,
+                  support_violation=_number("support_violation", support)), tol
 
 
 # ---------------------------------------------------------------------------

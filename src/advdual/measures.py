@@ -98,12 +98,13 @@ class Coupling:
 
 
 class SourceBalls:
-    """Every positive-mass source's epsilon-ball, class 0's first, as one
-    CSR layout.  By complementary slackness an optimal coupling moves each
-    source's mass only to the extremum of the optimal field on its ball: the
-    maximum for class 0, the minimum for class 1.  So every adversarial risk
-    is a ``worst`` sum over these balls, and only the scores on ``K``, the
-    points both classes reach, are free (``complete`` scores the rest).
+    """Every positive-mass source's epsilon-ball in the instance (``g``,
+    ``measure``), class 0's first, as one CSR layout.  By complementary
+    slackness an optimal coupling moves each source's mass only to the
+    extremum of the optimal field on its ball: the maximum for class 0, the
+    minimum for class 1.  So every adversarial risk is a ``worst`` sum over
+    these balls, and only the scores on ``K``, the points both classes
+    reach, are free (``complete`` scores the rest).
 
     Segment s is the ball of source ``src[s]`` of mass ``p[s]``: the points
     ``ix`` from ``starts[s]`` on, ascending; the first ``nsrc0`` segments
@@ -118,7 +119,7 @@ class SourceBalls:
     def __init__(self, g: GroundSet, measure: TwoClassMeasure):
         s0 = np.flatnonzero(measure.mass0 > 0)
         s1 = np.flatnonzero(measure.mass1 > 0)
-        self.g, self.n, self.nsrc0 = g, g.n, s0.size
+        self.g, self.measure, self.n, self.nsrc0 = g, measure, g.n, s0.size
         self.src = np.concatenate((s0, s1))
         self.p = np.concatenate((measure.mass0[s0], measure.mass1[s1]))
         indptr, self.ix = g.neighbor_csr(self.src)
@@ -197,36 +198,33 @@ def coupling_in_delta(g: GroundSet, c: Coupling) -> bool:
 
 
 class Witness:
-    """The dual witness of a solve: the class couplings ``c0``, ``c1`` and
-    their pushforward masses ``m0``, ``m1``.
+    """The dual witness of a solve: the class couplings ``c0``, ``c1``, the
+    layout ``balls`` of the instance they are validated on, and their
+    pushforward masses ``m0``, ``m1``.
 
     The constructor raises ``InfeasibleDual`` unless each coupling is built
-    for the ``g.n`` points of ``g``, lies on its epsilon-edges, has the class
-    measure as its source marginal and the given masses as its pushforward,
-    within 1e-9 per unit of total mass (at least 1e-9); a NaN or infinite
-    weight or mass fails.  So a witness proves that both pushforwards lie
-    in the infinity-Wasserstein epsilon-ball of their class measures, for
-    every loss at once.
+    for the points of ``balls.g``, lies on its epsilon-edges and has the
+    class measure ``balls.measure`` as its source marginal within ``tol`` =
+    1e-9 per unit of total mass (at least 1e-9); a NaN or infinite weight
+    fails.  So a witness proves, on its instance alone, that both pushforwards
+    lie in the W-infinity epsilon-ball of their class measures, for every loss.
     """
 
-    __slots__ = ("c0", "c1", "m0", "m1")
+    __slots__ = ("balls", "c0", "c1", "m0", "m1", "tol")
 
-    def __init__(self, g: GroundSet, measure: TwoClassMeasure, c0: Coupling,
-                 c1: Coupling, m0, m1):
-        self.c0, self.c1 = c0, c1
-        self.m0, self.m1 = np.asarray(m0, dtype=float), np.asarray(m1, dtype=float)
-        tol = 1e-9 * max(measure.total, 1.0)
-        for c, p, m in ((c0, measure.mass0, self.m0), (c1, measure.mass1, self.m1)):
+    def __init__(self, balls: SourceBalls, c0: Coupling, c1: Coupling):
+        g, measure = balls.g, balls.measure
+        self.balls, self.c0, self.c1 = balls, c0, c1
+        self.m0, self.m1 = pushforward(c0), pushforward(c1)
+        self.tol = 1e-9 * max(measure.total, 1.0)
+        for c, p in ((c0, measure.mass0), (c1, measure.mass1)):
             if c.n != g.n:
                 raise InfeasibleDual(f"coupling is built for {c.n} points, not {g.n}")
             if not coupling_in_delta(g, c):
                 raise InfeasibleDual("coupling moves mass beyond epsilon")
-            if not np.all(np.abs(c.source_marginal() - p) <= tol):
+            if not np.all(np.abs(c.source_marginal() - p) <= self.tol):
                 raise InfeasibleDual("coupling source marginal does not match "
                                      "the class measure")
-            if m.shape != (g.n,) or not np.all(np.abs(pushforward(c) - m) <= tol):
-                raise InfeasibleDual("dual masses do not match the coupling "
-                                     "pushforward")
 
     def eta_star(self) -> np.ndarray:
         """m1 / (m0 + m1) where defined, 0.5 elsewhere (unused mass points)."""

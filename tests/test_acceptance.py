@@ -15,8 +15,8 @@ from advdual.cli import _pipeline
 from advdual.dualsolve import brute_dual, solve_dual
 from advdual.ground import build_ground, dilate, sliding_max_1d, sup_ball
 from advdual.losses import conditional_risk, get_loss, transform_h
-from advdual.measures import (SourceBalls, TwoClassMeasure, greedy_attack,
-                              transported_integral, winf_distance)
+from advdual.measures import (TwoClassMeasure, greedy_attack, transported_integral,
+                              winf_distance)
 from advdual.primalsolve import (
     brute_primal,
     eta_hat,
@@ -103,7 +103,7 @@ def test_criterion_02_weak_duality(random_suite, oracle_instances):
 
 def _slackness(f, ds, g, measure):
     """The exponential certificate's residual triple (r1, r0, r_pt)."""
-    cert = certify(EXP, f, ds.witness, SourceBalls(g, measure))
+    cert = certify(EXP, f, ds.witness)
     return cert.slack_sup_r1, cert.slack_sup_r0, cert.slack_pointwise
 
 
@@ -135,8 +135,7 @@ def test_criterion_04_loss_universality(oracle_instances):
     for name, g, measure in oracle_instances:
         ps = solve_exp_primal(g, measure)
         ds = solve_dual(g, measure, ps.f)
-        certs = universality_check(ps.f, ds.witness, ("logistic", "hinge"), g,
-                                   measure).certificates
+        certs = universality_check(ps.f, ds.witness, ("logistic", "hinge")).certificates
         for cert in certs.values():
             ok = ok and cert.gap <= 1e-3
     _report(4, "one exponential dual pair certifies logistic and hinge "
@@ -147,12 +146,12 @@ def test_criterion_05_support_conditions(random_suite, oracle_instances):
     ok = True
     suite, _ = random_suite
     for g, measure, ds in suite:
-        bad = support_conditions(eta_hat(ds.f), ds.witness, g)
+        bad = support_conditions(eta_hat(ds.f), ds.witness)
         ok = ok and bad <= 1e-3 * measure.total
     for name, g, measure in oracle_instances:
         ps = solve_exp_primal(g, measure)
         ds = solve_dual(g, measure, ps.f)
-        bad = support_conditions(eta_hat(ps.f), ds.witness, g)
+        bad = support_conditions(eta_hat(ps.f), ds.witness)
         ok = ok and bad <= 1e-3 * measure.total
     _report(5, "coupling support violation <= 1e-3 of total mass", ok)
 
@@ -253,7 +252,7 @@ def test_criterion_12_epsilon_monotonicity(oracle_instances):
         for eps in (0.0, 0.15, 0.3, 0.45, 0.6):
             ge = build_ground(g.points, g.norm, eps)
             ds, _ = _pipeline(ge, measure, 1e-4)
-            certs = universality_check(ds.f, ds.witness, losses, ge, measure).certificates
+            certs = universality_check(ds.f, ds.witness, losses).certificates
             for kind, cert in certs.items():
                 cols[kind].append((cert.primal_value, cert.dual_value))
         for kind, vals in cols.items():
@@ -321,7 +320,7 @@ def test_fresh_draw_exponential_certificate(seed, draw):
     for _ in range(draw):
         g, measure = _random_instance(rng)
     ds, _ = _pipeline(g, measure, 1e-4)
-    cert = universality_check(ds.f, ds.witness, ["exp"], g, measure).certificates["exponential"]
+    cert = universality_check(ds.f, ds.witness, ["exp"]).certificates["exponential"]
     assert cert.gap <= 1e-4
     _assert_certified(g, measure, ds, 1e-4, f"seed {seed} draw {draw}")
 
@@ -335,8 +334,7 @@ def test_universality_exact_at_full_size(random_suite):
     g, measure = _scatter_l2()
     cases.append(("scatter l2", g, measure, _pipeline(g, measure, 1e-4)[0]))
     for name, g, measure, ds in cases:
-        certs = universality_check(ds.f, ds.witness, ["hinge", "zero-one"], g,
-                                   measure).certificates
+        certs = universality_check(ds.f, ds.witness, ["hinge", "zero-one"]).certificates
         slack = 1e-9 * measure.total
         exact = {kind: exact_dual_lp(get_loss(kind), g, measure) for kind in certs}
         for kind, c in certs.items():
@@ -351,7 +349,7 @@ def test_scatter_l2_800_certified_in_its_first_program(stalled_highs):
     made = stalled_highs(0)
     g, measure = _scatter_l2(800)
     ds, _ = _pipeline(g, measure, 1e-4)
-    cert = universality_check(ds.f, ds.witness, ["exp"], g, measure).certificates["exponential"]
+    cert = universality_check(ds.f, ds.witness, ["exp"]).certificates["exponential"]
     assert cert.gap <= 1e-4
     _assert_certified(g, measure, ds, 1e-4, "scatter l2 800")
     # one program: every run, pricing re-solves included, has the seed cuts'

@@ -19,7 +19,8 @@ from advdual.cli import main
 from advdual.dualsolve import solve_dual
 from advdual.errors import InfeasibleDual
 from advdual.losses import get_loss
-from advdual.measures import Coupling, SourceBalls, TwoClassMeasure, Witness, winf_feasible
+from advdual.measures import (Coupling, SourceBalls, TwoClassMeasure, Witness, pushforward,
+                              winf_feasible)
 from advdual.primalsolve import construct_f, eta_hat, risk_adv, solve_exp_primal
 
 from conftest import ROOT
@@ -40,12 +41,12 @@ def _solve_pair(g, measure):
 def test_twopoint_certificate_tight(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
-    cert = certify(EXP, primal.f, dual.witness, SourceBalls(g, measure))
+    cert = certify(EXP, primal.f, dual.witness)
     assert cert.gap <= TOL
     assert cert.gap == pytest.approx(0.0, abs=1e-8)
     assert cert.slack_sup_r1 < 1e-8 and cert.slack_sup_r0 < 1e-8
     assert cert.slack_pointwise < 1e-8
-    assert support_conditions(eta_hat(primal.f), dual.witness, g) == 0.0
+    assert support_conditions(eta_hat(primal.f), dual.witness) == 0.0
 
 
 def test_residual_identity(oracle_instances):
@@ -54,7 +55,7 @@ def test_residual_identity(oracle_instances):
         for loss in (EXP, LOG, HINGE, ZO):
             eta = snap_eta(eta_hat(primal.f))
             f = primal.f if loss is EXP else construct_f(loss, eta)
-            cert = certify(loss, f, dual.witness, SourceBalls(g, measure))
+            cert = certify(loss, f, dual.witness)
             assert cert.primal_value == risk_adv(loss, f, g, measure), (name, loss.kind)
             total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
             assert total == pytest.approx(cert.gap, abs=1e-12), (name, loss.kind)
@@ -68,7 +69,7 @@ def test_perturbed_field_raises_residual(twopoint):
     primal, dual = _solve_pair(g, measure)
     f = primal.f.copy()
     f[2] += 0.1  # shift the score at the shared support midpoint
-    cert = certify(EXP, f, dual.witness, SourceBalls(g, measure))
+    cert = certify(EXP, f, dual.witness)
     assert cert.gap > 1e-3
     total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
     assert total == pytest.approx(cert.gap, abs=1e-12)
@@ -80,13 +81,11 @@ def test_support_conditions_detects_bad_destination(twopoint):
     # eta increasing along [0, 0.5, 1]; class-1 mass at point 1 must flow to
     # the ball minimizer (the midpoint), flowing to itself violates support
     eta = np.array([0.0, 1.0, 0.5])
-    c0 = Coupling.build([0], [2], [0.5], 3)
-    good = Witness(g, measure, c0, Coupling.build([1], [2], [0.5], 3),
-                   [0.0, 0.0, 0.5], [0.0, 0.0, 0.5])
-    assert support_conditions(eta, good, g) == 0.0
-    bad = Witness(g, measure, c0, Coupling.build([1], [1], [0.5], 3),
-                  [0.0, 0.0, 0.5], [0.0, 0.5, 0.0])
-    assert support_conditions(eta, bad, g) == pytest.approx(0.5)
+    balls, c0 = SourceBalls(g, measure), Coupling.build([0], [2], [0.5], 3)
+    good = Witness(balls, c0, Coupling.build([1], [2], [0.5], 3))
+    assert support_conditions(eta, good) == 0.0
+    bad = Witness(balls, c0, Coupling.build([1], [1], [0.5], 3))
+    assert support_conditions(eta, bad) == pytest.approx(0.5)
 
 
 def test_certificate_symmetry_under_class_swap(twopoint):
@@ -95,8 +94,8 @@ def test_certificate_symmetry_under_class_swap(twopoint):
     swapped = TwoClassMeasure.build(measure.mass1, measure.mass0)
     sp, sd = _solve_pair(g, swapped)
     assert np.allclose(sp.f, -primal.f, atol=1e-6)
-    ca = certify(EXP, primal.f, dual.witness, SourceBalls(g, measure))
-    cb = certify(EXP, sp.f, sd.witness, SourceBalls(g, swapped))
+    ca = certify(EXP, primal.f, dual.witness)
+    cb = certify(EXP, sp.f, sd.witness)
     assert cb.primal_value == pytest.approx(ca.primal_value, abs=1e-8)
     assert cb.dual_value == pytest.approx(ca.dual_value, abs=1e-8)
 
@@ -105,12 +104,12 @@ def test_infeasible_dual_rejected(twopoint):
     g, measure = twopoint
     # coupling jumps the full unit distance, far beyond epsilon = 0.6
     with pytest.raises(InfeasibleDual, match="beyond epsilon"):
-        Witness(g, measure, Coupling.build([0], [1], [0.5], 3),
-                Coupling.build([1], [0], [0.5], 3), [0.0, 0.5, 0.0], [0.5, 0.0, 0.0])
+        Witness(SourceBalls(g, measure), Coupling.build([0], [1], [0.5], 3),
+                Coupling.build([1], [0], [0.5], 3))
     # wrong source marginal
     with pytest.raises(InfeasibleDual, match="source marginal"):
-        Witness(g, measure, Coupling.build([0], [2], [0.25], 3),
-                Coupling.build([1], [2], [0.5], 3), [0.0, 0.0, 0.25], [0.0, 0.0, 0.5])
+        Witness(SourceBalls(g, measure), Coupling.build([0], [2], [0.25], 3),
+                Coupling.build([1], [2], [0.5], 3))
 
 
 def test_witness_rejects_coupling_of_another_ground_size(twopoint):
@@ -118,24 +117,22 @@ def test_witness_rejects_coupling_of_another_ground_size(twopoint):
     # whatever its edges
     g, measure = twopoint
     with pytest.raises(InfeasibleDual, match="built for 4 points"):
-        Witness(g, measure, Coupling.build([0], [2], [0.5], 4),
-                Coupling.build([1], [2], [0.5], 3), [0.0, 0.0, 0.5], [0.0, 0.0, 0.5])
+        Witness(SourceBalls(g, measure), Coupling.build([0], [2], [0.5], 4),
+                Coupling.build([1], [2], [0.5], 3))
 
 
 def test_dual_masses_must_match_pushforward(twopoint):
     g, measure = twopoint
     c0 = Coupling.build([0], [2], [0.5], 3)
     c1 = Coupling.build([1], [2], [0.5], 3)
-    # couplings on epsilon-edges with the right sources, but one stored mass
-    # vector is not where they move the class measure
-    for m0, m1 in (([0.5, 0.0, 0.0], [0.0, 0.0, 0.5]),
-                   ([0.0, 0.0, 0.5], [0.0, 0.25, 0.25])):
-        with pytest.raises(InfeasibleDual, match="pushforward"):
-            Witness(g, measure, c0, c1, m0, m1)
-    # the same couplings with their own pushforwards make a witness, and
-    # its certificate's residual triple sums to the gap
-    good = Witness(g, measure, c0, c1, [0.0, 0.0, 0.5], [0.0, 0.0, 0.5])
-    cert = certify(EXP, np.zeros(3), good, SourceBalls(g, measure))
+    # a witness takes no masses: its m0, m1 are its couplings' pushforwards,
+    # bit for bit (test_io.py checks that load_result rejects stored masses
+    # off them), and its certificate's residual triple sums to the gap
+    good = Witness(SourceBalls(g, measure), c0, c1)
+    assert good.m0.tobytes() == pushforward(c0).tobytes()
+    assert good.m1.tobytes() == pushforward(c1).tobytes()
+    assert good.m0.tolist() == good.m1.tolist() == [0.0, 0.0, 0.5]
+    cert = certify(EXP, np.zeros(3), good)
     total = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
     assert total == pytest.approx(cert.gap, abs=1e-12)
 
@@ -161,7 +158,7 @@ def test_universality_all_losses(oracle_instances):
     losses = ("exp", "logistic", "hinge", "zero-one")
     for name, g, measure in oracle_instances:
         primal, dual = _solve_pair(g, measure)
-        certs = universality_check(primal.f, dual.witness, losses, g, measure).certificates
+        certs = universality_check(primal.f, dual.witness, losses).certificates
         # the zero-one entry is judged like the others
         assert uncertified(certs, None, measure.total) == [], name
         zo = certs["zero_one_dual"]
@@ -171,12 +168,11 @@ def test_universality_all_losses(oracle_instances):
 def test_universality_twopoint_values(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
-    result = universality_check(primal.f, dual.witness,
-                                ("exp", "logistic", "hinge", "zero-one"), g, measure)
+    result = universality_check(primal.f, dual.witness, ("exp", "logistic", "hinge", "zero-one"))
     # the Result carries the field and witness it was read off, and their
     # support check
     assert result.f is primal.f and result.witness is dual.witness
-    assert result.support_violation == support_conditions(eta_hat(primal.f), dual.witness, g)
+    assert result.support_violation == support_conditions(eta_hat(primal.f), dual.witness)
     certs = result.certificates
     assert certs["exponential"].primal_value == pytest.approx(1.0, abs=1e-6)
     assert certs["logistic"].primal_value == pytest.approx(np.log(2.0), abs=1e-6)
@@ -188,7 +184,7 @@ def test_universality_twopoint_values(twopoint):
 def test_as_dict_round_keys(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
-    cert = certify(EXP, primal.f, dual.witness, SourceBalls(g, measure))
+    cert = certify(EXP, primal.f, dual.witness)
     d = dataclasses.asdict(cert)
     assert d["loss"] == "exponential"
     assert list(d) == ["loss", "primal_value", "dual_value", "gap",
@@ -209,6 +205,27 @@ def test_witness_validated_once_per_solve_and_verify(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert main(["verify", inst, out]) == 0
     assert len(calls) == 2
+
+
+def test_layouts_built_per_command(tmp_path, monkeypatch):
+    # the witness carries the SourceBalls layout it was validated on: a solve
+    # builds one for the primal and one for the dual, whose witness every
+    # certificate reads; verify one, for the witness it loads; sweep two per
+    # epsilon
+    inst = str(tmp_path / "twopoint.json")
+    shutil.copy(os.path.join(ROOT, "instances", "twopoint.json"), inst)
+    out = str(tmp_path / "res.json")
+    calls = []
+    real = measures.SourceBalls.__init__
+    monkeypatch.setattr(measures.SourceBalls, "__init__",
+                        lambda *a: calls.append(1) or real(*a))
+    counts = []
+    for argv in (["solve", inst, "--loss", "all", "--out", out], ["verify", inst, out],
+                 ["sweep", inst, "--eps", "0.2,0.4", "--out", str(tmp_path / "sw")]):
+        calls.clear()
+        assert main(argv) == 0, argv
+        counts.append(len(calls))
+    assert counts == [2, 1, 4]
 
 
 def test_uncertified_verdict():

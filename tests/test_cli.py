@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib
 import json
@@ -231,6 +232,12 @@ def test_verify_unknown_certificate_entry(inst, tmp_path, capsys):
                    id=f"tol_{tol}")
       for tol in (True, 0, -1.0, float("inf"), float("nan"), "1e-3")),
     pytest.param(lambda d: [d], id="top_level_list"),
+    # a JSON integer no float holds once raised OverflowError out of verify
+    pytest.param(lambda d: {**d, "f": [10**400] + d["f"][1:]}, id="huge_integer_in_f"),
+    pytest.param(lambda d: {**d, "certificates": {**d["certificates"], "exponential": {
+        **d["certificates"]["exponential"], "gap": 10**400}}}, id="huge_integer_gap"),
+    pytest.param(lambda d: {**d, "provenance": {**d["provenance"], "tol": 10**400}},
+                 id="huge_integer_tol"),
 ])
 def test_verify_malformed_result(inst, tmp_path, capsys, tamper):
     # a malformed result is one verify rejects, not a traceback or exit 2
@@ -295,6 +302,23 @@ def test_sweep_csv_and_svg(inst, tmp_path, capsys):
     # all four losses at three epsilon values
     assert len(lines) == 1 + 3 * 4
     assert "<svg" in open(stem + ".svg").read()
+
+
+def test_sweep_runtime_is_the_pipeline_clock(inst, tmp_path, monkeypatch):
+    # the CSV's runtime_ms is the solve time the result file stores
+    real = cli._pipeline
+
+    def pipeline(*args):
+        ds, provenance = real(*args)
+        return ds, {**provenance, "runtime_ms": 424242}
+
+    monkeypatch.setattr(cli, "_pipeline", pipeline)
+    stem = str(tmp_path / "sw")
+    assert main(["sweep", inst, "--eps", "0.3,0.6", "--out", stem]) == 0
+    with open(stem + ".csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 4
+    assert {row["runtime_ms"] for row in rows} == {"424242"}
 
 
 def test_sweep_out_extension_is_dropped(inst, tmp_path, capsys):
@@ -533,15 +557,21 @@ def test_benchmark_patch_names_resolve(inst, tmp_path):
     tracer.install(types.SimpleNamespace(
         cli=cli, **{name: importlib.import_module(f"advdual.{name}")
                     for name in ("io", "primalsolve", "certify")}))
+    out = str(tmp_path / "r.json")
     try:
-        code = main(["solve", inst, "--loss", "all", "--out", str(tmp_path / "r.json")])
+        code = main(["solve", inst, "--loss", "all", "--out", out])
+        solved = len(tracer.spans)
+        verify_code = main(["verify", inst, out])
     finally:
         tracer.restore()
-    assert code == 0
-    names = {s.name for s in tracer.spans}
+    assert code == verify_code == 0
+    names = {s.name for s in tracer.spans[:solved]}
     assert {"cli.solve", "cli.pipeline", "primalsolve.solve", "dualsolve.solve",
             "certify.universality", "certify.certify", "io.load_instance",
             "io.save_result", "ground.build_ground"} <= names
+    names = {s.name for s in tracer.spans[solved:]}
+    assert {"cli.verify", "io.load_instance", "io.load_result",
+            "certify.universality", "certify.certify"} <= names
     assert cli._pipeline.__module__ == "advdual.cli"
     assert cli._COMMANDS["solve"] is cli.cmd_solve
 
@@ -579,10 +609,14 @@ def test_broken_json(tmp_path, capsys):
     ("mass1", ["0", "0.5"]),
     ("points", [[False], [True]]),
     ("points", [["0"], ["1"]]),
+    ("epsilon", 10**400),
+    ("points", [[0.0], [10**400]]),
+    ("mass0", [10**400, 0.0]),
 ], ids=["word-epsilon", "ragged-points", "word-refinement", "negative-epsilon",
         "nan-epsilon", "infinite-coordinate", "fractional-refinement",
         "boolean-refinement", "string-refinement", "boolean-epsilon", "string-epsilon",
-        "boolean-mass", "string-mass", "boolean-coordinate", "string-coordinate"])
+        "boolean-mass", "string-mass", "boolean-coordinate", "string-coordinate",
+        "huge-epsilon", "huge-coordinate", "huge-mass"])
 def test_malformed_instance_field_exits_2(inst, field, value, capsys):
     with open(inst) as fh:
         data = json.load(fh)

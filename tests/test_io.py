@@ -5,7 +5,7 @@ import pytest
 
 from advdual.certify import universality_check
 from advdual.dualsolve import solve_dual
-from advdual.errors import NegativeEpsilon, ParseError, ValidationError
+from advdual.errors import InfeasibleDual, NegativeEpsilon, ParseError, ValidationError
 from advdual.io import (
     SCHEMA_VERSION,
     SWEEP_HEADER,
@@ -20,6 +20,7 @@ from advdual.io import (
     save_sweep_svg,
     sweep_svg,
 )
+from advdual.measures import Coupling, SourceBalls, Witness
 from advdual.primalsolve import solve_exp_primal
 
 from conftest import ROOT, refine_points_loop
@@ -156,10 +157,10 @@ def test_float_precision_survives():
 def test_result_round_trip(tmp_path, twopoint):
     g, measure = twopoint
     ds = solve_dual(g, measure, solve_exp_primal(g, measure).f)
-    result = universality_check(ds.f, ds.witness, ["exp", "hinge"], g, measure)
+    result = universality_check(ds.f, ds.witness, ["exp", "hinge"])
     provenance = {"tol": 1e-3, "primal_iterations": 3, "dual_iterations": 5, "runtime_ms": 7}
     path = str(tmp_path / "out.json")
-    save_result(path, "dir/twopoint.json", g, result, provenance)
+    save_result(path, "dir/twopoint.json", result, provenance)
     with open(path) as fh:
         raw = loads(fh.read())
     assert raw["schema_version"] == SCHEMA_VERSION
@@ -173,6 +174,28 @@ def test_result_round_trip(tmp_path, twopoint):
     assert back.witness.c1.triples() == ds.witness.c1.triples()
     assert back.certificates == result.certificates
     assert (back.support_violation, tol) == (result.support_violation, 1e-3)
+
+
+@pytest.mark.parametrize("key, masses", [("m0", [0.5, 0.0, 0.0]), ("m1", [0.0, 0.25, 0.25])],
+                         ids=["m0", "m1"])
+def test_load_result_rejects_masses_off_the_pushforward(tmp_path, twopoint, key, masses):
+    # couplings on epsilon-edges with the right sources, but one stored mass
+    # vector is not where they move the class measure
+    g, measure = twopoint
+    witness = Witness(SourceBalls(g, measure), Coupling.build([0], [2], [0.5], 3),
+                      Coupling.build([1], [2], [0.5], 3))
+    path = str(tmp_path / "out.json")
+    save_result(path, "twopoint.json", universality_check(np.zeros(3), witness, ["exp"]),
+                {"tol": None})
+    back, _ = load_result(path, g, measure)
+    assert back.witness.m0.tolist() == back.witness.m1.tolist() == [0.0, 0.0, 0.5]
+    with open(path) as fh:
+        data = loads(fh.read())
+    data[key] = masses
+    with open(path, "w") as fh:
+        fh.write(dumps(data))
+    with pytest.raises(InfeasibleDual, match="pushforward"):
+        load_result(path, g, measure)
 
 
 def test_parse_error_diagnostics(tmp_path, twopoint):

@@ -247,11 +247,11 @@ def test_risks_match_the_ball_by_ball_sum(name):
             f[rng.uniform(size=g.n) < 0.2] = rng.choice([-np.inf, np.inf])
         h1, h0 = loss.margins(f)
         ref = ball_by_ball_risk(g, measure, h1, h0)
-        witness = Witness(g, measure, identity_coupling(measure.mass0),
-                          identity_coupling(measure.mass1), measure.mass0, measure.mass1)
+        witness = Witness(SourceBalls(g, measure), identity_coupling(measure.mass0),
+                          identity_coupling(measure.mass1))
         # the identity witness may leave inf - inf in a residual
         with np.errstate(invalid="ignore"):
-            cert = certify(loss, f, witness, SourceBalls(g, measure))
+            cert = certify(loss, f, witness)
         values = (risk_adv(loss, f, g, measure), theta(loss, HPair(h0=h0, h1=h1), g, measure),
                   cert.primal_value)
         for v in values:
@@ -288,8 +288,7 @@ def test_solve_exp_primal_stage_work_on_a_scatter(scale):
     g = build_ground(pts, "l1", 0.3)
     assert solve_exp_primal(g, measure).iterations <= 600
     ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge"], g,
-                               measure).certificates
+    certs = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge"]).certificates
     assert set(certs) == {"exponential", "logistic", "hinge"}
     assert uncertified(certs, 1e-4, measure.total) == []
 

@@ -131,8 +131,8 @@ def _build(inst):
 def test_residuals_sum_to_gap_and_round_trip_verifies(inst):
     g, measure = _build(inst)
     ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge", "zero-one"],
-                               g, measure).certificates
+    certs = universality_check(ds.f, ds.witness,
+                               ["exp", "logistic", "hinge", "zero-one"]).certificates
     for kind, c in certs.items():
         total = c.slack_sup_r1 + c.slack_sup_r0 + c.slack_pointwise
         assert abs(total - c.gap) <= 1e-12, (kind, total, c.gap)
@@ -166,8 +166,8 @@ def test_weak_duality_against_brute_oracles(inst):
     # zero-one loss), so neither may cross the solver's values
     g, measure = _build(inst)
     ds, _ = _pipeline(g, measure, 1e-4)
-    certs = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge", "zero-one"],
-                               g, measure).certificates
+    certs = universality_check(ds.f, ds.witness,
+                               ["exp", "logistic", "hinge", "zero-one"]).certificates
     slack = 1e-9 * max(1.0, measure.total)
     for kind, c in certs.items():
         loss = get_loss(kind)
@@ -219,5 +219,5 @@ def test_degenerate_inputs_keep_an_edge_per_source_and_price_out(case):
         with mock.patch.object(dualsolve._CutLP, "solve", solve):
             sol = solve_dual(g, measure, f, 1e-6 * measure.total)
         assert ends and all(ends)
-    certs = universality_check(sol.f, sol.witness, ["exp"], g, measure).certificates
+    certs = universality_check(sol.f, sol.witness, ["exp"]).certificates
     assert uncertified(certs, 1e-6, measure.total) == []
