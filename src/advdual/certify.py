@@ -55,10 +55,9 @@ def check_tol(tol):
 # threshold classifier jump there)
 ETA_HALF_SNAP = 1e-6
 # a support destination violates when its eta differs from the ball extremum
-# at its source by more than this: well above the mismatch left by the cut
-# program's field (at most 2.7e-5 in eta over coupling entries above 1e-12 of
-# the total mass, on criterion 01's suite and the 400-point l2 scatter) and
-# well below the mismatch of a genuinely wrong destination (0.1 and up)
+# at its source by more than this: the solve's couplings move mass only
+# within a level, where the mismatch is 0, and a genuinely wrong destination
+# misses by 0.1 and up
 SUPPORT_MATCH_TOL = 5e-3
 
 

@@ -63,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite ground sets, with optimality certificates.")
     sub = ap.add_subparsers(dest="command", required=True)
     losses = LOSS_CHOICES + ("all",)
-    tol_help = ("gap tolerance per unit of total mass (default 1e-4 for every loss); gaps "
-                "below about 1e-7 are out of reach, as the cut loop runs out of tangents")
+    tol_help = "gap tolerance per unit of total mass (default 1e-4 for every loss)"
 
     p = sub.add_parser("solve", help="solve primal and dual, certify, write result")
     p.add_argument("instance")
@@ -118,15 +117,15 @@ def _load_solvable(path: str):
 
 
 def _pipeline(g, measure, tol: float | None):
-    """Smoothed L-BFGS exponential primal, then the tangent-cut programs
-    (``solve_dual``) seeded by its field, until their exponential gap is
-    within ``gap_tol(tol, measure.total)``, the gap every certificate is
-    judged at, or they stop improving.  Returns the programs' solution,
-    whose couplings and field ``universality_check`` judges, and the
-    provenance a result file stores: ``tol`` and the work of both solves."""
+    """The exact exponential primal (``solve_exp_primal``, nested max-flow
+    cuts), then the couplings on the levels of its field (``solve_dual``).
+    Returns the dual's solution, whose couplings and field
+    ``universality_check`` judges, and the provenance a result file
+    stores: ``tol``, which judges every certificate, and the max-flows of
+    both solves."""
     t0 = time.perf_counter()
     ps = solve_exp_primal(g, measure)
-    ds = solve_dual(g, measure, ps.f, gap_tol(tol, measure.total))
+    ds = solve_dual(g, measure, ps.f)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     return ds, {"tol": tol, "primal_iterations": ps.iterations,
                 "dual_iterations": ds.iterations, "runtime_ms": runtime_ms}

@@ -4,11 +4,13 @@ infinity-Wasserstein metric decided by a transport linear program."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .errors import AdvdualError, InfeasibleDual, MassMismatch, NegativeMass, ValidationError
 from .ground import GroundSet, distances, segment_argmax
@@ -19,6 +21,35 @@ FLOW_SLACK = 1e-10
 TOTAL_TOL = 1e-9
 # absolute distance slack of the coupling-support check
 DELTA_TOL = 1e-12
+# ``maximum_flow`` takes int32 capacities only (a larger int64 one wraps
+# silently), so the capacities of a flow problem are scaled until its
+# capped arcs sum to about FLOW_UNITS, and an uncapped arc holds FLOW_INF
+FLOW_UNITS = 2.0 ** 29
+FLOW_INF = 2 ** 30
+
+
+def max_flow(nodes: int, tail: np.ndarray, head: np.ndarray, units: np.ndarray,
+             back: np.ndarray):
+    """A maximum flow from node 0 to node 1 along the arcs ``tail`` ->
+    ``head`` (no pair twice, in either direction) of whole capacities
+    ``units`` forward and ``back`` backward, each cut to ``FLOW_INF``, by
+    Dinic's algorithm.  Returns the net flow along each arc and the
+    residual graph, as a CSR array of the pairs with capacity left."""
+    # each pair in both directions, sorted: maximum_flow then returns the
+    # flow on exactly these entries, in this order
+    key = np.concatenate((tail * nodes + head, head * nodes + tail))
+    order = np.argsort(key, kind="stable")
+    key, cap = key[order], np.minimum(np.concatenate((units, back)), FLOW_INF)[order]
+    col, starts = key % nodes, np.arange(nodes + 1) * nodes
+    cap = cap.astype(np.int32)
+    graph = sp.csr_array((cap, col, np.searchsorted(key, starts)), shape=(nodes, nodes))
+    flow = maximum_flow(graph, 0, 1, method="dinic").flow.data
+    left = cap > flow
+    residual = sp.csr_array((np.ones(left.sum()), col[left], np.searchsorted(key[left], starts)),
+                            shape=(nodes, nodes))
+    at = np.empty(order.size, dtype=np.int64)
+    at[order] = np.arange(order.size)
+    return flow[at[:tail.size]], residual
 
 
 def _check_mass(m, n: int, name: str) -> np.ndarray:
@@ -132,6 +163,7 @@ class SourceBalls:
         self.reach = np.bincount(self.slot, minlength=2 * self.n).reshape(2, self.n) > 0
         self.on_k = self.reach[0] & self.reach[1]
         self.K = np.flatnonzero(self.on_k)
+        self.flows = 0
 
     def worst(self, h1: np.ndarray, h0: np.ndarray) -> tuple[float, float]:
         """Per class, the sum over its sources of the source's mass times
@@ -181,6 +213,82 @@ class SourceBalls:
         src, dst, w = self.src[self.seg[keep]], self.ix[keep], w[keep]
         return tuple(Coupling.build(src[part], dst[part], w[part], self.n)
                      for part in (slice(0, cut), slice(cut, None)))
+
+    @functools.cached_property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The closure graph of the cost-weighted zero-one risks: node s <
+        ``src.size`` is source s and node ``src.size + q`` the point
+        ``K[q]``.  Each entry on K is an uncapped arc, from a class-1 source
+        to its ball point or from a ball point to its class-0 source.
+        Returns the entries and the tail and head of their arcs."""
+        e = np.flatnonzero(self.on_k[self.ix])
+        node = np.cumsum(self.on_k) - 1 + self.src.size
+        pt, s = node[self.ix[e]], self.seg[e]
+        one = e >= self.split
+        return e, np.where(one, s, pt), np.where(one, pt, s)
+
+    def route(self, block: np.ndarray, need: np.ndarray):
+        """A maximum flow on every block of graph nodes at once: node v is
+        in block ``block[v]`` (-1 for none), the arcs within a block carry
+        flow, and each node sends ``need`` (a negative need receives).
+
+        The first max-flow scales each block's needs to sum to
+        ``FLOW_UNITS`` in absolute value and rounds each down to an int32
+        count of units, so that it serves no node beyond its need.  Across
+        its minimum cut only that rounding is left, less than a unit per
+        need, so a second max-flow routes the shortfalls on top of it at
+        ``FLOW_UNITS`` times a finer scale, each rounded to the nearest
+        unit but at least 1, forward along the arcs or back along their
+        flow, with the true excess of the cut clipped to ``FLOW_INF``.  So
+        the flow is a maximum one, and its cut the minimum one, to within
+        float round-off.  Returns the flow on each arc of ``arcs`` in mass
+        units and the mask of the nodes the last residual graph reaches
+        from the needs; ``flows`` counts the max-flows run."""
+        _, tail, head = self.arcs
+        on, at = block >= 0, np.maximum(block, 0)
+        total = np.bincount(block[on], np.abs(need[on]))
+        units = np.where(on, FLOW_UNITS / np.where(total > 0, total, 1.0)[at], 0.0)
+        flow, residual = self._flow(block, need, np.zeros(tail.size), units, down=True)
+        sent = np.bincount(tail, flow, block.size) - np.bincount(head, flow, block.size)
+        short = np.where(need != 0, need - sent, 0.0)
+        if np.any(short):
+            count = np.bincount(block[on], need[on] != 0)
+            flow, residual = self._flow(block, short, flow,
+                                        units * (FLOW_UNITS / np.maximum(count, 1)[at]))
+        reach = np.zeros(block.size, dtype=bool)
+        reach[on] = np.isin(np.arange(2, on.sum() + 2),
+                            breadth_first_order(residual, 0, return_predecessors=False))
+        return flow, reach
+
+    def _flow(self, block: np.ndarray, need: np.ndarray, flow: np.ndarray,
+              units: np.ndarray, down: bool = False):
+        """One max-flow of ``route`` on top of the arc flow ``flow``: each
+        node sends ``need`` more along its block's arcs or back along their
+        flow, ``units`` per unit of mass at the node (and along the arcs
+        out of it), its need rounded down if ``down``, else to the nearest
+        unit but at least 1.  Returns the arc flow after it and its
+        residual graph, whose node 0 stands for the needs and node 2 + i
+        for the i-th node of the blocks."""
+        self.flows += 1
+        _, tail, head = self.arcs
+        on = np.flatnonzero(block >= 0)
+        local = np.zeros(block.size, dtype=np.int64)
+        local[on] = 2 + np.arange(on.size)
+        arcs = np.flatnonzero((block[tail] == block[head]) & (block[tail] >= 0))
+        scale = units[tail[arcs]]
+        has = on[need[on] != 0]
+        give = need[has] > 0
+        count = np.abs(need[has]) * units[has]
+        count = np.floor(count) if down else np.maximum(np.rint(count), 1.0)
+        x, residual = max_flow(
+            on.size + 2,
+            np.concatenate((np.where(give, 0, local[has]), local[tail[arcs]])),
+            np.concatenate((np.where(give, local[has], 1), local[head[arcs]])),
+            np.concatenate((count, np.full(arcs.size, FLOW_INF))),
+            np.concatenate((np.zeros(has.size), np.floor(flow[arcs] * scale))))
+        out = flow.copy()
+        out[arcs] += x[has.size:] / scale
+        return out, residual
 
 
 def pushforward(c: Coupling) -> np.ndarray:

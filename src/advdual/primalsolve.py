@@ -5,12 +5,13 @@ as the sign classifier's errors, and ``construct_f`` gives each loss its
 minimizer from one conditional-probability field (the thresholded
 classifier for the zero-one loss).
 
-The exponential primal is minimized in the score parametrization: the map
-f -> sum p1 * exp(-ball_min(f)) + sum p0 * exp(ball_max(f)) is convex in the
-value vector.  Temperature-continuation smoothed stages over the scores on
-K of the ``measures.SourceBalls`` layout give a seed field that the
-tangent-cut dual (``dualsolve.solve_dual``) certifies; the reported risk
-always uses the hard ball max.
+The exponential primal is solved exactly by nested minimum cuts: the
+exponential loss is a mixture of cost-weighted zero-one losses, each
+adversarial zero-one risk is a minimum cut on the graph of the
+``measures.SourceBalls`` layout, and as the cost rises the cuts nest, so
+the optimal conditional probability is constant on levels, each at its
+pooled class-1 share.  ``dualsolve.solve_dual`` reads the couplings off
+the max-flows on those levels.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize as opt
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InfeasiblePair, InstanceTooLarge
 from .ground import GroundSet
@@ -26,11 +28,11 @@ from .ground import build_ground  # noqa: F401  unused; bench/spans.py patches t
 from .losses import Loss, mul0, transform_h
 from .measures import SourceBalls, TwoClassMeasure
 
-# finite stand-in score, while the stages run, of the points one class
-# reaches: -CLAMP where class 0 does, +CLAMP where class 1 does
-CLAMP = 50.0
-# L-BFGS-B iteration cap of each smoothed stage
-STAGE_ITERS = 1000
+# a block splits where the closure its max-flow reaches gains more than
+# this share of the block's total absolute gain, above the round-off of
+# summing the gains: a closure of a true level gains nothing, and its
+# split, if round-off made one, leaves two parts at the level's ratio
+LEVEL_RTOL = 1e-12
 # relative slack of the pair test: h0 may fall this far below the transform
 PAIR_RTOL = 1e-9
 # brute_primal's score grid: [-BRUTE_SPAN, BRUTE_SPAN] in BRUTE_COARSE steps,
@@ -90,63 +92,121 @@ def theta(loss: Loss, hp: HPair, g: GroundSet, measure: TwoClassMeasure) -> floa
 # exponential primal
 # ---------------------------------------------------------------------------
 
-def _soft_risk(b: SourceBalls, w: np.ndarray, f: np.ndarray, tau: float):
-    """The exponential risk per unit mass (``w``: each source's mass per unit
-    total mass, at which L-BFGS-B's default stop rule, not scale-free, stops
-    alike at every total mass), with the temperature-tau soft maximum over
-    each ball of ``b`` in place of the hard one, and its gradient."""
-    v = b.sign * f[b.ix]
-    top = np.maximum.reduceat(v, b.starts)
-    z = np.exp((v - top[b.seg]) / tau)
-    zsum = np.add.reduceat(z, b.starts)
-    term = w * np.exp(top + tau * np.log(zsum))
-    grad = np.bincount(b.ix, weights=b.sign * z * (term / zsum)[b.seg], minlength=f.size)
-    return float(term.sum()), grad
+def level_field(b: SourceBalls, odds: np.ndarray) -> np.ndarray:
+    """The exponential score field of the level odds ``odds`` = eta / (1 -
+    eta) of the nodes of ``b.arcs``: 1/2 log(odds) on K;
+    ``SourceBalls.complete`` scores the points off K, and points no class
+    reaches take 0."""
+    f = np.zeros(b.n)
+    with np.errstate(divide="ignore"):
+        f[b.K] = 0.5 * np.log(odds[b.src.size:])
+    return b.complete(f)
+
+
+def nest(b: SourceBalls, odds: np.ndarray) -> np.ndarray:
+    """The level odds ``odds`` of the nodes of ``b.arcs``, nested: a point
+    of K with none (NaN) takes the largest of the class-1 sources whose
+    balls hold it, which lowers no class-1 ball min, and while a source's
+    own odds differ from the extremum on its ball (the max for class 0,
+    the min for class 1), its level and the extremum's are pooled into one
+    at their pooled odds.  A level is the set of nodes of one odds value.
+    Exact levels nest so that no pooling happens; a closure lighter than
+    the flows' round-off can leave one out of place, and pooling it costs
+    about that closure's weight.  A field of nested odds is one
+    ``dualsolve.solve_dual`` pools back to the same odds."""
+    e, tail, head = b.arcs
+    ns, one, on = b.src.size, e >= b.split, b.on_k[b.ix]
+    if not ns:
+        return odds
+    # a source with no point of K in its ball is bound by no level
+    linked = np.add.reduceat(on, b.starts) > 0
+    pt = np.zeros(b.n)
+    while True:
+        lost = np.isnan(odds)
+        if lost.any():
+            pred = np.full(odds.size, -np.inf)
+            np.maximum.at(pred, head[one], odds[tail[one]])
+            odds = np.where(lost, pred, odds)
+        pt[b.K] = odds[ns:]
+        top = np.maximum.reduceat(np.where(on, b.sign * pt[b.ix], -np.inf), b.starts)
+        ext = b.sign[b.starts] * top
+        bad = np.flatnonzero(linked & (ext != odds[:ns]))
+        if not bad.size:
+            return odds
+        value, level = np.unique(odds, return_inverse=True)
+        link = sp.csr_array((np.ones(bad.size), (level[bad], np.searchsorted(value, ext[bad]))),
+                            shape=(value.size, value.size))
+        share, _ = shares(b, connected_components(link, directed=False)[1][level])
+        with np.errstate(divide="ignore"):
+            odds = share[1] / share[0]
+
+
+def shares(b: SourceBalls, block: np.ndarray):
+    """Per node of ``b.arcs``, its block's pooled class shares P0 / (P0 +
+    P1) and P1 / (P0 + P1), 0 off every block (``block`` < 0) and in a
+    block of no mass, and the node's own masses (p0, p1) per unit of total
+    mass, which no mass scale under- or overflows.  A block's zero-one
+    weight at its pooled class-1 share is then, per node, the class-0 share
+    times p1 minus the class-1 share times p0."""
+    ns, q = b.src.size, b.p / b.measure.total
+    p = np.zeros((2, block.size))
+    p[0, :b.nsrc0], p[1, b.nsrc0:ns] = q[:b.nsrc0], q[b.nsrc0:]
+    on = block >= 0
+    pool = np.zeros((2, block.size))
+    for c in (0, 1):
+        pool[c, on] = np.bincount(block[on], p[c, on])[block[on]]
+    total = pool.sum(axis=0)
+    return pool / np.where(total > 0, total, 1.0), p
 
 
 def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
-    """Minimize a smoothed exponential adversarial risk over score fields.
+    """The exact minimizer of the exponential adversarial risk, by nested
+    minimum cuts.
 
-    Only the scores on K (``SourceBalls.K``, the dual's K) are free.  The
-    objective is coercive there, as each point of K lies in a class-0 ball
-    and in a class-1 ball, so L-BFGS-B runs without bounds.  It starts at
-    the log-odds of the class masses whose balls hold each point and
-    minimizes the risk per unit mass under temperature continuation 1e-1,
-    1e-2, 1e-3 of a soft maximum over each ball (``_soft_risk``), to the
-    library's default tolerances, with the points one class reaches pinned
-    at +-``CLAMP``.  The K scores of least hard-max risk (``SourceBalls.risk``)
-    are kept, ``SourceBalls.complete`` gives each point one class reaches its
-    score, as in ``dualsolve.solve_dual``, and points no class reaches take
-    0; ``risk`` is the exact risk of that field.  It is only a seed:
-    ``solve_dual`` places its cuts at log t = f +- 0.05 around it, and the
-    certificate judges the pair that program returns.
+    The exponential loss is a mixture of cost-weighted zero-one losses, and
+    the minimizer of each zero-one risk R_c is a maximum-weight closure of
+    the graph ``SourceBalls.arcs``: weight (1 - c) p on a class-1 source,
+    -c p on a class-0 source.  As c rises these closures nest, so the
+    optimal conditional probability eta* is constant on blocks of nodes,
+    each at its pooled class-1 share (``shares``).  Starting from the
+    whole graph, each round runs one max-flow (``SourceBalls.route``) on
+    every open block at its share and finds the closure the residual graph
+    reaches in it.  If that is a part of the block whose weight exceeds
+    ``LEVEL_RTOL`` of the block's total absolute weight, it splits off as
+    the upper part and both parts stay open; otherwise the block is a
+    level.  Blocks of one class are levels at eta 0 or 1.  ``nest`` pools
+    levels the flows' round-off left out of place, and ``level_field``
+    turns the levels' odds into the field; ``iterations`` counts the
+    max-flows and ``risk`` is the exact risk of the field.
     """
     b = SourceBalls(g, measure)
-    K, w = b.K, b.p / measure.total
-    f = CLAMP * (b.reach[1] - b.reach[0].astype(float))
-    m0, m1 = b.push(b.p[b.seg])
-    f[K] = 0.5 * np.log(m1[K] / m0[K])
-
-    def value_grad(x, tau):
-        f[K] = x
-        val, grad = _soft_risk(b, w, f, tau)
-        return val, grad[K]
-
-    best_k, best_val = f[K], b.risk(EXP, f)
-    it_count = 0
-    for tau in (1e-1, 1e-2, 1e-3) if K.size else ():
-        res = opt.minimize(value_grad, f[K], args=(tau,), jac=True,
-                           method="L-BFGS-B", options={"maxiter": STAGE_ITERS})
-        it_count += int(res.nit)
-        f[K] = res.x
-        hard = b.risk(EXP, f)
-        if hard < best_val:
-            best_k, best_val = res.x, hard
-
-    out = np.zeros(g.n)
-    out[K] = best_k
-    b.complete(out)
-    return PrimalSolution(f=out, risk=b.risk(EXP, out), iterations=it_count)
+    ns, nodes = b.src.size, b.src.size + b.K.size
+    block = np.zeros(nodes, dtype=np.int64)
+    odds = np.full(nodes, np.nan)
+    src = np.arange(nodes) < ns
+    while True:
+        share, p = shares(b, block)
+        # blocks of one class, or of no mass, are levels without a flow
+        done = (block >= 0) & ((share[0] == 0) | (share[1] == 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            odds[done & src] = (share[1] / share[0])[done & src]
+        block[done] = -1
+        if not np.any(block >= 0):
+            break
+        gain = share[0] * p[1] - share[1] * p[0]
+        _, up = b.route(block, gain)
+        on = np.flatnonzero(block >= 0)
+        size, above = np.bincount(block[on]), np.bincount(block[on], up[on])
+        rise = np.bincount(block[on], np.where(up[on], gain[on], 0.0))
+        split = (rise > LEVEL_RTOL * np.bincount(block[on], np.abs(gain[on]))) & (above < size)
+        level = on[~split[block[on]]]
+        odds[level] = share[1, level] / share[0, level]
+        block[level] = -1
+        # the upper part of a split block takes a label of its own
+        block[up & (block >= 0)] += size.size
+        _, block[block >= 0] = np.unique(block[block >= 0], return_inverse=True)
+    f = level_field(b, nest(b, odds))
+    return PrimalSolution(f=f, risk=b.risk(EXP, f), iterations=b.flows)
 
 
 def eta_hat(f) -> np.ndarray:

@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsStatus
 
-from advdual import dualsolve
 from advdual.errors import AdvdualError
 from advdual.ground import GroundSet, build_ground, sup_ball
 from advdual.losses import Loss, _check_eta, conditional_risk, mul0
@@ -54,46 +52,6 @@ def _oracle_instances():
 @pytest.fixture(scope="session")
 def oracle_instances():
     return _oracle_instances()
-
-
-@pytest.fixture
-def stalled_highs(monkeypatch):
-    """``stall(n)`` makes every cut-program model skip its first ``n``
-    runs, which leaves the model status unset as a run that ends without a
-    status would.  Each model records the solver, simplex strategy and
-    (rows, columns) shape of every run it is asked for, the iterations
-    HiGHS reports after each run it makes and, per ``setBasis`` call, the
-    number of runs asked for before it; ``stall`` returns the list of
-    models made."""
-    def stall(n: int) -> list:
-        made = []
-
-        class Stalled(dualsolve._Highs):
-            def __init__(self):
-                super().__init__()
-                self.solvers, self.strategies, self.counts = [], [], []
-                self.shapes, self.bases = [], []
-                made.append(self)
-
-            def setBasis(self, *args):
-                self.bases.append(len(self.solvers))
-                return super().setBasis(*args)
-
-            def run(self):
-                self.solvers.append(self.getOptionValue("solver")[1])
-                self.strategies.append(self.getOptionValue("simplex_strategy")[1])
-                self.shapes.append((self.getNumRow(), self.getNumCol()))
-                if len(self.solvers) <= n:
-                    return HighsStatus.kWarning
-                status = super().run()
-                info = self.getInfo()
-                self.counts.append(info.simplex_iteration_count
-                                   + info.ipm_iteration_count)
-                return status
-
-        monkeypatch.setattr(dualsolve, "_Highs", Stalled)
-        return made
-    return stall
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 import advdual
 from advdual import cli
 from advdual.cli import main
+from advdual.errors import AdvdualError
 from advdual.io import dumps, loads, save_instance
 
 from conftest import ROOT
@@ -167,22 +168,25 @@ def test_verdict_does_not_depend_on_mass_scale(scale, tmp_path, capsys):
         assert main(["verify", path, out]) == 0, k
 
 
-def test_solve_and_verify_judge_at_one_tolerance(tmp_path, capsys):
-    # the first suite instance certifies its exponential gap at about
-    # 1.5e-5: a file solved at --tol 1e-12 fails solve and verify alike, and
-    # one solved at a looser --tol verifies at that tolerance
+def test_solve_and_verify_judge_at_one_tolerance(tmp_path, capsys, monkeypatch):
+    # on the first suite instance, with the field shifted by 0.1 (a gap of
+    # about 1e-3 per unit mass): a file solved at --tol 1e-12 fails solve
+    # and verify alike, and one solved at a looser --tol verifies at that
+    # tolerance
     g, measure = _random_instance(np.random.default_rng(12345))
     path = str(tmp_path / "suite0.json")
     save_instance(path, g.points, g.norm, g.epsilon, measure.mass0,
                   measure.mass1)
     out = str(tmp_path / "res.json")
-    assert main(["solve", path, "--loss", "all", "--tol", "1e-12", "--out", out]) == 3
-    assert _read(out)["provenance"]["tol"] == 1e-12
-    capsys.readouterr()
-    assert main(["verify", path, out]) == 4
-    assert "exponential.gap" in capsys.readouterr().out
-    assert main(["solve", path, "--tol", "0.5", "--out", out]) == 0
-    assert main(["verify", path, out]) == 0
+    with monkeypatch.context() as bent:
+        _bend_pipeline(bent)
+        assert main(["solve", path, "--loss", "all", "--tol", "1e-12", "--out", out]) == 3
+        assert _read(out)["provenance"]["tol"] == 1e-12
+        capsys.readouterr()
+        assert main(["verify", path, out]) == 4
+        assert "exponential.gap" in capsys.readouterr().out
+        assert main(["solve", path, "--tol", "0.5", "--out", out]) == 0
+        assert main(["verify", path, out]) == 0
     assert main(["solve", path, "--out", out]) == 0
     assert _read(out)["provenance"]["tol"] is None
     assert main(["verify", path, out]) == 0
@@ -512,11 +516,16 @@ def test_sweep_exits_3_when_not_certified(inst, tmp_path, monkeypatch, capsys):
     assert len(open(stem + ".csv").read().splitlines()) == 1 + 2 * 4
 
 
-def test_solve_exits_3_when_no_cut_program_solves(inst, tmp_path, stalled_highs, capsys):
-    stalled_highs(10**6)
+def test_solve_exits_3_when_no_cut_program_solves(inst, tmp_path, monkeypatch, capsys):
+    # an error of the solve itself, here of the min-cut programs of the
+    # level flows, is exit 3, and no result file is written
+    def solve_dual(*args):
+        raise AdvdualError("the level flows failed")
+
+    monkeypatch.setattr(cli, "solve_dual", solve_dual)
     out = str(tmp_path / "r.json")
     assert main(["solve", inst, "--out", out]) == 3
-    assert "no tangent-cut program" in capsys.readouterr().err
+    assert "the level flows failed" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -612,11 +621,14 @@ def test_broken_json(tmp_path, capsys):
     ("epsilon", 10**400),
     ("points", [[0.0], [10**400]]),
     ("mass0", [10**400, 0.0]),
+    ("refinement", 10**400),
+    ("refinement", 10**6),
 ], ids=["word-epsilon", "ragged-points", "word-refinement", "negative-epsilon",
         "nan-epsilon", "infinite-coordinate", "fractional-refinement",
         "boolean-refinement", "string-refinement", "boolean-epsilon", "string-epsilon",
         "boolean-mass", "string-mass", "boolean-coordinate", "string-coordinate",
-        "huge-epsilon", "huge-coordinate", "huge-mass"])
+        "huge-epsilon", "huge-coordinate", "huge-mass", "huge-refinement",
+        "million-refinement"])
 def test_malformed_instance_field_exits_2(inst, field, value, capsys):
     with open(inst) as fh:
         data = json.load(fh)
@@ -625,6 +637,25 @@ def test_malformed_instance_field_exits_2(inst, field, value, capsys):
         json.dump(data, fh)
     assert main(["solve", inst]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integer_past_the_conversion_limit_exits_2(inst, tmp_path, capsys):
+    # json.loads refuses an integer literal of more than 4300 digits with a
+    # plain ValueError: a parse error (exit 2) in an instance and in a
+    # result alike
+    out = str(tmp_path / "res.json")
+    assert main(["solve", inst, "--out", out]) == 0
+    huge = str(tmp_path / "huge.json")
+    for path, target in ((inst, huge), (out, out)):
+        with open(path) as fh:
+            text = fh.read()
+        with open(target, "w") as fh:
+            fh.write(text.replace("{", '{"pad": 1' + "0" * 5000 + ", ", 1))
+    capsys.readouterr()
+    assert main(["solve", huge]) == 2
+    assert main(["verify", inst, out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: invalid JSON") for line in err)
 
 
 def test_cli_import_leaves_networkx_out():
