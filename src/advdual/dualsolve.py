@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InstanceTooLarge, NegativeMass
 from .ground import GroundSet
 from .losses import Loss
-from .measures import SourceBalls, TwoClassMeasure, Witness
+from .measures import SourceBalls, TwoClassMeasure, Witness, route
 from .primalsolve import EXP, HPair, level_field, nest, shares
 
 
@@ -44,6 +44,8 @@ class DualSolution:
 def dual_objective(loss: Loss, m0, m1) -> float:
     """Sum over points of (m0 + m1) * cstar(m1 / (m0 + m1)); zero where both
     masses vanish.  Jointly concave in (m0, m1)."""
+    # every loss's cstar is symmetric under eta <-> 1 - eta, so it is read
+    # at the smaller share, which keeps the digits that 1 - eta would lose
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
     if np.any(m0 < 0) or np.any(m1 < 0):
@@ -52,7 +54,7 @@ def dual_objective(loss: Loss, m0, m1) -> float:
     mask = s > 0
     if not np.any(mask):
         return 0.0
-    eta = m1[mask] / s[mask]
+    eta = np.minimum(m0, m1)[mask] / s[mask]
     return float(np.dot(s[mask], loss.cstar(eta)))
 
 
@@ -64,7 +66,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     points of its ball (the max for class 0, the min for class 1).  The
     levels take their pooled odds and are nested (``primalsolve.nest``).
     Every level with mass of both classes takes its pooled class-1 share
-    c, and one max-flow (``SourceBalls.route``) runs on all of them at once, each
+    c, and one max-flow (``measures.route``) runs on all of them at once, each
     at its c.  A second one on top of it repairs the int32 rounding: it
     routes each source's shortfall, or takes back its excess, to within
     float round-off.  A source of a level of one class sends its mass to
@@ -78,11 +80,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     e, tail, head = b.arcs
     ns = b.src.size
     value = np.zeros(ns + b.K.size)
-    value[ns:] = f[b.K]
-    if ns:
-        on = b.on_k[b.ix]
-        top = np.maximum.reduceat(np.where(on, b.sign * f[b.ix], -np.inf), b.starts)
-        value[:ns] = b.sign[b.starts] * top
+    value[:ns], value[ns:] = b.extremum(f), f[b.K]
     _, block = np.unique(value, return_inverse=True)
     share, _ = shares(b, block)
     # a point of a level of one class, or of none, takes its odds in nest
@@ -96,9 +94,9 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     self_entry = np.flatnonzero(b.ix == b.src[b.seg])
     w[self_entry[one_class[:ns]]] = b.p[one_class[:ns]]
     block[one_class] = -1
-    flow = np.zeros(e.size)
+    flow, flows = np.zeros(e.size), 0
     if np.any(block >= 0):
-        flow, _ = b.route(block, share[0] * p[1] - share[1] * p[0])
+        flow, _, flows = route(tail, head, block, share[0] * p[1] - share[1] * p[0])
     # the flow carries 1 - c times the class-1 coupling, c times the class-0 one
     pos = flow > 0
     w[e[pos]] = flow[pos] / np.where(e >= b.split, share[0, tail], share[1, head])[pos]
@@ -106,7 +104,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     witness = Witness(b, c0, c1)
     field = level_field(b, odds)
     return DualSolution(witness=witness, objective=dual_objective(EXP, witness.m0, witness.m1),
-                        iterations=b.flows, f=field,
+                        iterations=flows, f=field,
                         hpair=HPair(h0=EXP.phi(-field), h1=EXP.phi(field)))
 
 

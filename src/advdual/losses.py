@@ -79,7 +79,7 @@ class Loss:
             return 2.0 * np.sqrt(eta * (1.0 - eta))
         if self.kind == "logistic":
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = -mul0(eta, np.log(eta)) - mul0(1.0 - eta, np.log(1.0 - eta))
+                t = -mul0(eta, np.log(eta)) - mul0(1.0 - eta, np.log1p(-eta))
             return t
         if self.kind == "hinge":
             return 2.0 * np.minimum(eta, 1.0 - eta)

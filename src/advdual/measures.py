@@ -1,6 +1,7 @@
 """Two-class finite measures, couplings in the epsilon edge set, the
-validated coupling witness every certificate rests on, and the
-infinity-Wasserstein metric decided by a transport linear program."""
+validated coupling witness every certificate rests on, the one flow kernel
+``route``, and the infinity-Wasserstein metric it decides as a bipartite
+maximum flow."""
 
 from __future__ import annotations
 
@@ -9,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .errors import AdvdualError, InfeasibleDual, MassMismatch, NegativeMass, ValidationError
+from .errors import InfeasibleDual, MassMismatch, NegativeMass, ValidationError
 from .ground import GroundSet, distances, segment_argmax
 from .losses import Loss
 
@@ -50,6 +50,68 @@ def max_flow(nodes: int, tail: np.ndarray, head: np.ndarray, units: np.ndarray,
     at = np.empty(order.size, dtype=np.int64)
     at[order] = np.arange(order.size)
     return flow[at[:tail.size]], residual
+
+
+def route(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarray):
+    """A maximum flow on every block of graph nodes at once, along the
+    uncapped arcs ``tail`` -> ``head``: node v is in block ``block[v]`` (-1
+    for none), the arcs within a block carry flow, and each node sends
+    ``need`` (a negative need receives).
+
+    The first max-flow scales each block's needs to sum to ``FLOW_UNITS``
+    in absolute value and rounds each down to an int32 count of units, so
+    that it serves no node beyond its need.  Across its minimum cut only
+    that rounding is left, less than a unit per need, so a second max-flow
+    routes the shortfalls on top of it at ``FLOW_UNITS`` times a finer
+    scale, each rounded to the nearest unit but at least 1, forward along
+    the arcs or back along their flow, with the true excess of the cut
+    clipped to ``FLOW_INF``.  So the flow is a maximum one, and its cut the
+    minimum one, to within float round-off.  Returns the flow on each arc
+    in mass units, the mask of the nodes the last residual graph reaches
+    from the needs, and the number of max-flows run."""
+    on, at = block >= 0, np.maximum(block, 0)
+    total = np.bincount(block[on], np.abs(need[on]))
+    units = np.where(on, FLOW_UNITS / np.where(total > 0, total, 1.0)[at], 0.0)
+    flow, residual = _flow(tail, head, block, need, np.zeros(tail.size), units, down=True)
+    sent = np.bincount(tail, flow, block.size) - np.bincount(head, flow, block.size)
+    short = np.where(need != 0, need - sent, 0.0)
+    if np.any(short):
+        count = np.bincount(block[on], need[on] != 0)
+        flow, residual = _flow(tail, head, block, short, flow,
+                               units * (FLOW_UNITS / np.maximum(count, 1)[at]))
+    reach = np.zeros(block.size, dtype=bool)
+    reach[on] = np.isin(np.arange(2, on.sum() + 2),
+                        breadth_first_order(residual, 0, return_predecessors=False))
+    return flow, reach, 2 if np.any(short) else 1
+
+
+def _flow(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarray,
+          flow: np.ndarray, units: np.ndarray, down: bool = False):
+    """One max-flow of ``route`` on top of the arc flow ``flow``: each node
+    sends ``need`` more along its block's arcs or back along their flow,
+    ``units`` per unit of mass at the node (and along the arcs out of it),
+    its need rounded down if ``down``, else to the nearest unit but at
+    least 1.  Returns the arc flow after it and its residual graph, whose
+    node 0 stands for the needs and node 2 + i for the i-th node of the
+    blocks."""
+    on = np.flatnonzero(block >= 0)
+    local = np.zeros(block.size, dtype=np.int64)
+    local[on] = 2 + np.arange(on.size)
+    arcs = np.flatnonzero((block[tail] == block[head]) & (block[tail] >= 0))
+    scale = units[tail[arcs]]
+    has = on[need[on] != 0]
+    give = need[has] > 0
+    count = np.abs(need[has]) * units[has]
+    count = np.floor(count) if down else np.maximum(np.rint(count), 1.0)
+    x, residual = max_flow(
+        on.size + 2,
+        np.concatenate((np.where(give, 0, local[has]), local[tail[arcs]])),
+        np.concatenate((np.where(give, local[has], 1), local[head[arcs]])),
+        np.concatenate((count, np.full(arcs.size, FLOW_INF))),
+        np.concatenate((np.zeros(has.size), np.floor(flow[arcs] * scale))))
+    out = flow.copy()
+    out[arcs] += x[has.size:] / scale
+    return out, residual
 
 
 def _check_mass(m, n: int, name: str) -> np.ndarray:
@@ -163,7 +225,6 @@ class SourceBalls:
         self.reach = np.bincount(self.slot, minlength=2 * self.n).reshape(2, self.n) > 0
         self.on_k = self.reach[0] & self.reach[1]
         self.K = np.flatnonzero(self.on_k)
-        self.flows = 0
 
     def worst(self, h1: np.ndarray, h0: np.ndarray) -> tuple[float, float]:
         """Per class, the sum over its sources of the source's mass times
@@ -178,16 +239,21 @@ class SourceBalls:
         worst1, worst0 = self.worst(*loss.margins(self.g.check_field(f)))
         return worst1 + worst0
 
+    def extremum(self, field: np.ndarray) -> np.ndarray:
+        """Per source, the extremum of ``field`` on the K points of its
+        ball: the max for class 0 (-inf with none), the min for class 1
+        (+inf with none)."""
+        on = np.where(self.on_k[self.ix], self.sign * field[self.ix], -np.inf)
+        return self.sign[self.starts] * np.maximum.reduceat(on, self.starts)
+
     def complete(self, field: np.ndarray) -> np.ndarray:
         """Give, in place, each point only class 0 reaches the largest score
         that raises the max of the K scores of ``field`` on no class-0 ball,
         and each point only class 1 reaches the smallest that lowers no such
         class-1 ball min, unless it is already -inf (class 0) or +inf (class
         1); return ``field``."""
-        vals = np.where(self.on_k[self.ix], self.sign * field[self.ix], -np.inf)
-        top = np.maximum.reduceat(vals, self.starts)
         cap = np.full((2, self.n), np.inf)
-        np.minimum.at(cap.reshape(-1), self.slot, top[self.seg])
+        np.minimum.at(cap.reshape(-1), self.slot, self.sign * self.extremum(field)[self.seg])
         only0 = self.reach[0] & ~self.on_k & (field != -np.inf)
         only1 = self.reach[1] & ~self.on_k & (field != np.inf)
         field[only0], field[only1] = cap[0, only0], -cap[1, only1]
@@ -226,69 +292,6 @@ class SourceBalls:
         pt, s = node[self.ix[e]], self.seg[e]
         one = e >= self.split
         return e, np.where(one, s, pt), np.where(one, pt, s)
-
-    def route(self, block: np.ndarray, need: np.ndarray):
-        """A maximum flow on every block of graph nodes at once: node v is
-        in block ``block[v]`` (-1 for none), the arcs within a block carry
-        flow, and each node sends ``need`` (a negative need receives).
-
-        The first max-flow scales each block's needs to sum to
-        ``FLOW_UNITS`` in absolute value and rounds each down to an int32
-        count of units, so that it serves no node beyond its need.  Across
-        its minimum cut only that rounding is left, less than a unit per
-        need, so a second max-flow routes the shortfalls on top of it at
-        ``FLOW_UNITS`` times a finer scale, each rounded to the nearest
-        unit but at least 1, forward along the arcs or back along their
-        flow, with the true excess of the cut clipped to ``FLOW_INF``.  So
-        the flow is a maximum one, and its cut the minimum one, to within
-        float round-off.  Returns the flow on each arc of ``arcs`` in mass
-        units and the mask of the nodes the last residual graph reaches
-        from the needs; ``flows`` counts the max-flows run."""
-        _, tail, head = self.arcs
-        on, at = block >= 0, np.maximum(block, 0)
-        total = np.bincount(block[on], np.abs(need[on]))
-        units = np.where(on, FLOW_UNITS / np.where(total > 0, total, 1.0)[at], 0.0)
-        flow, residual = self._flow(block, need, np.zeros(tail.size), units, down=True)
-        sent = np.bincount(tail, flow, block.size) - np.bincount(head, flow, block.size)
-        short = np.where(need != 0, need - sent, 0.0)
-        if np.any(short):
-            count = np.bincount(block[on], need[on] != 0)
-            flow, residual = self._flow(block, short, flow,
-                                        units * (FLOW_UNITS / np.maximum(count, 1)[at]))
-        reach = np.zeros(block.size, dtype=bool)
-        reach[on] = np.isin(np.arange(2, on.sum() + 2),
-                            breadth_first_order(residual, 0, return_predecessors=False))
-        return flow, reach
-
-    def _flow(self, block: np.ndarray, need: np.ndarray, flow: np.ndarray,
-              units: np.ndarray, down: bool = False):
-        """One max-flow of ``route`` on top of the arc flow ``flow``: each
-        node sends ``need`` more along its block's arcs or back along their
-        flow, ``units`` per unit of mass at the node (and along the arcs
-        out of it), its need rounded down if ``down``, else to the nearest
-        unit but at least 1.  Returns the arc flow after it and its
-        residual graph, whose node 0 stands for the needs and node 2 + i
-        for the i-th node of the blocks."""
-        self.flows += 1
-        _, tail, head = self.arcs
-        on = np.flatnonzero(block >= 0)
-        local = np.zeros(block.size, dtype=np.int64)
-        local[on] = 2 + np.arange(on.size)
-        arcs = np.flatnonzero((block[tail] == block[head]) & (block[tail] >= 0))
-        scale = units[tail[arcs]]
-        has = on[need[on] != 0]
-        give = need[has] > 0
-        count = np.abs(need[has]) * units[has]
-        count = np.floor(count) if down else np.maximum(np.rint(count), 1.0)
-        x, residual = max_flow(
-            on.size + 2,
-            np.concatenate((np.where(give, 0, local[has]), local[tail[arcs]])),
-            np.concatenate((np.where(give, local[has], 1), local[head[arcs]])),
-            np.concatenate((count, np.full(arcs.size, FLOW_INF))),
-            np.concatenate((np.zeros(has.size), np.floor(flow[arcs] * scale))))
-        out = flow.copy()
-        out[arcs] += x[has.size:] / scale
-        return out, residual
 
 
 def pushforward(c: Coupling) -> np.ndarray:
@@ -346,9 +349,10 @@ class Witness:
 def winf_feasible(g: GroundSet, p, q, epsilon: float | None = None) -> bool:
     """Does a coupling from p to q supported on pairs within epsilon exist?
 
-    Decided (up to a per-unit-mass slack) by the transport program on the
-    pairs within epsilon: maximise the moved mass with at most ``p`` leaving
-    each source and at most ``q`` reaching each target, solved by HiGHS.
+    Decided (up to a per-unit-mass slack) by one ``route`` on the bipartite
+    graph of the pairs within epsilon: each source needs to send its mass
+    of ``p`` and each target to receive its mass of ``q``, and p moves onto
+    q when the maximum flow carries all of p.
     """
     p = _check_mass(p, g.n, "p")
     q = _check_mass(q, g.n, "q")
@@ -363,17 +367,10 @@ def winf_feasible(g: GroundSet, p, q, epsilon: float | None = None) -> bool:
     rows, cols = np.nonzero(_cross_distances(g, srcs, dsts) <= eps)
     if rows.size == 0:
         return False
-    # one variable per pair; constraint a caps what leaves source a and
-    # constraint len(srcs) + b what reaches target b
-    edge = np.arange(rows.size)
-    A = sp.csr_matrix((np.ones(2 * edge.size),
-                       (np.concatenate([rows, srcs.size + cols]), np.tile(edge, 2))),
-                      shape=(srcs.size + dsts.size, edge.size))
-    res = linprog(-np.ones(edge.size), A_ub=A, b_ub=np.concatenate([p[srcs], q[dsts]]),
-                  bounds=(0.0, None), method="highs")
-    if res.status != 0:
-        raise AdvdualError(f"transport program failed: {res.message}")
-    return -res.fun >= tp - FLOW_SLACK * max(1.0, tp)
+    # node a is source srcs[a], node srcs.size + b is target dsts[b]
+    need = np.concatenate((p[srcs], -q[dsts]))
+    flow, _, _ = route(rows, srcs.size + cols, np.zeros(need.size, dtype=np.int64), need)
+    return flow.sum() >= tp - FLOW_SLACK * max(1.0, tp)
 
 
 def _cross_distances(g: GroundSet, rows, cols) -> np.ndarray:

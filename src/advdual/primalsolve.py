@@ -26,7 +26,7 @@ from .errors import InfeasiblePair, InstanceTooLarge
 from .ground import GroundSet
 from .ground import build_ground  # noqa: F401  unused; bench/spans.py patches this name
 from .losses import Loss, mul0, transform_h
-from .measures import SourceBalls, TwoClassMeasure
+from .measures import SourceBalls, TwoClassMeasure, route
 
 # a block splits where the closure its max-flow reaches gains more than
 # this share of the block's total absolute gain, above the round-off of
@@ -115,11 +115,11 @@ def nest(b: SourceBalls, odds: np.ndarray) -> np.ndarray:
     about that closure's weight.  A field of nested odds is one
     ``dualsolve.solve_dual`` pools back to the same odds."""
     e, tail, head = b.arcs
-    ns, one, on = b.src.size, e >= b.split, b.on_k[b.ix]
+    ns, one = b.src.size, e >= b.split
     if not ns:
         return odds
     # a source with no point of K in its ball is bound by no level
-    linked = np.add.reduceat(on, b.starts) > 0
+    linked = np.add.reduceat(b.on_k[b.ix], b.starts) > 0
     pt = np.zeros(b.n)
     while True:
         lost = np.isnan(odds)
@@ -128,8 +128,7 @@ def nest(b: SourceBalls, odds: np.ndarray) -> np.ndarray:
             np.maximum.at(pred, head[one], odds[tail[one]])
             odds = np.where(lost, pred, odds)
         pt[b.K] = odds[ns:]
-        top = np.maximum.reduceat(np.where(on, b.sign * pt[b.ix], -np.inf), b.starts)
-        ext = b.sign[b.starts] * top
+        ext = b.extremum(pt)
         bad = np.flatnonzero(linked & (ext != odds[:ns]))
         if not bad.size:
             return odds
@@ -169,7 +168,7 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     -c p on a class-0 source.  As c rises these closures nest, so the
     optimal conditional probability eta* is constant on blocks of nodes,
     each at its pooled class-1 share (``shares``).  Starting from the
-    whole graph, each round runs one max-flow (``SourceBalls.route``) on
+    whole graph, each round runs one max-flow (``measures.route``) on
     every open block at its share and finds the closure the residual graph
     reaches in it.  If that is a part of the block whose weight exceeds
     ``LEVEL_RTOL`` of the block's total absolute weight, it splits off as
@@ -180,7 +179,8 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     max-flows and ``risk`` is the exact risk of the field.
     """
     b = SourceBalls(g, measure)
-    ns, nodes = b.src.size, b.src.size + b.K.size
+    _, tail, head = b.arcs
+    ns, nodes, flows = b.src.size, b.src.size + b.K.size, 0
     block = np.zeros(nodes, dtype=np.int64)
     odds = np.full(nodes, np.nan)
     src = np.arange(nodes) < ns
@@ -194,7 +194,8 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
         if not np.any(block >= 0):
             break
         gain = share[0] * p[1] - share[1] * p[0]
-        _, up = b.route(block, gain)
+        _, up, runs = route(tail, head, block, gain)
+        flows += runs
         on = np.flatnonzero(block >= 0)
         size, above = np.bincount(block[on]), np.bincount(block[on], up[on])
         rise = np.bincount(block[on], np.where(up[on], gain[on], 0.0))
@@ -206,7 +207,7 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
         block[up & (block >= 0)] += size.size
         _, block[block >= 0] = np.unique(block[block >= 0], return_inverse=True)
     f = level_field(b, nest(b, odds))
-    return PrimalSolution(f=f, risk=b.risk(EXP, f), iterations=b.flows)
+    return PrimalSolution(f=f, risk=b.risk(EXP, f), iterations=flows)
 
 
 def eta_hat(f) -> np.ndarray:

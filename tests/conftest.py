@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from advdual.errors import AdvdualError
-from advdual.ground import GroundSet, build_ground, sup_ball
+from advdual.ground import GroundSet, build_ground, distances, sup_ball
 from advdual.losses import Loss, _check_eta, conditional_risk, mul0
 from advdual.measures import Coupling, TwoClassMeasure
 
@@ -149,6 +149,35 @@ def identity_coupling(p) -> Coupling:
     p = np.asarray(p, dtype=float)
     idx = np.flatnonzero(p > 0)
     return Coupling.build(idx, idx, p[idx], p.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# infinity-Wasserstein feasibility by a linear program instead of a max-flow
+# ---------------------------------------------------------------------------
+
+def transport_lp_feasible(g: GroundSet, p, q, eps: float) -> bool:
+    """Feasibility of moving p onto q within distance eps by a transport
+    linear program (HiGHS): maximise the moved mass over one variable per
+    pair within eps, with at most ``p`` leaving each source and at most
+    ``q`` reaching each target, and compare it with the total of p at a
+    slack of 1e-10 per unit mass.  Pairs are within eps by
+    ``ground.distances``, the package's own relation."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    srcs, dsts = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+    dist = distances(g.points[srcs][:, None], g.points[dsts][None], g.norm)
+    rows, cols = np.nonzero(dist <= eps)
+    if rows.size == 0:
+        return p.sum() == 0
+    edge = np.arange(rows.size)
+    A = sp.csr_matrix((np.ones(2 * edge.size),
+                       (np.concatenate([rows, srcs.size + cols]), np.tile(edge, 2))),
+                      shape=(srcs.size + dsts.size, edge.size))
+    res = linprog(-np.ones(edge.size), A_ub=A, b_ub=np.concatenate([p[srcs], q[dsts]]),
+                  bounds=(0.0, None), method="highs")
+    assert res.status == 0, res.message
+    tp = p.sum()
+    return -res.fun >= tp - 1e-10 * max(1.0, tp)
 
 
 # ---------------------------------------------------------------------------

@@ -374,3 +374,18 @@ def test_scatter_l2_1600_solves_exactly_within_its_cpu_bound():
     ds, _ = _pipeline(g, measure, 1e-4)
     _assert_all_losses_exact(g, measure, ds, "scatter l2 1600")
     assert time.process_time() - t0 <= 10.0
+
+
+def test_winf_800_within_its_cpu_bound():
+    # twice the bench's scatter size, its class measures normalised as the
+    # winf command does.  The bound sits between the HiGHS transport linear
+    # program per bisection step, which took 13.5 CPU s on a 2-core Xeon
+    # host, and the 0.63 CPU s the max-flow takes on it, so it fails only on
+    # a large regression
+    g, measure = _scatter_l2(800)
+    p = measure.mass0 / measure.mass0.sum()
+    q = measure.mass1 / measure.mass1.sum()
+    t0 = time.process_time()
+    d = winf_distance(g, p, q)
+    assert time.process_time() - t0 <= 4.0
+    assert d == 0.9228154971935951

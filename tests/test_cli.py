@@ -19,7 +19,7 @@ from advdual.errors import AdvdualError
 from advdual.io import dumps, loads, save_instance
 
 from conftest import ROOT
-from test_acceptance import _random_instance
+from test_acceptance import _random_instance, _scatter_l2
 
 
 INSTANCE = os.path.join(ROOT, "instances", "twopoint.json")
@@ -421,6 +421,19 @@ def test_winf(inst, capsys):
     assert float(out.split("=")[1]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("norm, value", [("l1", "1.081566596207254"),
+                                         ("l2", "1.001111719249542"),
+                                         ("linf", "0.97048230909400646")])
+def test_winf_on_the_scatter_instances(norm, value, tmp_path, capsys):
+    # the bench's 400-point scatter at epsilon 0.3 under each norm: winf
+    # prints the spectrum value that the transport linear program gives
+    g, measure = _scatter_l2(400)
+    path = str(tmp_path / f"scatter_{norm}.json")
+    save_instance(path, g.points, norm, g.epsilon, measure.mass0, measure.mass1)
+    assert main(["winf", path]) == 0
+    assert capsys.readouterr().out == f"winf={value}\n"
+
+
 def test_attack_triples(inst, capsys):
     assert main(["attack", inst]) == 0
     out = capsys.readouterr().out
@@ -668,6 +681,23 @@ def test_cli_import_leaves_networkx_out():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_solve_and_winf_leave_scipy_optimize_out(tmp_path):
+    # every flow, of the solve and of winf, runs on scipy's max-flow: no
+    # command imports scipy.optimize and its linear programming solvers
+    src = os.path.dirname(os.path.dirname(advdual.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = str(tmp_path / "res.json")
+    script = ("import sys, advdual.cli as c; "
+              f"codes = [c.main(['solve', {INSTANCE!r}, '--loss', 'all', '--out', {out!r}]), "
+              f"c.main(['winf', {INSTANCE!r}])]; "
+              "print(codes, 'scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_package_exports_resolve():

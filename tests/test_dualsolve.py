@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from advdual import measures
+from advdual import dualsolve, measures, primalsolve
 from advdual.certify import certify, universality_check
 from advdual.cli import _pipeline
 from advdual.dualsolve import brute_dual, dual_objective, solve_dual
@@ -51,6 +51,20 @@ def test_dual_objective_disjoint_support():
     # masses never meet: cstar(0) = cstar(1) = 0 for all losses
     for loss in (EXP, LOG, HINGE, ZO):
         assert dual_objective(loss, [0.5, 0.0], [0.0, 0.5]) == 0.0
+
+
+def test_dual_objective_keeps_the_digits_of_the_small_share():
+    # masses twelve decades apart: 1 - eta formed by subtraction kept about
+    # four digits here, a relative error of 1e-4; each loss's value matches
+    # its closed form in the two masses to a relative 1e-12
+    m0, m1 = 1e-12, 3.0
+    s = m0 + m1
+    closed = {EXP: 2.0 * np.sqrt(m0 * m1), HINGE: 2.0 * m0, ZO: m0,
+              LOG: m0 * np.log(s / m0) + m1 * np.log1p(m0 / m1)}
+    for loss, value in closed.items():
+        for pair in ((m0, m1), (m1, m0)):
+            got = dual_objective(loss, [pair[0]], [pair[1]])
+            assert got == pytest.approx(value, rel=1e-12, abs=0), (loss.kind, pair)
 
 
 def test_dual_objective_partial_overlap():
@@ -292,16 +306,17 @@ def _tiny_and_unit():
 
 
 def _record_routes(monkeypatch):
-    """Record, per routed flow, the number of nodes in its blocks and the
-    number its residual graph reaches."""
-    routes, real = [], SourceBalls.route
+    """Record, per flow either solve routes, the number of nodes in its
+    blocks and the number its residual graph reaches."""
+    routes, real = [], measures.route
 
-    def route(self, block, need):
-        out, reach = real(self, block, need)
+    def route(tail, head, block, need):
+        out, reach, runs = real(tail, head, block, need)
         routes.append((int(np.sum(block >= 0)), int(reach.sum())))
-        return out, reach
+        return out, reach, runs
 
-    monkeypatch.setattr(SourceBalls, "route", route)
+    for module in (primalsolve, dualsolve):
+        monkeypatch.setattr(module, "route", route)
     return routes
 
 
@@ -360,18 +375,18 @@ def test_first_priced_program_equals_all_edge_program(case, monkeypatch):
     # program on every edge of the layout, as no point one class reaches
     # passes flow on, and it serves no source beyond its need
     name, g, measure, f = list(_cases())[case]
-    first, real = [], SourceBalls.route
+    b = SourceBalls(g, measure)
+    first, real = [], measures.route
 
-    def route(self, block, need):
-        out, reach = real(self, block, need)
+    def route(tail, head, block, need):
+        out, reach, runs = real(tail, head, block, need)
         if not first:
-            head = self.arcs[2]
-            first.append((self, block, need, out[head >= self.src.size].sum()))
-        return out, reach
+            first.append((block, need, out[head >= b.src.size].sum()))
+        return out, reach, runs
 
-    monkeypatch.setattr(SourceBalls, "route", route)
+    monkeypatch.setattr(dualsolve, "route", route)
     solve_dual(g, measure, f)
-    ((b, block, need, sent),) = first
+    ((block, need, sent),) = first
     assert sent > 0
     assert abs(sent - _all_edge_flow(b, block, need)) <= 1e-9, (name, sent)
 
@@ -509,20 +524,19 @@ def test_iterations_sum_every_run_and_warm_rounds_are_short(monkeypatch):
     # unit of it per need, and each unit sent leaves one node and reaches
     # another
     calls, real = [], measures.maximum_flow
-    cold, warm, real_flow = [], [], SourceBalls._flow
+    cold, warm, real_flow = [], [], measures._flow
 
     def count(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    def flow(self, block, need, start, units, down=False):
-        out, residual = real_flow(self, block, need, start, units, down)
+    def flow(tail, head, block, need, start, units, down=False):
+        out, residual = real_flow(tail, head, block, need, start, units, down)
         if down:
             cold[:] = [need, units]
             return out, residual
         # the mass each node sends in the repair, against a rounding unit
         # of the cold flow per node with a need
-        _, tail, head = self.arcs
         moved = out - start
         sent = np.bincount(tail, moved, block.size) - np.bincount(head, moved, block.size)
         on = (block >= 0) & (cold[0] != 0)
@@ -530,7 +544,7 @@ def test_iterations_sum_every_run_and_warm_rounds_are_short(monkeypatch):
         return out, residual
 
     monkeypatch.setattr(measures, "maximum_flow", count)
-    monkeypatch.setattr(SourceBalls, "_flow", flow)
+    monkeypatch.setattr(measures, "_flow", flow)
     for name, g, measure, f in list(_cases())[:2]:
         calls.clear()
         ps = solve_exp_primal(g, measure)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advdual.errors import MassMismatch, NegativeMass, ValidationError
-from advdual.ground import build_ground, sup_ball
+from advdual.ground import build_ground, distances, sup_ball
 from advdual.measures import (
     Coupling,
     SourceBalls,
@@ -15,7 +15,8 @@ from advdual.measures import (
     winf_feasible,
 )
 
-from conftest import hall_winf, identity_coupling
+from conftest import hall_winf, identity_coupling, transport_lp_feasible
+from test_acceptance import _scatter_l2
 
 
 def test_two_class_measure_validation():
@@ -116,7 +117,7 @@ def test_winf_matches_hall_oracle():
 
 def test_winf_unbalanced_target_matches_hall_oracle():
     # targets drawn independently of the sources, not as a permutation of
-    # them, so the transport program meets partial matchings and split mass
+    # them, so the max-flow meets partial matchings and split mass
     rng = np.random.default_rng(16)
     for t in range(120):
         n = int(rng.integers(2, 7))
@@ -128,6 +129,37 @@ def test_winf_unbalanced_target_matches_hall_oracle():
             p[rng.integers(n)] = 0.0
             p /= p.sum()
         assert winf_distance(g, p, q) == hall_winf(g, p, q)
+
+
+def test_winf_feasible_decides_shortfalls_below_the_int32_unit():
+    # two disjoint matchings, each target a mass d off its source: the most
+    # that moves is 1 - d, and d is below the first max-flow's unit (its
+    # needs sum to 2, so 2^-28), so the repair flow decides it, exactly at
+    # FLOW_SLACK = 1e-10
+    g = build_ground(np.array([[0.0], [0.1], [5.0], [5.1]]), "l2", 0.2)
+    p = np.array([0.5, 0.0, 0.5, 0.0])
+    for d, ok in ((1e-9, False), (3e-10, False), (1.5e-10, False), (5e-11, True), (0.0, True)):
+        q = np.array([0.0, 0.5 + d, 0.0, 0.5 - d])
+        assert winf_feasible(g, p, q) == ok, d
+
+
+def test_winf_flow_matches_the_transport_program_at_scale():
+    # the 200-point scatter recipe under each norm, its class measures
+    # normalised as the winf command does: at the distance winf_distance
+    # returns, the max-flow and the transport linear program both move
+    # every mass, and at the spectrum value below it neither does
+    g2, measure = _scatter_l2(200)
+    p = measure.mass0 / measure.mass0.sum()
+    q = measure.mass1 / measure.mass1.sum()
+    src, dst = g2.points[p > 0], g2.points[q > 0]
+    for norm in ("l1", "l2", "linf"):
+        g = build_ground(g2.points, norm, g2.epsilon)
+        spectrum = np.unique(distances(src[:, None], dst[None], norm))
+        d = winf_distance(g, p, q)
+        below = spectrum[np.searchsorted(spectrum, d) - 1]
+        assert winf_feasible(g, p, q, d) and transport_lp_feasible(g, p, q, d), norm
+        assert not winf_feasible(g, p, q, below), norm
+        assert not transport_lp_feasible(g, p, q, below), norm
 
 
 def test_greedy_attack_example(twopoint):
