@@ -50,10 +50,11 @@ def check_tol(tol):
     raise ValidationError(f"tol must be a finite number greater than 0, got {tol!r}")
 
 
-# eta values this close to one half are treated as exactly one half before
-# applying a discontinuous pointwise minimizer (the hinge one and the
-# threshold classifier jump there)
-ETA_HALF_SNAP = 1e-6
+# eta values within this round-off of one half are treated as exactly one
+# half before applying a discontinuous pointwise minimizer (the hinge one
+# and the threshold classifier jump there); an exact level's share further
+# from one half keeps its side, or its certificate reads a spurious gap
+ETA_HALF_SNAP = 1e-12
 # a support destination violates when its eta differs from the ball extremum
 # at its source by more than this: the solve's couplings move mass only
 # within a level, where the mismatch is 0, and a genuinely wrong destination

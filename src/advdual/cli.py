@@ -118,14 +118,15 @@ def _load_solvable(path: str):
 
 def _pipeline(g, measure, tol: float | None):
     """The exact exponential primal (``solve_exp_primal``, nested max-flow
-    cuts), then the couplings on the levels of its field (``solve_dual``).
-    Returns the dual's solution, whose couplings and field
-    ``universality_check`` judges, and the provenance a result file
-    stores: ``tol``, which judges every certificate, and the max-flows of
-    both solves."""
+    cuts), then the couplings on its levels (``solve_dual``), read off the
+    flows and the layout the primal hands over.  Returns the dual's
+    solution, whose couplings and field ``universality_check`` judges, and
+    the provenance a result file stores: ``tol``, which judges every
+    certificate, the primal's max-flows and those the dual ran beyond them,
+    0 unless ``nest`` pooled or refilled a level of both classes."""
     t0 = time.perf_counter()
     ps = solve_exp_primal(g, measure)
-    ds = solve_dual(g, measure, ps.f)
+    ds = solve_dual(g, measure, ps)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     return ds, {"tol": tol, "primal_iterations": ps.iterations,
                 "dual_iterations": ds.iterations, "runtime_ms": runtime_ms}

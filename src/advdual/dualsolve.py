@@ -22,7 +22,7 @@ from .errors import InstanceTooLarge, NegativeMass
 from .ground import GroundSet
 from .losses import Loss
 from .measures import SourceBalls, TwoClassMeasure, Witness, route
-from .primalsolve import EXP, HPair, level_field, nest, shares
+from .primalsolve import EXP, HPair, PrimalSolution, level_field, nest, shares
 
 
 @dataclass(frozen=True)
@@ -59,50 +59,57 @@ def dual_objective(loss: Loss, m0, m1) -> float:
 
 
 def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
-    """Exponential dual couplings on the levels of the score field ``f``.
+    """Exponential dual couplings on the levels of ``f``: this instance's
+    ``PrimalSolution``, whose layout, level odds, field and level flows
+    are reused, or a score field, whose levels are pooled afresh.
 
-    Each node of ``SourceBalls.arcs`` joins the level of its value of
-    ``f``: a point of K its score, a source the extremum of ``f`` on the K
-    points of its ball (the max for class 0, the min for class 1).  The
-    levels take their pooled odds and are nested (``primalsolve.nest``).
-    Every level with mass of both classes takes its pooled class-1 share
-    c, and one max-flow (``measures.route``) runs on all of them at once, each
-    at its c.  A second one on top of it repairs the int32 rounding: it
-    routes each source's shortfall, or takes back its excess, to within
-    float round-off.  A source of a level of one class sends its mass to
-    itself.  Each source's weights are rescaled to its mass exactly.  The
-    returned field is ``level_field`` of the levels' odds.  For the exact
-    field of ``solve_exp_primal`` every level's flow saturates, so the pair
-    is optimal; for any other field the couplings are still feasible.
+    Pooling puts each node of ``SourceBalls.arcs`` on the level of its
+    value of ``f`` (a point of K its score, a source the extremum of ``f``
+    on the K points of its ball), gives the levels their pooled odds,
+    nests them (``primalsolve.nest``) and keeps no flow; the field is then
+    ``level_field`` of their odds.  Every level with mass of both classes
+    and no kept flow takes its pooled class-1 share c, and one
+    ``measures.route`` runs on all of them at once, each at its c.  A
+    source of a level of one class sends its mass to itself, and each
+    source's weights are rescaled to its mass.  On the exact field every
+    level's flow saturates, so the pair is optimal; on any other field the
+    couplings are still feasible.  ``iterations`` counts the max-flows run
+    here: 0 on a primal solution whose levels ``nest`` left as they were.
     """
-    f = g.check_field(f)
-    b = SourceBalls(g, measure)
+    if isinstance(f, PrimalSolution) and f.balls.g is g and f.balls.measure is measure:
+        b, odds, field, flow, settled = f.balls, f.odds, f.f, f.flow, f.settled
+    else:
+        f = g.check_field(f.f if isinstance(f, PrimalSolution) else f)
+        b = SourceBalls(g, measure)
+        ns = b.src.size
+        value = np.zeros(ns + b.K.size)
+        value[:ns], value[ns:] = b.extremum(f), f[b.K]
+        _, block = np.unique(value, return_inverse=True)
+        share, _ = shares(b, block)
+        # a point of a level of one class, or of none, takes its odds in nest
+        keep = (np.arange(block.size) < ns) | ((share[0] > 0) & (share[1] > 0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            odds = nest(b, np.where(keep, share[1] / share[0], np.nan))
+        field, flow = level_field(b, odds), np.zeros(b.arcs[0].size)
+        settled = np.zeros(odds.size, dtype=bool)
     e, tail, head = b.arcs
     ns = b.src.size
-    value = np.zeros(ns + b.K.size)
-    value[:ns], value[ns:] = b.extremum(f), f[b.K]
-    _, block = np.unique(value, return_inverse=True)
-    share, _ = shares(b, block)
-    # a point of a level of one class, or of none, takes its odds in nest
-    keep = (np.arange(block.size) < ns) | ((share[0] > 0) & (share[1] > 0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        odds = nest(b, np.where(keep, share[1] / share[0], np.nan))
     _, block = np.unique(odds, return_inverse=True)
     share, p = shares(b, block)
     one_class = (share[0] == 0) | (share[1] == 0)
     w = np.zeros(b.ix.size)
     self_entry = np.flatnonzero(b.ix == b.src[b.seg])
     w[self_entry[one_class[:ns]]] = b.p[one_class[:ns]]
-    block[one_class] = -1
-    flow, flows = np.zeros(e.size), 0
+    block[one_class | settled] = -1
+    flows = 0
     if np.any(block >= 0):
-        flow, _, flows = route(tail, head, block, share[0] * p[1] - share[1] * p[0])
+        rerouted, _, flows = route(tail, head, block, share[0] * p[1] - share[1] * p[0])
+        flow = np.where(block[tail] >= 0, rerouted, flow)
     # the flow carries 1 - c times the class-1 coupling, c times the class-0 one
     pos = flow > 0
     w[e[pos]] = flow[pos] / np.where(e >= b.split, share[0, tail], share[1, head])[pos]
     c0, c1 = b.couplings(b.renormalize(w))
     witness = Witness(b, c0, c1)
-    field = level_field(b, odds)
     return DualSolution(witness=witness, objective=dual_objective(EXP, witness.m0, witness.m1),
                         iterations=flows, f=field,
                         hpair=HPair(h0=EXP.phi(-field), h1=EXP.phi(field)))

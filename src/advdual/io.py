@@ -339,8 +339,8 @@ def load_result(path: str, g: GroundSet, measure: TwoClassMeasure):
 
 def save_sweep_csv(path: str, rows) -> None:
     """One CSV row per (epsilon, loss): eps,loss,primal,dual,gap,
-    primal_iters,dual_iters,runtime_ms.  Both iteration counts are
-    max-flows."""
+    primal_iters,dual_iters,runtime_ms.  The iteration counts are the
+    primal's max-flows and those the dual ran beyond them (``cli._pipeline``)."""
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SWEEP_HEADER)

@@ -33,23 +33,27 @@ def max_flow(nodes: int, tail: np.ndarray, head: np.ndarray, units: np.ndarray,
     """A maximum flow from node 0 to node 1 along the arcs ``tail`` ->
     ``head`` (no pair twice, in either direction) of whole capacities
     ``units`` forward and ``back`` backward, each cut to ``FLOW_INF``, by
-    Dinic's algorithm.  Returns the net flow along each arc and the
-    residual graph, as a CSR array of the pairs with capacity left."""
+    Dinic's algorithm.  Returns the net flow along each arc and the sorted
+    keys tail * nodes + head of the pairs with capacity left, whose
+    ``_csr`` is the residual graph."""
     # each pair in both directions, sorted: maximum_flow then returns the
     # flow on exactly these entries, in this order
     key = np.concatenate((tail * nodes + head, head * nodes + tail))
     order = np.argsort(key, kind="stable")
     key, cap = key[order], np.minimum(np.concatenate((units, back)), FLOW_INF)[order]
-    col, starts = key % nodes, np.arange(nodes + 1) * nodes
     cap = cap.astype(np.int32)
-    graph = sp.csr_array((cap, col, np.searchsorted(key, starts)), shape=(nodes, nodes))
-    flow = maximum_flow(graph, 0, 1, method="dinic").flow.data
-    left = cap > flow
-    residual = sp.csr_array((np.ones(left.sum()), col[left], np.searchsorted(key[left], starts)),
-                            shape=(nodes, nodes))
+    flow = maximum_flow(_csr(cap, key, nodes), 0, 1, method="dinic").flow.data
     at = np.empty(order.size, dtype=np.int64)
     at[order] = np.arange(order.size)
-    return flow[at[:tail.size]], residual
+    return flow[at[:tail.size]], key[cap > flow]
+
+
+def _csr(data: np.ndarray, key: np.ndarray, nodes: int):
+    """The (nodes, nodes) CSR array of ``data`` at the sorted keys ``key`` =
+    row * nodes + column, int32-indexed as ``maximum_flow`` reads it."""
+    indptr = np.searchsorted(key, np.arange(nodes + 1) * nodes)
+    return sp.csr_array((data, (key % nodes).astype(np.int32), indptr.astype(np.int32)),
+                        shape=(nodes, nodes))
 
 
 def route(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarray):
@@ -72,16 +76,17 @@ def route(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarra
     on, at = block >= 0, np.maximum(block, 0)
     total = np.bincount(block[on], np.abs(need[on]))
     units = np.where(on, FLOW_UNITS / np.where(total > 0, total, 1.0)[at], 0.0)
-    flow, residual = _flow(tail, head, block, need, np.zeros(tail.size), units, down=True)
+    flow, left = _flow(tail, head, block, need, np.zeros(tail.size), units, down=True)
     sent = np.bincount(tail, flow, block.size) - np.bincount(head, flow, block.size)
     short = np.where(need != 0, need - sent, 0.0)
     if np.any(short):
         count = np.bincount(block[on], need[on] != 0)
-        flow, residual = _flow(tail, head, block, short, flow,
-                               units * (FLOW_UNITS / np.maximum(count, 1)[at]))
+        flow, left = _flow(tail, head, block, short, flow,
+                           units * (FLOW_UNITS / np.maximum(count, 1)[at]))
+    nodes = int(on.sum()) + 2
     reach = np.zeros(block.size, dtype=bool)
-    reach[on] = np.isin(np.arange(2, on.sum() + 2),
-                        breadth_first_order(residual, 0, return_predecessors=False))
+    reach[on] = np.isin(np.arange(2, nodes), breadth_first_order(
+        _csr(np.ones(left.size), left, nodes), 0, return_predecessors=False))
     return flow, reach, 2 if np.any(short) else 1
 
 
@@ -91,9 +96,9 @@ def _flow(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarra
     sends ``need`` more along its block's arcs or back along their flow,
     ``units`` per unit of mass at the node (and along the arcs out of it),
     its need rounded down if ``down``, else to the nearest unit but at
-    least 1.  Returns the arc flow after it and its residual graph, whose
-    node 0 stands for the needs and node 2 + i for the i-th node of the
-    blocks."""
+    least 1.  Returns the arc flow after it and the keys of its residual
+    graph (``max_flow``), whose node 0 stands for the needs and node 2 + i
+    for the i-th node of the blocks."""
     on = np.flatnonzero(block >= 0)
     local = np.zeros(block.size, dtype=np.int64)
     local[on] = 2 + np.arange(on.size)
@@ -103,7 +108,7 @@ def _flow(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarra
     give = need[has] > 0
     count = np.abs(need[has]) * units[has]
     count = np.floor(count) if down else np.maximum(np.rint(count), 1.0)
-    x, residual = max_flow(
+    x, left = max_flow(
         on.size + 2,
         np.concatenate((np.where(give, 0, local[has]), local[tail[arcs]])),
         np.concatenate((np.where(give, local[has], 1), local[head[arcs]])),
@@ -111,7 +116,7 @@ def _flow(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarra
         np.concatenate((np.zeros(has.size), np.floor(flow[arcs] * scale))))
     out = flow.copy()
     out[arcs] += x[has.size:] / scale
-    return out, residual
+    return out, left
 
 
 def _check_mass(m, n: int, name: str) -> np.ndarray:
@@ -350,54 +355,53 @@ def winf_feasible(g: GroundSet, p, q, epsilon: float | None = None) -> bool:
     """Does a coupling from p to q supported on pairs within epsilon exist?
 
     Decided (up to a per-unit-mass slack) by one ``route`` on the bipartite
-    graph of the pairs within epsilon: each source needs to send its mass
-    of ``p`` and each target to receive its mass of ``q``, and p moves onto
-    q when the maximum flow carries all of p.
+    graph of the pairs within epsilon (``_carries``).
     """
+    p, q, tp, d = _transport(g, p, q)
+    return tp == 0 or _carries(p, q, tp, d <= (g.epsilon if epsilon is None else float(epsilon)))
+
+
+def _transport(g: GroundSet, p, q):
+    """``p`` and ``q`` checked as masses on the points of ``g`` of one total
+    (``MassMismatch`` otherwise): their positive masses, the total of p and
+    the distance matrix from the points of those of p to those of q."""
     p = _check_mass(p, g.n, "p")
     q = _check_mass(q, g.n, "q")
-    eps = g.epsilon if epsilon is None else float(epsilon)
     tp, tq = p.sum(), q.sum()
     if abs(tp - tq) > TOTAL_TOL * max(1.0, tp, tq):
         raise MassMismatch(f"total masses differ: {tp} vs {tq}")
-    if tp == 0:
-        return True
-    srcs = np.flatnonzero(p > 0)
-    dsts = np.flatnonzero(q > 0)
-    rows, cols = np.nonzero(_cross_distances(g, srcs, dsts) <= eps)
+    srcs, dsts = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+    return p[srcs], q[dsts], tp, distances(g.points[srcs][:, None], g.points[dsts][None], g.norm)
+
+
+def _carries(p: np.ndarray, q: np.ndarray, tp: float, near: np.ndarray) -> bool:
+    """Does the positive mass ``p`` (of total ``tp``) move onto ``q`` along
+    the pairs ``near[a, b]``: does one ``route`` that sends p and receives
+    q carry all of p?"""
+    rows, cols = np.nonzero(near)
     if rows.size == 0:
         return False
-    # node a is source srcs[a], node srcs.size + b is target dsts[b]
-    need = np.concatenate((p[srcs], -q[dsts]))
-    flow, _, _ = route(rows, srcs.size + cols, np.zeros(need.size, dtype=np.int64), need)
+    # node a is source a, node p.size + b is target b
+    need = np.concatenate((p, -q))
+    flow, _, _ = route(rows, p.size + cols, np.zeros(need.size, dtype=np.int64), need)
     return flow.sum() >= tp - FLOW_SLACK * max(1.0, tp)
-
-
-def _cross_distances(g: GroundSet, rows, cols) -> np.ndarray:
-    """Distance matrix from the points ``rows`` to the points ``cols``."""
-    return distances(g.points[rows][:, None], g.points[cols][None], g.norm)
 
 
 def winf_distance(g: GroundSet, p, q) -> float:
     """Smallest pairwise-distance threshold at which transport is feasible.
 
-    Binary search over the exact spectrum of source-target distances.
+    Binary search over the exact spectrum of source-target distances, on
+    one distance matrix: each step thresholds it and runs ``_carries``.
     """
-    p = _check_mass(p, g.n, "p")
-    q = _check_mass(q, g.n, "q")
-    tp, tq = p.sum(), q.sum()
-    if abs(tp - tq) > TOTAL_TOL * max(1.0, tp, tq):
-        raise MassMismatch(f"total masses differ: {tp} vs {tq}")
+    p, q, tp, d = _transport(g, p, q)
     if tp == 0:
         return 0.0
-    srcs = np.flatnonzero(p > 0)
-    dsts = np.flatnonzero(q > 0)
-    spectrum = np.unique(_cross_distances(g, srcs, dsts))
+    spectrum = np.unique(d)
     lo, hi = 0, spectrum.size - 1
     # the complete bipartite graph at the largest distance is always feasible
     while lo < hi:
         mid = (lo + hi) // 2
-        if winf_feasible(g, p, q, float(spectrum[mid])):
+        if _carries(p, q, tp, d <= spectrum[mid]):
             hi = mid
         else:
             lo = mid + 1

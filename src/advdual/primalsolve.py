@@ -11,7 +11,7 @@ adversarial zero-one risk is a minimum cut on the graph of the
 ``measures.SourceBalls`` layout, and as the cost rises the cuts nest, so
 the optimal conditional probability is constant on levels, each at its
 pooled class-1 share.  ``dualsolve.solve_dual`` reads the couplings off
-the max-flows on those levels.
+the max-flows that closed those levels.
 """
 
 from __future__ import annotations
@@ -46,9 +46,18 @@ EXP = Loss("exponential")
 
 @dataclass(frozen=True)
 class PrimalSolution:
+    """The exact field ``f``, its risk and max-flow count, and for
+    ``dualsolve.solve_dual`` its layout ``balls``, the nested ``odds`` of
+    the nodes of ``balls.arcs``, each arc's ``flow`` in the round that
+    closed its level, and the nodes ``settled`` on levels ``nest`` kept."""
+
     f: np.ndarray
     risk: float
     iterations: int
+    balls: SourceBalls
+    odds: np.ndarray
+    flow: np.ndarray
+    settled: np.ndarray
 
 
 def risk_adv(loss: Loss, f, g: GroundSet, measure: TwoClassMeasure) -> float:
@@ -176,13 +185,16 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
     level.  Blocks of one class are levels at eta 0 or 1.  ``nest`` pools
     levels the flows' round-off left out of place, and ``level_field``
     turns the levels' odds into the field; ``iterations`` counts the
-    max-flows and ``risk`` is the exact risk of the field.
+    max-flows and ``risk`` is the exact risk of the field.  The flow of the
+    round that closed a level is kept on its arcs: at the level's share it
+    saturates, unless ``nest`` pooled or refilled the level.
     """
     b = SourceBalls(g, measure)
     _, tail, head = b.arcs
     ns, nodes, flows = b.src.size, b.src.size + b.K.size, 0
     block = np.zeros(nodes, dtype=np.int64)
     odds = np.full(nodes, np.nan)
+    kept = np.zeros(tail.size)
     src = np.arange(nodes) < ns
     while True:
         share, p = shares(b, block)
@@ -194,7 +206,7 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
         if not np.any(block >= 0):
             break
         gain = share[0] * p[1] - share[1] * p[0]
-        _, up, runs = route(tail, head, block, gain)
+        flow, up, runs = route(tail, head, block, gain)
         flows += runs
         on = np.flatnonzero(block >= 0)
         size, above = np.bincount(block[on]), np.bincount(block[on], up[on])
@@ -203,11 +215,17 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
         level = on[~split[block[on]]]
         odds[level] = share[1, level] / share[0, level]
         block[level] = -1
+        # an arc out of a level closing now lies in it or carries nothing
+        kept = np.where(np.isin(tail, level), flow, kept)
         # the upper part of a split block takes a label of its own
         block[up & (block >= 0)] += size.size
         _, block[block >= 0] = np.unique(block[block >= 0], return_inverse=True)
-    f = level_field(b, nest(b, odds))
-    return PrimalSolution(f=f, risk=b.risk(EXP, f), iterations=flows)
+    nested = nest(b, odds)
+    _, level = np.unique(nested, return_inverse=True)
+    settled = np.bincount(level, nested != odds)[level] == 0
+    f = level_field(b, nested)
+    return PrimalSolution(f=f, risk=b.risk(EXP, f), iterations=flows, balls=b,
+                          odds=nested, flow=kept, settled=settled)
 
 
 def eta_hat(f) -> np.ndarray:

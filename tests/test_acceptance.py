@@ -353,12 +353,17 @@ def _assert_all_losses_exact(g, measure, ds, name):
 
 
 def test_scatter_l2_800_certified_in_its_first_program():
-    # twice the bench's scatter size: the dual's first program, one
-    # max-flow on every level of the primal's field and at most one repair
-    # of its rounding, gives a pair exact for every loss
+    # twice the bench's scatter size: the flows that closed the primal's
+    # levels give a pair exact for every loss, and the pipeline's dual runs
+    # no max-flow of its own.  Given the field alone, the dual's first
+    # program, one max-flow on every level and at most one repair of its
+    # rounding, does the same
     g, measure = _scatter_l2(800)
     ds, prov = _pipeline(g, measure, 1e-4)
-    assert 1 <= prov["dual_iterations"] <= 2
+    assert prov["dual_iterations"] == 0
+    bare = solve_dual(g, measure, solve_exp_primal(g, measure).f)
+    assert 1 <= bare.iterations <= 2
+    _assert_all_losses_exact(g, measure, bare, "scatter l2 800 from its field")
     _assert_all_losses_exact(g, measure, ds, "scatter l2 800")
     _assert_certified(g, measure, ds, 1e-12, "scatter l2 800")
 

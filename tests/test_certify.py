@@ -148,10 +148,13 @@ def test_derived_winf_flags_match_max_flow(oracle_instances):
 
 
 def test_snap_eta():
-    out = snap_eta([0.5 + 5e-7, 0.5 - 5e-7, 0.3, 1.0 + 1e-15])
+    # only round-off snaps to one half: an exact level share 5e-7 from it
+    # keeps its side
+    out = snap_eta([0.5 + 1e-13, 0.5 - 1e-13, 0.5 + 5e-7, 0.5 - 5e-7, 0.3, 1.0 + 1e-15])
     assert out[0] == 0.5 and out[1] == 0.5
-    assert out[2] == 0.3
-    assert out[3] == 1.0
+    assert out[2] == 0.5 + 5e-7 and out[3] == 0.5 - 5e-7
+    assert out[4] == 0.3
+    assert out[5] == 1.0
 
 
 def test_universality_all_losses(oracle_instances):
@@ -209,9 +212,9 @@ def test_witness_validated_once_per_solve_and_verify(tmp_path, monkeypatch):
 
 def test_layouts_built_per_command(tmp_path, monkeypatch):
     # the witness carries the SourceBalls layout it was validated on: a solve
-    # builds one for the primal and one for the dual, whose witness every
-    # certificate reads; verify one, for the witness it loads; sweep two per
-    # epsilon
+    # builds one, for the primal, which hands it to the dual, whose witness
+    # every certificate reads; verify one, for the witness it loads; sweep
+    # one per epsilon
     inst = str(tmp_path / "twopoint.json")
     shutil.copy(os.path.join(ROOT, "instances", "twopoint.json"), inst)
     out = str(tmp_path / "res.json")
@@ -225,7 +228,7 @@ def test_layouts_built_per_command(tmp_path, monkeypatch):
         calls.clear()
         assert main(argv) == 0, argv
         counts.append(len(calls))
-    assert counts == [2, 1, 4]
+    assert counts == [1, 1, 2]
 
 
 def test_uncertified_verdict():

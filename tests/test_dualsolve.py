@@ -597,7 +597,8 @@ def test_scatter_first_model_holds_fewer_edges_than_the_edge_set():
     assert np.array_equal(np.bincount(b.seg[e], minlength=ns) > 0, meets) and meets.any()
 
 
-@pytest.mark.parametrize("points, eps, mass0, mass1", [
+# masses 1 and 1e-6, 1 and 1e-12, and all three on a line
+CLOSURES = [
     ([1.42, 0.17, 0.61, 0.83, 1.12, 1.37, 0.15, 0.87, 0.42, 1.95, 0.1, 0.64, 0.52, 0.26], 0.3,
      [0, 0, 1e-6, 1, 1e-6, 1e-6, 0, 1e-6, 1e-6, 1e-6, 1e-6, 0, 1, 1e-6],
      [1e-6, 1, 0, 0, 0, 0, 1e-6, 0, 0, 0, 0, 1, 0, 0]),
@@ -614,7 +615,15 @@ def test_scatter_first_model_holds_fewer_edges_than_the_edge_set():
       1e-12, 0, 1e-6, 1e-12, 1e-6, 0, 1, 0, 0, 1, 1e-6, 1, 0, 0, 0, 0, 1e-12, 1e-12, 1e-6],
      [1e-6, 0, 0, 1e-12, 1e-12, 0, 0, 1e-6, 0, 1, 0, 1e-6, 0, 0, 1e-12, 1e-12, 1e-6, 1e-6, 0,
       0, 0, 1e-6, 0, 0, 0, 1, 0, 1e-6, 1e-6, 0, 0, 0, 1e-6, 1e-12, 1e-6, 1e-6, 0, 0, 0]),
-], ids=["14 points", "16 points", "13 points", "39 points"])
+]
+CLOSURE_IDS = ["14 points", "16 points", "13 points", "39 points"]
+
+
+def _closure_instance(points, eps, mass0, mass1):
+    return build_ground(np.array(points)[:, None], "l2", eps), TwoClassMeasure.build(mass0, mass1)
+
+
+@pytest.mark.parametrize("points, eps, mass0, mass1", CLOSURES, ids=CLOSURE_IDS)
 def test_closures_below_the_int32_rounding_nest(points, eps, mass0, mass1):
     # masses 1 and 1e-6 on a line: a closure of 1e-6 masses can weigh less
     # than the first max-flow's rounding.  Without the second max-flow it
@@ -627,9 +636,75 @@ def test_closures_below_the_int32_rounding_nest(points, eps, mass0, mass1):
     # of 1e-12 masses below even the second max-flow's resolution is left
     # out of place, and unless ``nest`` pools it back, the dual puts a unit
     # source on its level (a gap of 143 per unit mass)
-    g = build_ground(np.array(points)[:, None], "l2", eps)
-    measure = TwoClassMeasure.build(mass0, mass1)
+    g, measure = _closure_instance(points, eps, mass0, mass1)
     ps = solve_exp_primal(g, measure)
     ds = solve_dual(g, measure, ps.f)
     assert np.array_equal(ds.f, ps.f)
     assert abs(certify(EXP, ds.f, ds.witness).gap) <= 1e-12 * measure.total
+
+
+def test_a_level_near_one_half_certifies_at_round_off():
+    # the 14-point case has a level at eta 0.499999375: snapped to one half
+    # before the pointwise minimizers, it read a gap of 7.8e-13 per unit mass
+    g, measure = _closure_instance(*CLOSURES[0])
+    ds, _ = _pipeline(g, measure, 1e-4)
+    result = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge", "zero-one"])
+    for kind, cert in result.certificates.items():
+        assert abs(cert.gap) <= 1e-15 * measure.total, (kind, cert.gap)
+
+
+def _handover_cases():
+    for case in CLOSURES:
+        yield _closure_instance(*case)
+    yield _suite_first()[:2]
+    yield _scatter_l2()
+
+
+@pytest.mark.parametrize("case", range(6), ids=CLOSURE_IDS + CASE_IDS[:2])
+def test_pipeline_reads_the_couplings_off_the_primal_flows(case, monkeypatch):
+    # the pipeline builds one layout, and its dual reuses the flows that
+    # closed the primal's levels: the same couplings, field and
+    # certificates as the dual of the field alone, which routes every level
+    # again.  Only the 39-point case has levels that nest pooled, and the
+    # pipeline's dual routes those alone
+    g, measure = list(_handover_cases())[case]
+    layouts, routed = [], []
+    real_init, real_route = SourceBalls.__init__, measures.route
+
+    def route(tail, head, block, need):
+        routed.append(block >= 0)
+        return real_route(tail, head, block, need)
+
+    monkeypatch.setattr(SourceBalls, "__init__", lambda *a: layouts.append(1) or real_init(*a))
+    monkeypatch.setattr(dualsolve, "route", route)
+    ds, prov = _pipeline(g, measure, 1e-4)
+    assert len(layouts) == 1
+    ps = solve_exp_primal(g, measure)
+    _, level = np.unique(ps.odds, return_inverse=True)
+    share, _ = primalsolve.shares(ps.balls, level)
+    pooled = ~ps.settled & (share[0] > 0) & (share[1] > 0)
+    assert pooled.any() == (case == CLOSURE_IDS.index("39 points"))
+    if pooled.any():
+        assert len(routed) == 1 and np.array_equal(routed[0], pooled)
+        assert 1 <= prov["dual_iterations"] <= 2
+    else:
+        assert routed == [] and prov["dual_iterations"] == 0
+    bare = solve_dual(g, measure, ps.f)
+    assert np.array_equal(ds.f, bare.f)
+    for mine, ref in ((ds.witness.c0, bare.witness.c0), (ds.witness.c1, bare.witness.c1)):
+        for key in ("src", "dst", "w"):
+            assert np.array_equal(getattr(mine, key), getattr(ref, key)), key
+    losses = ["exp", "logistic", "hinge", "zero-one"]
+    assert universality_check(ds.f, ds.witness, losses).certificates \
+        == universality_check(bare.f, bare.witness, losses).certificates
+
+
+def test_a_primal_solution_of_another_instance_is_read_as_its_field(twopoint):
+    # the flows of a primal solution are used on its own instance only
+    g, measure = twopoint
+    ps = solve_exp_primal(g, measure)
+    other = TwoClassMeasure.build(2.0 * measure.mass0, measure.mass1)
+    ds, ref = solve_dual(g, other, ps), solve_dual(g, other, ps.f)
+    assert ds.witness.balls.measure is other and ds.iterations == ref.iterations > 0
+    assert np.array_equal(ds.witness.m0, ref.witness.m0)
+    assert np.array_equal(ds.witness.m1, ref.witness.m1)
