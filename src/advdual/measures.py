@@ -1,7 +1,8 @@
 """Two-class finite measures, couplings in the epsilon edge set, the
 validated coupling witness every certificate rests on, the one flow kernel
-``route``, and the infinity-Wasserstein metric it decides as a bipartite
-maximum flow."""
+``route`` (the package's only caller of scipy's ``maximum_flow``, which lays
+out one graph per call for its max-flows), and the infinity-Wasserstein
+metric it decides as a bipartite maximum flow."""
 
 from __future__ import annotations
 
@@ -28,95 +29,80 @@ FLOW_UNITS = 2.0 ** 29
 FLOW_INF = 2 ** 30
 
 
-def max_flow(nodes: int, tail: np.ndarray, head: np.ndarray, units: np.ndarray,
-             back: np.ndarray):
-    """A maximum flow from node 0 to node 1 along the arcs ``tail`` ->
-    ``head`` (no pair twice, in either direction) of whole capacities
-    ``units`` forward and ``back`` backward, each cut to ``FLOW_INF``, by
-    Dinic's algorithm.  Returns the net flow along each arc and the sorted
-    keys tail * nodes + head of the pairs with capacity left, whose
-    ``_csr`` is the residual graph."""
-    # each pair in both directions, sorted: maximum_flow then returns the
-    # flow on exactly these entries, in this order
-    key = np.concatenate((tail * nodes + head, head * nodes + tail))
-    order = np.argsort(key, kind="stable")
-    key, cap = key[order], np.minimum(np.concatenate((units, back)), FLOW_INF)[order]
-    cap = cap.astype(np.int32)
-    flow = maximum_flow(_csr(cap, key, nodes), 0, 1, method="dinic").flow.data
-    at = np.empty(order.size, dtype=np.int64)
-    at[order] = np.arange(order.size)
-    return flow[at[:tail.size]], key[cap > flow]
-
-
-def _csr(data: np.ndarray, key: np.ndarray, nodes: int):
-    """The (nodes, nodes) CSR array of ``data`` at the sorted keys ``key`` =
-    row * nodes + column, int32-indexed as ``maximum_flow`` reads it."""
-    indptr = np.searchsorted(key, np.arange(nodes + 1) * nodes)
-    return sp.csr_array((data, (key % nodes).astype(np.int32), indptr.astype(np.int32)),
-                        shape=(nodes, nodes))
-
-
 def route(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarray):
     """A maximum flow on every block of graph nodes at once, along the
     uncapped arcs ``tail`` -> ``head``: node v is in block ``block[v]`` (-1
     for none), the arcs within a block carry flow, and each node sends
     ``need`` (a negative need receives).
 
-    The first max-flow scales each block's needs to sum to ``FLOW_UNITS``
-    in absolute value and rounds each down to an int32 count of units, so
-    that it serves no node beyond its need.  Across its minimum cut only
-    that rounding is left, less than a unit per need, so a second max-flow
+    One graph serves both max-flows, by Dinic's algorithm: node 0 sends the
+    positive needs and node 1 receives the negative ones, node 2 + i is the
+    i-th node of the blocks, and each block node with a need has an arc
+    from node 0 or to node 1.  The first max-flow scales each block's needs
+    to sum to ``FLOW_UNITS`` in absolute value and rounds each down to an
+    int32 count of units, so that it serves no node beyond its need.
+    Across its minimum cut only that rounding is left, less than a unit per
+    need, so a second max-flow, run only if a block node falls short,
     routes the shortfalls on top of it at ``FLOW_UNITS`` times a finer
-    scale, each rounded to the nearest unit but at least 1, forward along
-    the arcs or back along their flow, with the true excess of the cut
-    clipped to ``FLOW_INF``.  So the flow is a maximum one, and its cut the
-    minimum one, to within float round-off.  Returns the flow on each arc
-    in mass units, the mask of the nodes the last residual graph reaches
-    from the needs, and the number of max-flows run."""
-    on, at = block >= 0, np.maximum(block, 0)
-    total = np.bincount(block[on], np.abs(need[on]))
-    units = np.where(on, FLOW_UNITS / np.where(total > 0, total, 1.0)[at], 0.0)
-    flow, left = _flow(tail, head, block, need, np.zeros(tail.size), units, down=True)
-    sent = np.bincount(tail, flow, block.size) - np.bincount(head, flow, block.size)
-    short = np.where(need != 0, need - sent, 0.0)
-    if np.any(short):
-        count = np.bincount(block[on], need[on] != 0)
-        flow, left = _flow(tail, head, block, short, flow,
-                           units * (FLOW_UNITS / np.maximum(count, 1)[at]))
-    nodes = int(on.sum()) + 2
-    reach = np.zeros(block.size, dtype=bool)
-    reach[on] = np.isin(np.arange(2, nodes), breadth_first_order(
-        _csr(np.ones(left.size), left, nodes), 0, return_predecessors=False))
-    return flow, reach, 2 if np.any(short) else 1
-
-
-def _flow(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarray,
-          flow: np.ndarray, units: np.ndarray, down: bool = False):
-    """One max-flow of ``route`` on top of the arc flow ``flow``: each node
-    sends ``need`` more along its block's arcs or back along their flow,
-    ``units`` per unit of mass at the node (and along the arcs out of it),
-    its need rounded down if ``down``, else to the nearest unit but at
-    least 1.  Returns the arc flow after it and the keys of its residual
-    graph (``max_flow``), whose node 0 stands for the needs and node 2 + i
-    for the i-th node of the blocks."""
+    scale, each rounded to the nearest unit but at least 1 (0 on a need
+    met), forward along the arcs or back along their flow, with the true
+    excess of the cut clipped to ``FLOW_INF``.  So the flow is a maximum
+    one, and its cut the minimum one, to within float round-off.  Returns
+    the flow on each arc in mass units, the mask of the nodes the last
+    residual graph reaches from the needs, and the number of max-flows
+    run."""
     on = np.flatnonzero(block >= 0)
+    at = np.maximum(block, 0)
+    total = np.bincount(block[on], np.abs(need[on]))
+    units = FLOW_UNITS / np.where(total > 0, total, 1.0)[at]
     local = np.zeros(block.size, dtype=np.int64)
     local[on] = 2 + np.arange(on.size)
+    nodes = on.size + 2
     arcs = np.flatnonzero((block[tail] == block[head]) & (block[tail] >= 0))
-    scale = units[tail[arcs]]
     has = on[need[on] != 0]
     give = need[has] > 0
-    count = np.abs(need[has]) * units[has]
-    count = np.floor(count) if down else np.maximum(np.rint(count), 1.0)
-    x, left = max_flow(
-        on.size + 2,
-        np.concatenate((np.where(give, 0, local[has]), local[tail[arcs]])),
-        np.concatenate((np.where(give, local[has], 1), local[head[arcs]])),
-        np.concatenate((count, np.full(arcs.size, FLOW_INF))),
-        np.concatenate((np.zeros(has.size), np.floor(flow[arcs] * scale))))
-    out = flow.copy()
-    out[arcs] += x[has.size:] / scale
-    return out, left
+    src = np.concatenate((np.where(give, 0, local[has]), local[tail[arcs]]))
+    dst = np.concatenate((np.where(give, local[has], 1), local[head[arcs]]))
+    # each pair in both directions, sorted: maximum_flow then returns the
+    # flow on exactly these entries, in this order
+    key = np.concatenate((src * nodes + dst, dst * nodes + src))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    cols = (key % nodes).astype(np.int32)
+    indptr = np.searchsorted(key, np.arange(nodes + 1) * nodes).astype(np.int32)
+    entry = np.empty(order.size, dtype=np.int64)
+    entry[order] = np.arange(order.size)
+    entry = entry[has.size:src.size]
+
+    def run(count, units, flow):
+        # ``count`` units on the need arcs, and ``units`` per unit of mass
+        # at a node on each arc out of it and back along its flow ``flow``
+        scale = units[tail[arcs]]
+        cap = np.concatenate((count, np.full(arcs.size, FLOW_INF),
+                              np.zeros(has.size), np.floor(flow[arcs] * scale)))
+        cap = np.minimum(cap, FLOW_INF)[order].astype(np.int32)
+        x = maximum_flow(sp.csr_array((cap, cols, indptr), shape=(nodes, nodes)),
+                         0, 1, method="dinic").flow.data
+        out = flow.copy()
+        out[arcs] += x[entry] / scale
+        return out, cap > x
+
+    flow, left = run(np.floor(np.abs(need[has]) * units[has]), units, np.zeros(tail.size))
+    sent = np.bincount(tail, flow, block.size) - np.bincount(head, flow, block.size)
+    short = need[has] - sent[has]
+    runs = 2 if np.any(short) else 1
+    if runs == 2:
+        count = np.bincount(block[on], need[on] != 0)
+        units = units * (FLOW_UNITS / np.maximum(count, 1)[at])
+        # a need the first flow met, or passed by round-off, gets no units
+        fine = np.maximum(np.rint(np.abs(short) * units[has]), 1.0)
+        flow, left = run(np.where(short * need[has] > 0, fine, 0.0), units, flow)
+    reach = np.zeros(block.size, dtype=bool)
+    ptr = np.concatenate(([0], np.cumsum(left)))[indptr]
+    reach[on] = np.isin(np.arange(2, nodes), breadth_first_order(
+        sp.csr_array((np.ones(ptr[-1]), cols[left], ptr), shape=(nodes, nodes)),
+        0, return_predecessors=False))
+    return flow, reach, runs
 
 
 def _check_mass(m, n: int, name: str) -> np.ndarray:
@@ -273,10 +259,6 @@ class SourceBalls:
         s = np.add.reduceat(w, self.starts)
         return w * (self.p / s)[self.seg]
 
-    def push(self, w: np.ndarray) -> np.ndarray:
-        """Target masses (m0, m1) of the entry weights ``w``."""
-        return np.bincount(self.slot, weights=w, minlength=2 * self.n).reshape(2, self.n)
-
     def couplings(self, w: np.ndarray) -> tuple[Coupling, Coupling]:
         """The class couplings (c0, c1) of the entry weights ``w``."""
         keep = np.flatnonzero(w > 0)
@@ -321,9 +303,9 @@ class Witness:
     The constructor raises ``InfeasibleDual`` unless each coupling is built
     for the points of ``balls.g``, lies on its epsilon-edges and has the
     class measure ``balls.measure`` as its source marginal within ``tol`` =
-    1e-9 per unit of total mass (at least 1e-9); a NaN or infinite weight
-    fails.  So a witness proves, on its instance alone, that both pushforwards
-    lie in the W-infinity epsilon-ball of their class measures, for every loss.
+    1e-9 per unit of total mass; a NaN or infinite weight fails.  So a
+    witness proves, on its instance alone, that both pushforwards lie in the
+    W-infinity epsilon-ball of their class measures, for every loss.
     """
 
     __slots__ = ("balls", "c0", "c1", "m0", "m1", "tol")
@@ -332,7 +314,7 @@ class Witness:
         g, measure = balls.g, balls.measure
         self.balls, self.c0, self.c1 = balls, c0, c1
         self.m0, self.m1 = pushforward(c0), pushforward(c1)
-        self.tol = 1e-9 * max(measure.total, 1.0)
+        self.tol = 1e-9 * measure.total
         for c, p in ((c0, measure.mass0), (c1, measure.mass1)):
             if c.n != g.n:
                 raise InfeasibleDual(f"coupling is built for {c.n} points, not {g.n}")

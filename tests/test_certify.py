@@ -112,6 +112,16 @@ def test_infeasible_dual_rejected(twopoint):
                 Coupling.build([1], [2], [0.5], 3))
 
 
+def test_witness_tolerance_is_per_unit_of_a_small_total_mass(twopoint):
+    # masses of 3e-10 are all their instance's total: two empty couplings
+    # move none of it, which no absolute tolerance floor may forgive
+    g, _ = twopoint
+    measure = TwoClassMeasure.build([3e-10, 0.0, 0.0], [0.0, 3e-10, 0.0])
+    empty = Coupling.build([], [], [], 3)
+    with pytest.raises(InfeasibleDual, match="source marginal"):
+        Witness(SourceBalls(g, measure), empty, empty)
+
+
 def test_witness_rejects_coupling_of_another_ground_size(twopoint):
     # a coupling built for 4 points on the 3-point ground is no witness,
     # whatever its edges

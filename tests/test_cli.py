@@ -129,6 +129,29 @@ def test_verify_nan_mass(inst, tmp_path, capsys):
         assert "pushforward" in capsys.readouterr().out, key
 
 
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda d: {**d, "m0": [v + 5e-10 for v in d["m0"]]}, id="masses"),
+    pytest.param(lambda d: {**d, "support_violation": 3e-10, "certificates": {
+        "exponential": {**d["certificates"]["exponential"],
+                        "primal_value": 0.0, "dual_value": 0.0}}}, id="values"),
+])
+def test_verify_compares_per_unit_of_a_small_total_mass(tmp_path, capsys, tamper):
+    # at a total mass of 8e-10 a stored number 5e-10 or 3e-10 off its
+    # recomputation is off by most of the mass: verify compares at 1e-9 per
+    # unit of total mass, with no absolute floor
+    path, out = str(tmp_path / "tiny.json"), str(tmp_path / "res.json")
+    with open(path, "w") as fh:
+        json.dump({"schema_version": 1, "points": [[0.0], [0.5], [1.0]], "norm": "l2",
+                   "epsilon": 0.6, "mass0": [3e-10, 1e-10, 0.0],
+                   "mass1": [0.0, 1e-10, 3e-10]}, fh)
+    assert main(["solve", path, "--out", out]) == 0
+    assert main(["verify", path, out]) == 0
+    _write(out, tamper(_read(out)))
+    capsys.readouterr()
+    assert main(["verify", path, out]) == 4
+    assert capsys.readouterr().out.startswith("verify FAILED: ")
+
+
 def test_verify_nan_coupling_weight(inst, tmp_path, capsys):
     out = str(tmp_path / "res.json")
     main(["solve", inst, "--loss", "all", "--out", out])

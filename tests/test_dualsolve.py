@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -516,43 +518,55 @@ def test_dual_of_the_primal_field_reproduces_it():
     assert np.array_equal(solve_dual(g, measure, f).f, f)
 
 
-def test_iterations_sum_every_run_and_warm_rounds_are_short(monkeypatch):
+def test_iterations_count_every_max_flow_and_repairs_are_short(monkeypatch):
     # the primal counts its splits and level tests, the dual its level
     # flows and repairs: together every call of maximum_flow.  A repair
-    # runs warm, on top of the first flow of its route, and is short: the
-    # first flow rounds each need down, so the repair sends less than a
-    # unit of it per need, and each unit sent leaves one node and reaches
-    # another
-    calls, real = [], measures.maximum_flow
-    cold, warm, real_flow = [], [], measures._flow
+    # runs on top of the first flow of its route and is short: the first
+    # flow rounds each need down, so the repair sends less than a unit of
+    # it per need, and each unit sent leaves one node and reaches another.
+    # A route replayed with a second max-flow that sends nothing gives its
+    # first flow alone
+    calls, repairs, seen = [], [], []
+    real_flow, real_route = measures.maximum_flow, measures.route
 
     def count(*args, **kwargs):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real_flow(*args, **kwargs)
 
-    def flow(tail, head, block, need, start, units, down=False):
-        out, residual = real_flow(tail, head, block, need, start, units, down)
-        if down:
-            cold[:] = [need, units]
-            return out, residual
-        # the mass each node sends in the repair, against a rounding unit
-        # of the cold flow per node with a need
-        moved = out - start
-        sent = np.bincount(tail, moved, block.size) - np.bincount(head, moved, block.size)
-        on = (block >= 0) & (cold[0] != 0)
-        warm.append((np.abs(sent).sum(), 2.0 * np.sum(1.0 / cold[1][on])))
-        return out, residual
+    def first_only(graph, *args, **kwargs):
+        seen.append(1)
+        if len(seen) == 2:
+            return types.SimpleNamespace(flow=types.SimpleNamespace(
+                data=np.zeros(graph.data.size, dtype=np.int32)))
+        return real_flow(graph, *args, **kwargs)
+
+    def route(tail, head, block, need):
+        flow, reach, runs = real_route(tail, head, block, need)
+        if runs == 2:
+            seen.clear()
+            monkeypatch.setattr(measures, "maximum_flow", first_only)
+            first, _, _ = real_route(tail, head, block, need)
+            monkeypatch.setattr(measures, "maximum_flow", count)
+            moved = flow - first
+            sent = np.bincount(tail, moved, block.size) - np.bincount(head, moved, block.size)
+            # a rounding unit of the first flow per node with a need
+            on = block >= 0
+            total = np.bincount(block[on], np.abs(need[on]))
+            units = measures.FLOW_UNITS / total[block[on & (need != 0)]]
+            repairs.append((np.abs(sent).sum(), 2.0 * np.sum(1.0 / units)))
+        return flow, reach, runs
 
     monkeypatch.setattr(measures, "maximum_flow", count)
-    monkeypatch.setattr(measures, "_flow", flow)
+    for module in (primalsolve, dualsolve):
+        monkeypatch.setattr(module, "route", route)
     for name, g, measure, f in list(_cases())[:2]:
         calls.clear()
         ps = solve_exp_primal(g, measure)
         ds = solve_dual(g, measure, ps.f)
         assert ps.iterations + ds.iterations == len(calls), name
         assert ds.iterations <= 2 * ps.iterations, name
-    assert warm
-    for moved, units in warm:
+    assert any(moved > 0 for moved, _ in repairs)
+    for moved, units in repairs:
         assert moved <= units * (1.0 + 1e-9)
 
 

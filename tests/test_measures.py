@@ -10,6 +10,7 @@ from advdual.measures import (
     coupling_in_delta,
     greedy_attack,
     pushforward,
+    route,
     transported_integral,
     winf_distance,
     winf_feasible,
@@ -143,6 +144,17 @@ def test_winf_feasible_decides_shortfalls_below_the_int32_unit():
         assert winf_feasible(g, p, q) == ok, d
 
 
+def test_route_repairs_only_the_shortfalls_of_block_nodes():
+    # the arc within block 0 carries node 1's need to node 2 exactly in the
+    # first max-flow; node 0 is in no block, so its need is no shortfall and
+    # runs no repair
+    tail, head, block = np.array([1, 0]), np.array([2, 2]), np.array([-1, 0, 0])
+    for outside in (0.0, 0.3):
+        flow, reach, runs = route(tail, head, block, np.array([outside, 0.5, -0.5]))
+        assert runs == 1, outside
+        assert flow.tolist() == [0.5, 0.0] and not reach.any(), outside
+
+
 def test_winf_flow_matches_the_transport_program_at_scale():
     # the 200-point scatter recipe under each norm, its class measures
     # normalised as the winf command does: at the distance winf_distance
@@ -266,7 +278,7 @@ def test_source_balls_match_ball_by_ball_loops():
         np.testing.assert_allclose(b.worst(h[1], h[0]), worst[::-1], rtol=1e-14, atol=0)
         # the same sums in the same order: equal to the last bit
         assert w.tolist() == np.concatenate(renorm or [np.zeros(0)]).tolist()
-        assert np.array_equal(b.push(w), m)
+        assert np.array_equal([pushforward(c) for c in b.couplings(w)], m)
         for c, coupling in enumerate(b.couplings(w)):
             assert coupling.n == g.n and coupling.triples() == pairs[c]
         # each point one class reaches takes its cap unless its score is
