@@ -50,18 +50,6 @@ def check_tol(tol):
     raise ValidationError(f"tol must be a finite number greater than 0, got {tol!r}")
 
 
-# eta values within this round-off of one half are treated as exactly one
-# half before applying a discontinuous pointwise minimizer (the hinge one
-# and the threshold classifier jump there); an exact level's share further
-# from one half keeps its side, or its certificate reads a spurious gap
-ETA_HALF_SNAP = 1e-12
-# a support destination violates when its eta differs from the ball extremum
-# at its source by more than this: the solve's couplings move mass only
-# within a level, where the mismatch is 0, and a genuinely wrong destination
-# misses by 0.1 and up
-SUPPORT_MATCH_TOL = 5e-3
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Optimality evidence for one loss on one instance."""
@@ -80,14 +68,15 @@ def support_conditions(eta, witness: Witness) -> float:
 
     Class-1 mass may only flow to ball minimizers of the
     conditional-probability field, class-0 mass only to ball maximizers;
-    a destination counts as violating when its eta value differs from the
-    ball extremum at the source by more than ``SUPPORT_MATCH_TOL``.
+    a destination counts as violating unless its eta value equals the ball
+    extremum at the source exactly (a NaN never does).  The solve's
+    couplings move mass only within a level, so they match bit for bit.
     """
     g = witness.balls.g
     eta = np.clip(g.check_field(eta), 0.0, 1.0)
     bad = 0.0
     for c, ext in ((witness.c1, inf_ball(g, eta)), (witness.c0, sup_ball(g, eta))):
-        bad += float(c.w[np.abs(ext[c.src] - eta[c.dst]) > SUPPORT_MATCH_TOL].sum())
+        bad += float(c.w[ext[c.src] != eta[c.dst]].sum())
     return bad
 
 
@@ -109,7 +98,7 @@ def certify(loss: Loss, f, witness: Witness) -> Certificate:
     worst1, worst0 = witness.balls.worst(h1, h0)
     r1 = float(worst1 - mul0(witness.m1, h1).sum())
     r0 = float(worst0 - mul0(witness.m0, h0).sum())
-    eta = np.clip(witness.eta_star(), 0.0, 1.0)
+    eta = witness.eta_star()
     cond = mul0(eta, h1) + mul0(1.0 - eta, h0) - loss.cstar(eta)
     r_pt = float(mul0(witness.m0 + witness.m1, cond).sum())
     primal = worst1 + worst0
@@ -125,16 +114,6 @@ def uncertified(certs: dict[str, Certificate], tol: float | None,
     ``gap_tol(tol, total)``; a NaN gap counts as uncertified.  Every
     command judges a solve by this list alone."""
     return [kind for kind, c in certs.items() if not c.gap <= gap_tol(tol, total)]
-
-
-def snap_eta(eta) -> np.ndarray:
-    """Stabilize a conditional-probability field before applying a pointwise
-    minimizer with a jump at one half: values within ETA_HALF_SNAP of 0.5
-    become exactly 0.5, and tiny overshoots past [0, 1] are clipped."""
-    eta = np.clip(np.asarray(eta, dtype=float), 0.0, 1.0)
-    out = eta.copy()
-    out[np.abs(eta - 0.5) <= ETA_HALF_SNAP] = 0.5
-    return out
 
 
 @dataclass(frozen=True)
@@ -153,14 +132,19 @@ def universality_check(f, witness: Witness, losses) -> Result:
     """Certify every requested loss with the one witness of the exponential
     solve whose score field is ``f``, on the witness's instance.
 
-    With eta = ``snap_eta(eta_hat(f))``, each loss's primal witness is
-    ``construct_f(loss, eta)``: the pointwise minimizer f = alpha(eta), or
-    the thresholded classifier for the zero-one loss.  The dual value is the
-    witness's masses re-scored under that loss.  The support check reads
-    the same eta.
+    With eta = ``eta_hat(f)``, each loss's primal witness is its pointwise
+    minimizer f = alpha(eta), or the thresholded classifier for the
+    zero-one loss.  The exponential and logistic minimizers are read off
+    ``f`` in closed form, as ``f`` and ``2 f``: their ``construct_f``
+    through eta would round a level whose odds reach 2^53 to eta 1 and a
+    score of +inf.  The dual value is the witness's masses re-scored under
+    that loss.  The support check reads the same eta, exactly.
     """
-    eta = snap_eta(eta_hat(f))
-    certs = {loss.kind: certify(loss, construct_f(loss, eta), witness)
+    f = np.asarray(f, dtype=float)
+    eta = eta_hat(f)
+    closed = {"exponential": f, "logistic": 2.0 * f}
+    certs = {loss.kind: certify(loss, closed[loss.kind] if loss.kind in closed
+                                else construct_f(loss, eta), witness)
              for loss in map(get_loss, losses)}
     return Result(f=f, witness=witness, certificates=certs,
                   support_violation=support_conditions(eta, witness))

@@ -264,14 +264,14 @@ def cmd_verify(args) -> int:
         raise  # a file that is not JSON stays a parse error (exit 2)
     except AdvdualError as e:
         return fail(str(e))
-    # every stored number against its recomputation, within 1e-9 per unit
-    # of total mass; a NaN never matches
+    # every stored number against its recomputation, within the witness's
+    # round-off allowance (1e-9 per unit of total mass); a NaN never matches
     checks = [(f"{kind}.{key}", value, getattr(fresh.certificates[kind], key))
               for kind, cert in stored.certificates.items()
               for key, value in asdict(cert).items() if key != "loss"]
     checks.append(("support_violation", stored.support_violation, fresh.support_violation))
     for name, value, recomputed in checks:
-        if not abs(value - recomputed) <= 1e-9 * measure.total:
+        if not abs(value - recomputed) <= stored.witness.tol:
             return fail(f"{name}: stored {value!r} vs recomputed {recomputed!r}")
     bad = uncertified(fresh.certificates, tol, measure.total)
     if bad:

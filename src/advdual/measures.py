@@ -20,8 +20,6 @@ from .losses import Loss
 # absolute feasibility slack per unit of transported mass
 FLOW_SLACK = 1e-10
 TOTAL_TOL = 1e-9
-# absolute distance slack of the coupling-support check
-DELTA_TOL = 1e-12
 # ``maximum_flow`` takes int32 capacities only (a larger int64 one wraps
 # silently), so the capacities of a flow problem are scaled until its
 # capped arcs sum to about FLOW_UNITS, and an uncapped arc holds FLOW_INF
@@ -288,11 +286,12 @@ def pushforward(c: Coupling) -> np.ndarray:
 
 
 def coupling_in_delta(g: GroundSet, c: Coupling) -> bool:
-    """True when every supported pair lies within the ground's epsilon."""
+    """True when every supported pair lies within the ground's epsilon, by
+    the ``distances`` comparison that built the ground's ball index."""
     if c.src.size == 0:
         return True
     d = distances(g.points[c.src], g.points[c.dst], g.norm)
-    return bool(np.all(d[c.w > 0] <= g.epsilon + DELTA_TOL))
+    return bool(np.all(d[c.w > 0] <= g.epsilon))
 
 
 class Witness:
@@ -301,9 +300,10 @@ class Witness:
     pushforward masses ``m0``, ``m1``.
 
     The constructor raises ``InfeasibleDual`` unless each coupling is built
-    for the points of ``balls.g``, lies on its epsilon-edges and has the
-    class measure ``balls.measure`` as its source marginal within ``tol`` =
-    1e-9 per unit of total mass; a NaN or infinite weight fails.  So a
+    for the points of ``balls.g``, lies on its epsilon-edges (with no slack:
+    the ``distances`` comparison of ``build_ground``) and has the class
+    measure ``balls.measure`` as its source marginal within ``tol`` = 1e-9
+    per unit of total mass; a NaN or infinite weight fails.  So a
     witness proves, on its instance alone, that both pushforwards lie in the
     W-infinity epsilon-ball of their class measures, for every loss.
     """

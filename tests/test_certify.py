@@ -10,7 +10,6 @@ from advdual.certify import (
     TOL,
     Certificate,
     certify,
-    snap_eta,
     support_conditions,
     uncertified,
     universality_check,
@@ -18,6 +17,8 @@ from advdual.certify import (
 from advdual.cli import main
 from advdual.dualsolve import solve_dual
 from advdual.errors import InfeasibleDual
+from advdual.ground import build_ground
+from advdual.io import save_instance
 from advdual.losses import get_loss
 from advdual.measures import (Coupling, SourceBalls, TwoClassMeasure, Witness, pushforward,
                               winf_feasible)
@@ -53,7 +54,7 @@ def test_residual_identity(oracle_instances):
     for name, g, measure in oracle_instances:
         primal, dual = _solve_pair(g, measure)
         for loss in (EXP, LOG, HINGE, ZO):
-            eta = snap_eta(eta_hat(primal.f))
+            eta = eta_hat(primal.f)
             f = primal.f if loss is EXP else construct_f(loss, eta)
             cert = certify(loss, f, dual.witness)
             assert cert.primal_value == risk_adv(loss, f, g, measure), (name, loss.kind)
@@ -88,6 +89,17 @@ def test_support_conditions_detects_bad_destination(twopoint):
     assert support_conditions(eta, bad) == pytest.approx(0.5)
 
 
+def test_support_conditions_compare_eta_exactly(twopoint):
+    # class-0 mass at point 0 goes to the midpoint, whose eta lies 1e-3
+    # below the ball maximum, or is NaN: a miss of any size is a violation
+    g, measure = twopoint
+    balls = SourceBalls(g, measure)
+    w = Witness(balls, Coupling.build([0], [2], [0.5], 3), Coupling.build([1], [2], [0.5], 3))
+    assert support_conditions(np.array([0.5, 0.5, 0.5]), w) == 0.0
+    assert support_conditions(np.array([0.5, 0.5, 0.499]), w) == 0.5
+    assert support_conditions(np.array([0.5, 0.5, np.nan]), w) == 1.0
+
+
 def test_certificate_symmetry_under_class_swap(twopoint):
     g, measure = twopoint
     primal, dual = _solve_pair(g, measure)
@@ -110,6 +122,18 @@ def test_infeasible_dual_rejected(twopoint):
     with pytest.raises(InfeasibleDual, match="source marginal"):
         Witness(SourceBalls(g, measure), Coupling.build([0], [2], [0.25], 3),
                 Coupling.build([1], [2], [0.5], 3))
+
+
+def test_witness_rejects_a_pair_just_beyond_epsilon():
+    # build_ground leaves the pair (0, 0.3 + 4e-13) out of the 0.3-ball, so
+    # a coupling along it is no witness: the witness decides "within
+    # epsilon" by the same comparison, with no slack
+    g = build_ground(np.array([[0.0], [0.3 + 4e-13]]), "l2", 0.3)
+    assert g.indices.tolist() == [0, 1]
+    measure = TwoClassMeasure.build([1.0, 0.0], [0.0, 0.0])
+    empty = Coupling.build([], [], [], 2)
+    with pytest.raises(InfeasibleDual, match="beyond epsilon"):
+        Witness(SourceBalls(g, measure), Coupling.build([0], [1], [1.0], 2), empty)
 
 
 def test_witness_tolerance_is_per_unit_of_a_small_total_mass(twopoint):
@@ -157,16 +181,6 @@ def test_derived_winf_flags_match_max_flow(oracle_instances):
         assert winf_feasible(g, measure.mass1, w.m1, g.epsilon), name
 
 
-def test_snap_eta():
-    # only round-off snaps to one half: an exact level share 5e-7 from it
-    # keeps its side
-    out = snap_eta([0.5 + 1e-13, 0.5 - 1e-13, 0.5 + 5e-7, 0.5 - 5e-7, 0.3, 1.0 + 1e-15])
-    assert out[0] == 0.5 and out[1] == 0.5
-    assert out[2] == 0.5 + 5e-7 and out[3] == 0.5 - 5e-7
-    assert out[4] == 0.3
-    assert out[5] == 1.0
-
-
 def test_universality_all_losses(oracle_instances):
     losses = ("exp", "logistic", "hinge", "zero-one")
     for name, g, measure in oracle_instances:
@@ -176,6 +190,25 @@ def test_universality_all_losses(oracle_instances):
         assert uncertified(certs, None, measure.total) == [], name
         zo = certs["zero_one_dual"]
         assert min(zo.slack_sup_r1, zo.slack_sup_r0, zo.slack_pointwise) >= -1e-12
+
+
+@pytest.mark.parametrize("mass", [1e-16, 2e-16])
+def test_large_class_mass_ratios_certify_exactly(mass, tmp_path):
+    # a level at odds 1e16 (or 5e15) next to a class-0 mass of 1e-16: its
+    # eta_hat rounds to 1 (or within 2^-53 of it), and an exponential or
+    # logistic field rebuilt from that eta was +inf (or off by 3.9e-11 per
+    # unit mass).  The exact solve's field is judged as it is
+    g = build_ground(np.array([[0.0], [0.1]]), "l2", 0.2)
+    measure = TwoClassMeasure.build([mass, 0.0], [0.0, 1.0])
+    ds = solve_dual(g, measure, solve_exp_primal(g, measure))
+    result = universality_check(ds.f, ds.witness, ("exp", "logistic", "hinge", "zero-one"))
+    for kind, cert in result.certificates.items():
+        assert abs(cert.gap) <= 1e-15 * measure.total, (kind, cert.gap)
+    assert result.support_violation == 0.0
+    path, out = str(tmp_path / "ratio.json"), str(tmp_path / "res.json")
+    save_instance(path, g.points, "l2", 0.2, measure.mass0, measure.mass1)
+    assert main(["solve", path, "--loss", "all", "--out", out]) == 0
+    assert main(["verify", path, out]) == 0
 
 
 def test_universality_twopoint_values(twopoint):

@@ -659,12 +659,17 @@ def test_closures_below_the_int32_rounding_nest(points, eps, mass0, mass1):
 
 def test_a_level_near_one_half_certifies_at_round_off():
     # the 14-point case has a level at eta 0.499999375: snapped to one half
-    # before the pointwise minimizers, it read a gap of 7.8e-13 per unit mass
-    g, measure = _closure_instance(*CLOSURES[0])
-    ds, _ = _pipeline(g, measure, 1e-4)
-    result = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge", "zero-one"])
-    for kind, cert in result.certificates.items():
-        assert abs(cert.gap) <= 1e-15 * measure.total, (kind, cert.gap)
+    # before the pointwise minimizers, it read a gap of 7.8e-13 per unit mass.
+    # The 2-point level at eta 1/2 + 2.5e-13 read hinge and zero-one gaps of
+    # 1e-12 and 5e-13 per unit mass while any eta within 1e-12 of one half
+    # was taken as one half
+    for case in (CLOSURES[0], ([0.0, 0.1], 0.2, [1, 0], [0, 1 + 1e-12])):
+        g, measure = _closure_instance(*case)
+        ds, _ = _pipeline(g, measure, 1e-4)
+        result = universality_check(ds.f, ds.witness,
+                                    ["exp", "logistic", "hinge", "zero-one"])
+        for kind, cert in result.certificates.items():
+            assert abs(cert.gap) <= 1e-15 * measure.total, (g.n, kind, cert.gap)
 
 
 def _handover_cases():
