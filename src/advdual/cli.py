@@ -33,7 +33,7 @@ from .errors import AdvdualError, InstanceTooLarge, ParseError, ValidationError,
 from .ground import build_ground
 from .losses import get_loss
 from .measures import winf_distance
-from .primalsolve import brute_primal, solve_exp_primal
+from .primalsolve import brute_primal, solve_exp_primal, solve_exp_primals
 
 LOSS_CHOICES = ("exp", "logistic", "hinge", "zero-one")
 ALL_LOSSES = list(LOSS_CHOICES)
@@ -190,11 +190,19 @@ def cmd_sweep(args) -> int:
     if len(uniq) < len(eps_grid):
         print("warning: duplicate epsilon values removed", file=sys.stderr)
     losses = _requested_losses(args.loss)
+    # the largest ground is built first, before the others are held
+    grounds = [build_ground(g.points, g.norm, eps) for eps in reversed(uniq)]
+    t0 = time.perf_counter()
+    primals = solve_exp_primals(grounds[::-1], measure)
+    share = (time.perf_counter() - t0) / len(uniq)
     rows = []
     code = 0
-    for eps in uniq:
+    for eps, ps in zip(uniq, primals):
         try:
-            ds, provenance = _pipeline(build_ground(g.points, g.norm, eps), measure, args.tol)
+            t0 = time.perf_counter()
+            ds = solve_dual(ps.balls.g, measure, ps)
+            # the epsilon's even share of the lockstep primal, and its dual
+            runtime_ms = int(round(1000.0 * (share + time.perf_counter() - t0)))
             certs = universality_check(ds.f, ds.witness, losses).certificates
         except AdvdualError as e:
             print(f"warning: eps={eps:g} failed: {e}", file=sys.stderr)
@@ -210,9 +218,8 @@ def cmd_sweep(args) -> int:
             cert = certs[get_loss(loss_name).kind]
             rows.append(dict(eps=eps, loss=loss_name, primal=cert.primal_value,
                              dual=cert.dual_value, gap=cert.gap,
-                             primal_iters=provenance["primal_iterations"],
-                             dual_iters=provenance["dual_iterations"],
-                             runtime_ms=provenance["runtime_ms"]))
+                             primal_iters=ps.iterations, dual_iters=ds.iterations,
+                             runtime_ms=runtime_ms))
     if "csv" in outs:
         adio.save_sweep_csv(outs["csv"], rows)
         print(f"sweep written to {outs['csv']}")

@@ -22,7 +22,7 @@ from .errors import InstanceTooLarge, NegativeMass
 from .ground import GroundSet
 from .losses import Loss
 from .measures import SourceBalls, TwoClassMeasure, Witness, route
-from .primalsolve import EXP, HPair, PrimalSolution, level_field, nest, shares
+from .primalsolve import EXP, HPair, PrimalSolution, level_field, masses, nest, shares
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,8 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     and no kept flow takes its pooled class-1 share c, and one
     ``measures.route`` runs on all of them at once, each at its c.  A
     source of a level of one class sends its mass to itself, and each
-    source's weights are rescaled to its mass.  On the exact field every
+    source's weights are rescaled to its mass, or, if the flows left it
+    none, sent to its ball extremum of the field.  On the exact field every
     level's flow saturates, so the pair is optimal; on any other field the
     couplings are still feasible.  ``iterations`` counts the max-flows run
     here: 0 on a primal solution whose levels ``nest`` left as they were.
@@ -85,7 +86,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
         value = np.zeros(ns + b.K.size)
         value[:ns], value[ns:] = b.extremum(f), f[b.K]
         _, block = np.unique(value, return_inverse=True)
-        share, _ = shares(b, block)
+        share = shares(masses(b), block)
         # a point of a level of one class, or of none, takes its odds in nest
         keep = (np.arange(block.size) < ns) | ((share[0] > 0) & (share[1] > 0))
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -95,7 +96,8 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     e, tail, head = b.arcs
     ns = b.src.size
     _, block = np.unique(odds, return_inverse=True)
-    share, p = shares(b, block)
+    p = masses(b)
+    share = shares(p, block)
     one_class = (share[0] == 0) | (share[1] == 0)
     w = np.zeros(b.ix.size)
     self_entry = np.flatnonzero(b.ix == b.src[b.seg])
@@ -108,7 +110,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     # the flow carries 1 - c times the class-1 coupling, c times the class-0 one
     pos = flow > 0
     w[e[pos]] = flow[pos] / np.where(e >= b.split, share[0, tail], share[1, head])[pos]
-    c0, c1 = b.couplings(b.renormalize(w))
+    c0, c1 = b.couplings(b.renormalize(w, field))
     witness = Witness(b, c0, c1)
     return DualSolution(witness=witness, objective=dual_objective(EXP, witness.m0, witness.m1),
                         iterations=flows, f=field,

@@ -339,8 +339,10 @@ def load_result(path: str, g: GroundSet, measure: TwoClassMeasure):
 
 def save_sweep_csv(path: str, rows) -> None:
     """One CSV row per (epsilon, loss): eps,loss,primal,dual,gap,
-    primal_iters,dual_iters,runtime_ms.  The iteration counts are the
-    primal's max-flows and those the dual ran beyond them (``cli._pipeline``)."""
+    primal_iters,dual_iters,runtime_ms.  Of one lockstep primal of every
+    epsilon (``cli.cmd_sweep``), an epsilon's rows count the max-flows of
+    the rounds it was open in, then those its dual ran beyond them, and
+    time its even share of that primal plus its own dual."""
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SWEEP_HEADER)

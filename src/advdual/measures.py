@@ -248,14 +248,16 @@ class SourceBalls:
         field[only0], field[only1] = cap[0, only0], -cap[1, only1]
         return field
 
-    def renormalize(self, w: np.ndarray) -> np.ndarray:
+    def renormalize(self, w: np.ndarray, field: np.ndarray) -> np.ndarray:
         """Clip the entry weights ``w`` at zero and rescale each segment to
-        its source's mass; a segment left with no weight is split evenly."""
+        its source's mass; a segment left with no weight puts it all on its
+        first entry at its ball's extremum of ``field``."""
         w = np.maximum(w, 0.0)
         s = np.add.reduceat(w, self.starts)
-        w = np.where((s > 0)[self.seg], w, 1.0)
-        s = np.add.reduceat(w, self.starts)
-        return w * (self.p / s)[self.seg]
+        if not s.all():
+            top = segment_argmax(self.sign * field[self.ix], np.append(self.starts, self.ix.size))
+            w[top[s == 0]] = 1.0
+        return w * (self.p / np.where(s > 0, s, 1.0))[self.seg]
 
     def couplings(self, w: np.ndarray) -> tuple[Coupling, Coupling]:
         """The class couplings (c0, c1) of the entry weights ``w``."""

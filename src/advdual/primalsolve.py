@@ -144,60 +144,80 @@ def nest(b: SourceBalls, odds: np.ndarray) -> np.ndarray:
         value, level = np.unique(odds, return_inverse=True)
         link = sp.csr_array((np.ones(bad.size), (level[bad], np.searchsorted(value, ext[bad]))),
                             shape=(value.size, value.size))
-        share, _ = shares(b, connected_components(link, directed=False)[1][level])
+        share = shares(masses(b), connected_components(link, directed=False)[1][level])
         with np.errstate(divide="ignore"):
             odds = share[1] / share[0]
 
 
-def shares(b: SourceBalls, block: np.ndarray):
-    """Per node of ``b.arcs``, its block's pooled class shares P0 / (P0 +
-    P1) and P1 / (P0 + P1), 0 off every block (``block`` < 0) and in a
-    block of no mass, and the node's own masses (p0, p1) per unit of total
-    mass, which no mass scale under- or overflows.  A block's zero-one
-    weight at its pooled class-1 share is then, per node, the class-0 share
-    times p1 minus the class-1 share times p0."""
+def masses(b: SourceBalls) -> np.ndarray:
+    """Per node of ``b.arcs``, its masses (p0, p1) per unit of total mass,
+    which no mass scale under- or overflows."""
     ns, q = b.src.size, b.p / b.measure.total
-    p = np.zeros((2, block.size))
+    p = np.zeros((2, ns + b.K.size))
     p[0, :b.nsrc0], p[1, b.nsrc0:ns] = q[:b.nsrc0], q[b.nsrc0:]
+    return p
+
+
+def shares(p: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Per node of masses ``p`` (``masses``), its block's pooled class
+    shares P0 / (P0 + P1) and P1 / (P0 + P1), 0 off every block (``block``
+    < 0) and in a block of no mass.  A block's zero-one weight at its
+    pooled class-1 share is then, per node, the class-0 share times p1
+    minus the class-1 share times p0."""
     on = block >= 0
     pool = np.zeros((2, block.size))
     for c in (0, 1):
         pool[c, on] = np.bincount(block[on], p[c, on])[block[on]]
     total = pool.sum(axis=0)
-    return pool / np.where(total > 0, total, 1.0), p
+    return pool / np.where(total > 0, total, 1.0)
 
 
 def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
-    """The exact minimizer of the exponential adversarial risk, by nested
-    minimum cuts.
+    """The exact minimizer of the exponential adversarial risk: a batch of
+    one of ``solve_exp_primals``."""
+    return solve_exp_primals([g], measure)[0]
+
+
+def solve_exp_primals(grounds, measure: TwoClassMeasure) -> list[PrimalSolution]:
+    """The exact minimizer of the exponential adversarial risk on each
+    ground set of ``grounds``, by nested minimum cuts, all in lockstep.
 
     The exponential loss is a mixture of cost-weighted zero-one losses, and
     the minimizer of each zero-one risk R_c is a maximum-weight closure of
     the graph ``SourceBalls.arcs``: weight (1 - c) p on a class-1 source,
     -c p on a class-0 source.  As c rises these closures nest, so the
     optimal conditional probability eta* is constant on blocks of nodes,
-    each at its pooled class-1 share (``shares``).  Starting from the
-    whole graph, each round runs one max-flow (``measures.route``) on
-    every open block at its share and finds the closure the residual graph
-    reaches in it.  If that is a part of the block whose weight exceeds
-    ``LEVEL_RTOL`` of the block's total absolute weight, it splits off as
-    the upper part and both parts stay open; otherwise the block is a
-    level.  Blocks of one class are levels at eta 0 or 1.  ``nest`` pools
+    each at its pooled class-1 share (``shares``).  The grounds' graphs lie
+    side by side, and a closure splits over their connected components, so
+    each component starts as a block.  Each round runs one max-flow
+    (``measures.route``) on every open block at its share and finds the
+    closure the residual graph reaches in it.  If that is a part of the
+    block whose weight exceeds ``LEVEL_RTOL`` of the block's total absolute
+    weight, it splits off as the upper part and both parts stay open;
+    otherwise the block is a level.  Blocks of one class are levels at eta
+    0 or 1.  No block's rounds depend on the blocks beside it, so each
+    ground's solution is the one it has alone.  Per ground, ``nest`` pools
     levels the flows' round-off left out of place, and ``level_field``
     turns the levels' odds into the field; ``iterations`` counts the
-    max-flows and ``risk`` is the exact risk of the field.  The flow of the
-    round that closed a level is kept on its arcs: at the level's share it
-    saturates, unless ``nest`` pooled or refilled the level.
+    max-flows of the rounds in which the ground had an open block, and
+    ``risk`` is the exact risk of the field.  The flow of the round that
+    closed a level is kept on its arcs: at the level's share it saturates,
+    unless ``nest`` pooled or refilled the level.
     """
-    b = SourceBalls(g, measure)
-    _, tail, head = b.arcs
-    ns, nodes, flows = b.src.size, b.src.size + b.K.size, 0
-    block = np.zeros(nodes, dtype=np.int64)
-    odds = np.full(nodes, np.nan)
-    kept = np.zeros(tail.size)
-    src = np.arange(nodes) < ns
+    balls = [SourceBalls(g, measure) for g in grounds]
+    # each ground's nodes and arcs start at its offsets in the union
+    at = np.cumsum([0] + [b.src.size + b.K.size for b in balls])
+    cut = np.cumsum([0] + [b.arcs[0].size for b in balls])
+    nodes, owner = at[-1], np.repeat(np.arange(len(balls)), np.diff(at))
+    src = np.arange(nodes) < (at[:-1] + [b.src.size for b in balls])[owner]
+    p = np.concatenate([masses(b) for b in balls], axis=1)
+    tail, head = (np.concatenate([b.arcs[k] + a for b, a in zip(balls, at)]) for k in (1, 2))
+    block = connected_components(sp.csr_array((np.ones(tail.size), (tail, head)),
+                                              shape=(nodes, nodes)), directed=False)[1]
+    odds, kept = np.full(nodes, np.nan), np.zeros(tail.size)
+    flows = np.zeros(len(balls), dtype=np.int64)
     while True:
-        share, p = shares(b, block)
+        share = shares(p, block)
         # blocks of one class, or of no mass, are levels without a flow
         done = (block >= 0) & ((share[0] == 0) | (share[1] == 0))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -207,8 +227,8 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
             break
         gain = share[0] * p[1] - share[1] * p[0]
         flow, up, runs = route(tail, head, block, gain)
-        flows += runs
         on = np.flatnonzero(block >= 0)
+        flows += runs * (np.bincount(owner[on], minlength=flows.size) > 0)
         size, above = np.bincount(block[on]), np.bincount(block[on], up[on])
         rise = np.bincount(block[on], np.where(up[on], gain[on], 0.0))
         split = (rise > LEVEL_RTOL * np.bincount(block[on], np.abs(gain[on]))) & (above < size)
@@ -220,12 +240,15 @@ def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
         # the upper part of a split block takes a label of its own
         block[up & (block >= 0)] += size.size
         _, block[block >= 0] = np.unique(block[block >= 0], return_inverse=True)
-    nested = nest(b, odds)
-    _, level = np.unique(nested, return_inverse=True)
-    settled = np.bincount(level, nested != odds)[level] == 0
-    f = level_field(b, nested)
-    return PrimalSolution(f=f, risk=b.risk(EXP, f), iterations=flows, balls=b,
-                          odds=nested, flow=kept, settled=settled)
+    out = []
+    for i, b in enumerate(balls):
+        nested = nest(b, odds[at[i]:at[i + 1]])
+        _, level = np.unique(nested, return_inverse=True)
+        settled = np.bincount(level, nested != odds[at[i]:at[i + 1]])[level] == 0
+        f = level_field(b, nested)
+        out.append(PrimalSolution(f=f, risk=b.risk(EXP, f), iterations=int(flows[i]), balls=b,
+                                  odds=nested, flow=kept[cut[i]:cut[i + 1]], settled=settled))
+    return out
 
 
 def eta_hat(f) -> np.ndarray:

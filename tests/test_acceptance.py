@@ -273,6 +273,23 @@ def _scatter_l2(n=400, eps=0.3, seed=1):
     return build_ground(pts, "l2", eps), TwoClassMeasure.build(1.0 / n - m1, m1)
 
 
+def _mixed_scale_draws(seed, draws):
+    """Draws of the mixed-scale recipe: 5-199 points in [0, 2]^d, d in {1,
+    2}, any norm, epsilon in [0.05, 0.6), and per point and class a mass of
+    1, 1e-6 or 1e-12 with probability 1/2, else none.  A draw with no mass
+    is skipped.  Yields (points, norm, epsilon, measure)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        n, d = rng.integers(5, 200), rng.integers(1, 3)
+        pts = rng.uniform(0.0, 2.0, (n, d))
+        norm = NORMS[rng.integers(3)]
+        eps = rng.uniform(0.05, 0.6)
+        m0, m1 = (np.array([1.0, 1e-6, 1e-12])[rng.integers(3, size=n)]
+                  * (rng.uniform(size=n) < 0.5) for _ in range(2))
+        if m0.sum() + m1.sum() > 0:
+            yield pts, norm, eps, TwoClassMeasure.build(m0, m1)
+
+
 def _assert_certified(g, measure, ds, tol, name):
     """The returned pair's exponential gap is within tolerance, and the
     multiplier pair bounds the field's risk."""
@@ -350,6 +367,23 @@ def _assert_all_losses_exact(g, measure, ds, name):
     for kind, cert in result.certificates.items():
         assert cert.gap <= 1e-12 * measure.total, (name, kind, cert.gap)
     assert result.support_violation <= 1e-12 * measure.total, name
+
+
+def test_mixed_scale_draws_certify_exactly():
+    # masses of 1, 1e-6 and 1e-12 side by side, 300 draws: every loss's gap
+    # is at float64 round-off per unit mass, every source the flows leave
+    # without weight sends its mass to its ball extremum, so the support
+    # check reads exactly 0, and each connected component's flows are
+    # scaled to its own total, which keeps the max-flows few
+    flows = 0
+    for k, (pts, norm, eps, measure) in enumerate(_mixed_scale_draws(2, 300)):
+        ds, prov = _pipeline(build_ground(pts, norm, eps), measure, None)
+        flows += prov["primal_iterations"] + prov["dual_iterations"]
+        result = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge", "zero-one"])
+        for kind, cert in result.certificates.items():
+            assert cert.gap <= 1e-12 * measure.total, (k, kind, cert.gap)
+        assert result.support_violation == 0, (k, result.support_violation)
+    assert flows <= 1300
 
 
 def test_scatter_l2_800_certified_in_its_first_program():

@@ -332,20 +332,16 @@ def test_sweep_csv_and_svg(inst, tmp_path, capsys):
 
 
 def test_sweep_runtime_is_the_pipeline_clock(inst, tmp_path, monkeypatch):
-    # the CSV's runtime_ms is the solve time the result file stores
-    real = cli._pipeline
-
-    def pipeline(*args):
-        ds, provenance = real(*args)
-        return ds, {**provenance, "runtime_ms": 424242}
-
-    monkeypatch.setattr(cli, "_pipeline", pipeline)
+    # every epsilon solves in one lockstep primal: a row's runtime_ms is the
+    # epsilon's even share of that primal's clock plus its own dual's
+    ticks = iter([0.0, 0.6, 1.0, 1.25, 2.0, 2.5])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
     stem = str(tmp_path / "sw")
     assert main(["sweep", inst, "--eps", "0.3,0.6", "--out", stem]) == 0
+    assert next(ticks, None) is None
     with open(stem + ".csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 * 4
-    assert {row["runtime_ms"] for row in rows} == {"424242"}
+    assert [row["runtime_ms"] for row in rows] == ["550"] * 4 + ["800"] * 4
 
 
 def test_sweep_out_extension_is_dropped(inst, tmp_path, capsys):
@@ -493,7 +489,8 @@ def test_unwritable_out_exits_2(inst, tmp_path, argv, monkeypatch, capsys):
     # like an input file that cannot be read, not an uncertified solve; it
     # is found before any solve, and nothing is created
     calls = []
-    monkeypatch.setattr(cli, "solve_exp_primal", lambda *a: calls.append(a))
+    for name in ("solve_exp_primal", "solve_exp_primals"):
+        monkeypatch.setattr(cli, name, lambda *a: calls.append(a))
     out = str(tmp_path / "no" / "such" / "r.json")
     assert main([argv[0], inst, *argv[1:], "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write ")
@@ -505,7 +502,7 @@ def test_sweep_checks_every_output_before_solving(inst, tmp_path, monkeypatch, c
     # --format both writes a .csv and an .svg; a directory in the place of
     # the .svg stops the sweep before it solves, and no .csv is written
     calls = []
-    monkeypatch.setattr(cli, "solve_exp_primal", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "solve_exp_primals", lambda *a: calls.append(a))
     stem = str(tmp_path / "sw")
     os.mkdir(stem + ".svg")
     assert main(["sweep", inst, "--eps", "0.3", "--format", "both", "--out", stem]) == 2
@@ -552,6 +549,27 @@ def test_sweep_exits_3_when_not_certified(inst, tmp_path, monkeypatch, capsys):
     assert len(open(stem + ".csv").read().splitlines()) == 1 + 2 * 4
 
 
+def test_sweep_writes_nan_rows_where_a_dual_fails(inst, tmp_path, monkeypatch, capsys):
+    # every epsilon's primal is solved at once; an error of one epsilon's
+    # dual marks its rows NaN and exits 3, and the other epsilon is written
+    real = cli.solve_dual
+
+    def solve_dual(g, *args):
+        if g.epsilon == 0.6:
+            raise AdvdualError("the level flows failed")
+        return real(g, *args)
+
+    monkeypatch.setattr(cli, "solve_dual", solve_dual)
+    stem = str(tmp_path / "sw")
+    assert main(["sweep", inst, "--eps", "0.3,0.6", "--out", stem]) == 3
+    assert "eps=0.6 failed: the level flows failed" in capsys.readouterr().err
+    with open(stem + ".csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["eps"]) for row in rows] == [0.3] * 4 + [0.6] * 4
+    assert all(row["gap"] != "nan" for row in rows[:4])
+    assert all(row["gap"] == "nan" and row["runtime_ms"] == "0" for row in rows[4:])
+
+
 def test_solve_exits_3_when_no_cut_program_solves(inst, tmp_path, monkeypatch, capsys):
     # an error of the solve itself, here of the min-cut programs of the
     # level flows, is exit 3, and no result file is written
@@ -590,9 +608,8 @@ def test_one_empty_class_solves(tmp_path, argv):
     assert main([argv[0], path, *argv[1:], "--out", str(tmp_path / "out")]) == 0
 
 
-def test_benchmark_patch_names_resolve(inst, tmp_path):
-    # bench/spans.py wraps these module attributes by name; each must exist
-    # and the solve path must go through them
+def _bench_tracer():
+    """bench/spans.py's ``Tracer``, installed on the package."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     try:
         from spans import Tracer
@@ -602,6 +619,13 @@ def test_benchmark_patch_names_resolve(inst, tmp_path):
     tracer.install(types.SimpleNamespace(
         cli=cli, **{name: importlib.import_module(f"advdual.{name}")
                     for name in ("io", "primalsolve", "certify")}))
+    return tracer
+
+
+def test_benchmark_patch_names_resolve(inst, tmp_path):
+    # bench/spans.py wraps these module attributes by name; each must exist
+    # and the solve path must go through them
+    tracer = _bench_tracer()
     out = str(tmp_path / "r.json")
     try:
         code = main(["solve", inst, "--loss", "all", "--out", out])
@@ -619,6 +643,21 @@ def test_benchmark_patch_names_resolve(inst, tmp_path):
             "certify.universality", "certify.certify"} <= names
     assert cli._pipeline.__module__ == "advdual.cli"
     assert cli._COMMANDS["solve"] is cli.cmd_solve
+
+
+def test_benchmark_tracer_wraps_a_sweep(inst, tmp_path):
+    # the sweep solves every epsilon's primal in one lockstep call, which
+    # the tracer does not wrap, but its command, duals and certificates
+    # still run through the names it wraps
+    tracer = _bench_tracer()
+    try:
+        code = main(["sweep", inst, "--eps", "0,0.3,0.6", "--out", str(tmp_path / "sw")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    names = [s.name for s in tracer.spans]
+    assert {"cli.sweep", "dualsolve.solve", "certify.universality"} <= set(names)
+    assert names.count("dualsolve.solve") == names.count("certify.universality") == 3
 
 
 def test_oracle(inst, capsys):

@@ -700,7 +700,7 @@ def test_pipeline_reads_the_couplings_off_the_primal_flows(case, monkeypatch):
     assert len(layouts) == 1
     ps = solve_exp_primal(g, measure)
     _, level = np.unique(ps.odds, return_inverse=True)
-    share, _ = primalsolve.shares(ps.balls, level)
+    share = primalsolve.shares(primalsolve.masses(ps.balls), level)
     pooled = ~ps.settled & (share[0] > 0) & (share[1] > 0)
     assert pooled.any() == (case == CLOSURE_IDS.index("39 points"))
     if pooled.any():

@@ -250,7 +250,7 @@ def test_source_balls_match_ball_by_ball_loops():
         f = rng.choice([-np.inf, -1.0, 0.0, 0.5, np.inf], g.n)
         h = rng.choice([0.0, 0.25, 1.0, 3.0, np.inf], (2, g.n))  # h0, h1
         x = rng.choice([-1.0, 0.0, 0.5, 2.0], b.ix.size)
-        w = b.renormalize(x)
+        w = b.renormalize(x, f)
         worst, renorm, pairs = [0.0, 0.0], [], ([], [])
         m, cap = np.zeros((2, g.n)), np.full((2, g.n), np.inf)
         reach = np.zeros((2, g.n), dtype=bool)
@@ -262,7 +262,9 @@ def test_source_balls_match_ball_by_ball_loops():
                 balls.append((c, sign, ball))
                 worst[c] += mass[i] * h[c, ball].max()
                 y = np.maximum(x[at:at + ball.size], 0.0)
-                y = np.ones(ball.size) if y.sum() == 0 else y
+                if y.sum() == 0:
+                    # no weight: all on the first extremum of f on the ball
+                    y[np.argmax(sign * f[ball])] = 1.0
                 y = y * (mass[i] / y.sum())
                 renorm.append(y)
                 np.add.at(m[c], ball, y)

@@ -1,8 +1,11 @@
+import os
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from advdual import io as adio
 from advdual.certify import certify, uncertified, universality_check
 from advdual.cli import _pipeline
 from advdual.dualsolve import solve_dual
@@ -19,12 +22,13 @@ from advdual.primalsolve import (
     hpair_feasible,
     risk_adv,
     solve_exp_primal,
+    solve_exp_primals,
     theta,
     threshold_classifier,
 )
 
-from conftest import ball_by_ball_risk, identity_coupling
-from test_acceptance import _random_instance
+from conftest import ROOT, ball_by_ball_risk, identity_coupling
+from test_acceptance import _mixed_scale_draws, _random_instance
 
 
 EXP = get_loss("exp")
@@ -273,6 +277,40 @@ def test_solve_exp_primal_stage_work_on_a_scatter(scale):
     certs = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge"]).certificates
     assert set(certs) == {"exponential", "logistic", "hinge"}
     assert uncertified(certs, 1e-4, measure.total) == []
+
+
+def test_lockstep_solves_equal_the_solo_solves(tmp_path, monkeypatch):
+    # a sweep solves its epsilon grid in one lockstep primal, here the
+    # bench's sweep grid on its sweep1d instances and on 20 mixed-scale
+    # draws: each ground's solution is bit for bit its solo one, and one
+    # route per round serves every ground, as many as the slowest needs
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(os.path.join(ROOT, "bench"))
+    grid = [float(eps) for eps in workloads.SWEEP_EPS.split(",")]
+    cases = [adio.load_instance(path)
+             for path in workloads.write_instances("sweep1d", str(tmp_path))]
+    cases += [(build_ground(pts, norm, eps), measure)
+              for pts, norm, eps, measure in _mixed_scale_draws(3, 20)]
+    calls, real = [], primalsolve.route
+    monkeypatch.setattr(primalsolve, "route", lambda *a: calls.append(1) or real(*a))
+    for k, (g, measure) in enumerate(cases):
+        grounds = [build_ground(g.points, g.norm, eps) for eps in grid]
+        solo, rounds = [], []
+        for ground in grounds:
+            calls.clear()
+            solo.append(solve_exp_primal(ground, measure))
+            rounds.append(len(calls))
+        calls.clear()
+        lockstep = solve_exp_primals(grounds, measure)
+        assert len(calls) == max(rounds), k
+        for eps, ground, one, ps in zip(grid, grounds, solo, lockstep):
+            assert ps.balls.g is ground
+            for name in ("f", "odds", "flow", "settled"):
+                a, b = getattr(ps, name), getattr(one, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (k, eps, name)
 
 
 def test_solve_exp_primal_deterministic(twopoint):
