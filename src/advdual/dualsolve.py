@@ -21,8 +21,8 @@ import numpy as np
 from .errors import InstanceTooLarge, NegativeMass
 from .ground import GroundSet
 from .losses import Loss
-from .measures import SourceBalls, TwoClassMeasure, Witness, route
-from .primalsolve import EXP, HPair, PrimalSolution, level_field, masses, nest, shares
+from .measures import SourceBalls, TwoClassMeasure, Witness, gains, route, shares
+from .primalsolve import EXP, HPair, PrimalSolution, counts, level_field, masses, nest
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,11 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     nests them (``primalsolve.nest``) and keeps no flow; the field is then
     ``level_field`` of their odds.  Every level with mass of both classes
     and no kept flow takes its pooled class-1 share c, and one
-    ``measures.route`` runs on all of them at once, each at its c.  A
+    ``measures.route`` runs on all of them at once, each at the
+    ``measures.gains`` of its c: one exact max-flow when each class's
+    masses are whole multiples of its least one (``primalsolve.counts``),
+    and a second that repairs the first's rounding otherwise, if a node
+    whose need was rounded falls short.  A
     source of a level of one class sends its mass to itself, and each
     source's weights are rescaled to its mass, or, if the flows left it
     none, sent to its ball extremum of the field.  On the exact field every
@@ -96,8 +100,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     e, tail, head = b.arcs
     ns = b.src.size
     _, block = np.unique(odds, return_inverse=True)
-    p = masses(b)
-    share = shares(p, block)
+    share, gain, unit = gains(masses(b), block, counts(b))
     one_class = (share[0] == 0) | (share[1] == 0)
     w = np.zeros(b.ix.size)
     self_entry = np.flatnonzero(b.ix == b.src[b.seg])
@@ -105,8 +108,8 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     block[one_class | settled] = -1
     flows = 0
     if np.any(block >= 0):
-        rerouted, _, flows = route(tail, head, block, share[0] * p[1] - share[1] * p[0])
-        flow = np.where(block[tail] >= 0, rerouted, flow)
+        rerouted, _, flows = route(tail, head, block, gain)
+        flow = np.where(block[tail] >= 0, rerouted * unit[tail], flow)
     # the flow carries 1 - c times the class-1 coupling, c times the class-0 one
     pos = flow > 0
     w[e[pos]] = flow[pos] / np.where(e >= b.split, share[0, tail], share[1, head])[pos]

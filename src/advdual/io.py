@@ -56,6 +56,8 @@ def _encode(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.size and obj.ndim:
+            return _float_array(obj)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
@@ -64,6 +66,17 @@ def _encode(obj) -> str:
         return "{" + ", ".join(
             json.dumps(str(k)) + ": " + _encode(v) for k, v in items) + "}"
     raise WriteError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def _float_array(a: np.ndarray) -> str:
+    """The nested lists of the non-empty float array ``a``, each float as
+    ``_encode`` prints it, with one ``", ".join`` per row."""
+    flat = a.ravel().tolist()
+    text = ([format(x, ".17g") for x in flat] if np.isfinite(a).all()
+            else [_encode(x) for x in flat])
+    for size in reversed(a.shape[1:]):
+        text = ["[" + ", ".join(text[i:i + size]) + "]" for i in range(0, len(text), size)]
+    return "[" + ", ".join(text) + "]"
 
 
 def dumps(obj) -> str:
@@ -83,8 +96,14 @@ def _revive(obj):
 
 
 def loads(text: str):
+    return _revive(_parse(text))
+
+
+def _parse(text: str):
+    """The JSON value of ``text``, its "inf", "-inf" and "nan" strings kept
+    as strings."""
     try:
-        return _revive(json.loads(text))
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: "
                          f"{e.msg}") from e
@@ -103,8 +122,8 @@ def _read_text(path: str) -> str:
 
 def _load_object(path: str, kind: str) -> dict:
     """The JSON object in the ``kind`` file at ``path``, of this schema
-    version."""
-    data = loads(_read_text(path))
+    version, its "inf", "-inf" and "nan" strings kept as strings."""
+    data = _parse(_read_text(path))
     if not isinstance(data, dict):
         raise ValidationError(f"{kind} file must contain a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
@@ -178,17 +197,19 @@ def refine_points(points: np.ndarray, epsilon: float, r: int,
 
 def _floats(key: str, value) -> np.ndarray:
     """``value``, nested lists of JSON numbers, as a float array; any other
-    entry (a bool, a string) or ragged nesting raises ValidationError."""
-    todo, what = [value], f"each entry of {key!r}"
-    while todo:
-        v = todo.pop()
-        if isinstance(v, list):
-            todo.extend(v)
-        else:
-            _number(what, v)
+    entry (a bool, a string, a list in a ragged nesting) or a number no
+    float holds raises ValidationError."""
     try:
-        return np.asarray(value, dtype=float)
+        entries = np.array(value, dtype=object)
     except ValueError as e:
+        raise ValidationError(f"malformed field {key!r}: {e}") from e
+    flat = entries.ravel().tolist()
+    if not {type(v) for v in flat} <= {int, float}:
+        bad = next(v for v in flat if type(v) not in (int, float))
+        raise ValidationError(f"each entry of {key!r} must be a number, got {bad!r}")
+    try:
+        return entries.astype(float)
+    except OverflowError as e:
         raise ValidationError(f"malformed field {key!r}: {e}") from e
 
 
@@ -201,7 +222,7 @@ def load_instance(path: str):
     midpoints ``refine_points`` bounds.  Refinement happens before neighbor
     indexing; refined points carry zero mass.
     """
-    data = _load_object(path, "instance")
+    data = _revive(_load_object(path, "instance"))
     for key in ("points", "norm", "epsilon", "mass0", "mass1"):
         if key not in data:
             raise ValidationError(f"missing required field {key!r}")
@@ -273,7 +294,9 @@ def save_result(path: str, instance_path: str, result: Result, provenance: dict)
         "f": result.f,
         "m0": w.m0,
         "m1": w.m1,
-        "couplings": {"class0": w.c0.triples(), "class1": w.c1.triples()},
+        # a float index prints as its integer
+        "couplings": {f"class{k}": np.column_stack((c.src, c.dst, c.w))
+                      for k, c in enumerate((w.c0, w.c1))},
         "support_violation": result.support_violation,
         "certificates": {kind: asdict(c) for kind, c in result.certificates.items()},
     }))
@@ -306,12 +329,13 @@ def load_result(path: str, g: GroundSet, measure: TwoClassMeasure):
     ``witness.tol`` off its pushforwards."""
     data = _load_object(path, "result")
     try:
+        # numpy reads the "inf", "-inf" and "nan" strings of the arrays
         f, m0, m1 = (np.asarray(data[k], dtype=float) for k in ("f", "m0", "m1"))
         trips = [np.asarray(data["couplings"][k], dtype=float) for k in ("class0", "class1")]
         certs = {kind: _certificate(kind, entry)
-                 for kind, entry in data["certificates"].items()}
-        support = data["support_violation"]
-        tol = check_tol(data["provenance"]["tol"])
+                 for kind, entry in _revive(data["certificates"]).items()}
+        support = _revive(data["support_violation"])
+        tol = check_tol(_revive(data["provenance"]["tol"]))
     except KeyError as e:
         raise ValidationError(f"result file missing field {e}") from e
     except (AttributeError, TypeError, ValueError, OverflowError) as e:

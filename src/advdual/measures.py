@@ -37,22 +37,29 @@ def route(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarra
     positive needs and node 1 receives the negative ones, node 2 + i is the
     i-th node of the blocks, and each block node with a need has an arc
     from node 0 or to node 1.  The first max-flow scales each block's needs
-    to sum to ``FLOW_UNITS`` in absolute value and rounds each down to an
-    int32 count of units, so that it serves no node beyond its need.
-    Across its minimum cut only that rounding is left, less than a unit per
-    need, so a second max-flow, run only if a block node falls short,
-    routes the shortfalls on top of it at ``FLOW_UNITS`` times a finer
-    scale, each rounded to the nearest unit but at least 1 (0 on a need
-    met), forward along the arcs or back along their flow, with the true
-    excess of the cut clipped to ``FLOW_INF``.  So the flow is a maximum
-    one, and its cut the minimum one, to within float round-off.  Returns
-    the flow on each arc in mass units, the mask of the nodes the last
-    residual graph reaches from the needs, and the number of max-flows
-    run."""
+    to sum to about ``FLOW_UNITS`` in absolute value and rounds each down
+    to an int32 count of units, so that it serves no node beyond its need.
+    A block of whole needs summing to at most ``FLOW_UNITS`` takes the
+    whole scale, the largest whole number of units per need that keeps
+    that sum, so none is rounded and its first flow is already maximum.
+    Across a minimum cut of any other block only the rounding is left,
+    less than a unit per need, so a second max-flow, run only if a node
+    whose need was rounded falls short, routes the shortfalls on top of
+    the first at ``FLOW_UNITS`` times a finer scale, each rounded to the
+    nearest unit but at least 1 (0 on a need met, and on every need of a
+    whole block), forward along the arcs or back along their flow, with
+    the true excess of the cut clipped to ``FLOW_INF``.  So the flow is a
+    maximum one, and its cut the minimum one, exactly on whole blocks and
+    to within float round-off on the others.  Returns the flow on each arc
+    in units of the needs, the mask of the nodes the residual graph of
+    their block's last flow reaches from the needs, and the number of
+    max-flows run."""
     on = np.flatnonzero(block >= 0)
     at = np.maximum(block, 0)
     total = np.bincount(block[on], np.abs(need[on]))
-    units = FLOW_UNITS / np.where(total > 0, total, 1.0)[at]
+    scale = FLOW_UNITS / np.where(total > 0, total, 1.0)
+    exact = (np.bincount(block[on], need[on] != np.rint(need[on])) == 0) & (total <= FLOW_UNITS)
+    units = np.where(exact, np.floor(scale), scale)[at]
     local = np.zeros(block.size, dtype=np.int64)
     local[on] = 2 + np.arange(on.size)
     nodes = on.size + 2
@@ -62,9 +69,12 @@ def route(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarra
     src = np.concatenate((np.where(give, 0, local[has]), local[tail[arcs]]))
     dst = np.concatenate((np.where(give, local[has], 1), local[head[arcs]]))
     # each pair in both directions, sorted: maximum_flow then returns the
-    # flow on exactly these entries, in this order
+    # flow on exactly these entries, in this order.  No key repeats, so any
+    # sort gives this order: the callers' arcs are distinct and none is
+    # another's reverse (they leave class-1 sources and enter class-0
+    # ones), and a node has an arc from node 0 or to node 1, not both
     key = np.concatenate((src * nodes + dst, dst * nodes + src))
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key = key[order]
     cols = (key % nodes).astype(np.int32)
     indptr = np.searchsorted(key, np.arange(nodes + 1) * nodes).astype(np.int32)
@@ -73,7 +83,7 @@ def route(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarra
     entry = entry[has.size:src.size]
 
     def run(count, units, flow):
-        # ``count`` units on the need arcs, and ``units`` per unit of mass
+        # ``count`` units on the need arcs, and ``units`` per unit of need
         # at a node on each arc out of it and back along its flow ``flow``
         scale = units[tail[arcs]]
         cap = np.concatenate((count, np.full(arcs.size, FLOW_INF),
@@ -88,19 +98,86 @@ def route(tail: np.ndarray, head: np.ndarray, block: np.ndarray, need: np.ndarra
     flow, left = run(np.floor(np.abs(need[has]) * units[has]), units, np.zeros(tail.size))
     sent = np.bincount(tail, flow, block.size) - np.bincount(head, flow, block.size)
     short = need[has] - sent[has]
-    runs = 2 if np.any(short) else 1
+    rounded = ~exact[block[has]]
+    runs = 2 if np.any(short[rounded]) else 1
     if runs == 2:
         count = np.bincount(block[on], need[on] != 0)
         units = units * (FLOW_UNITS / np.maximum(count, 1)[at])
         # a need the first flow met, or passed by round-off, gets no units
         fine = np.maximum(np.rint(np.abs(short) * units[has]), 1.0)
-        flow, left = run(np.where(short * need[has] > 0, fine, 0.0), units, flow)
+        flow, fine_left = run(np.where(rounded & (short * need[has] > 0), fine, 0.0), units, flow)
+        # a whole block's residual graph is its first flow's; each entry
+        # has a block node at one end at least
+        row = key // nodes
+        mine = on[np.where(row >= 2, row, key % nodes) - 2]
+        left = np.where(exact[block[mine]], left, fine_left)
     reach = np.zeros(block.size, dtype=bool)
     ptr = np.concatenate(([0], np.cumsum(left)))[indptr]
-    reach[on] = np.isin(np.arange(2, nodes), breadth_first_order(
-        sp.csr_array((np.ones(ptr[-1]), cols[left], ptr), shape=(nodes, nodes)),
-        0, return_predecessors=False))
+    seen = np.zeros(nodes, dtype=bool)
+    seen[breadth_first_order(sp.csr_array((np.ones(ptr[-1]), cols[left], ptr),
+                                          shape=(nodes, nodes)),
+                             0, return_predecessors=False)] = True
+    reach[on] = seen[2:]
     return flow, reach, runs
+
+
+def whole(mass: np.ndarray):
+    """Per class of the masses ``mass`` (2, nodes), each mass as a whole
+    count of the class's least positive mass, and the two least masses (1
+    for a class of no mass); None unless every positive mass is a whole
+    multiple of its class's least one, below 2^53 of them.  The test is
+    exact: ``np.fmod`` rounds nothing."""
+    least = np.min(mass, axis=1, keepdims=True, initial=np.inf, where=mass > 0)
+    least[least == np.inf] = 1.0
+    with np.errstate(over="ignore"):
+        count = mass / least
+    if np.fmod(mass, least).any() or not count.max(initial=0.0) < 2.0 ** 53:
+        return None
+    return count, least[:, 0]
+
+
+def pool(p: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Per node, the sums of the rows of ``p`` over its block (``block``),
+    0 off every block (``block`` < 0)."""
+    on = block >= 0
+    out = np.zeros(p.shape)
+    for c in range(p.shape[0]):
+        out[c, on] = np.bincount(block[on], p[c, on])[block[on]]
+    return out
+
+
+def shares(p: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Per node of class masses ``p`` (2, nodes), its block's pooled class
+    shares P0 / (P0 + P1) and P1 / (P0 + P1), 0 off every block (``block``
+    < 0) and in a block of no mass."""
+    pooled = pool(p, block)
+    total = pooled.sum(axis=0)
+    return pooled / np.where(total > 0, total, 1.0)
+
+
+def gains(p: np.ndarray, block: np.ndarray, counts=None):
+    """Per node of class masses ``p`` (2, nodes) on blocks ``block``: the
+    block's pooled class ``shares``, the node's zero-one gain at the
+    block's pooled class-1 share, share0 p1 - share1 p0, and the mass of
+    one unit of that gain, 1.
+
+    ``counts``, the ``whole`` counts of ``p`` and their least masses, may
+    make the gains whole: on a block whose pooled counts W0, W1 give every
+    product W0 w1 and W1 w0 below 2^53, the gain is P0 p1 - P1 p0 in the
+    counts, W0 w1 - W1 w0, exact, and a unit of it weighs q0 q1 / (W0 q0 +
+    W1 q1) for the least masses q0, q1.  Both gains route the same flow
+    (``route``), in their units; the whole ones route it exactly."""
+    share = shares(p, block)
+    gain, unit = share[0] * p[1] - share[1] * p[0], np.ones(block.size)
+    if counts is not None:
+        w, q = counts
+        tally = pool(w, block)
+        # a block's gains are whole if none of its products reaches 2^53
+        over = ~(np.maximum(tally[0] * w[1], tally[1] * w[0]) < 2.0 ** 53)
+        exact = (block >= 0) & (pool(over[None], block)[0] == 0) & (tally.sum(axis=0) > 0)
+        gain[exact] = tally[0, exact] * w[1, exact] - tally[1, exact] * w[0, exact]
+        unit[exact] = q[0] * q[1] / (tally[0, exact] * q[0] + tally[1, exact] * q[1])
+    return share, gain, unit
 
 
 def _check_mass(m, n: int, name: str) -> np.ndarray:
@@ -144,6 +221,11 @@ class TwoClassMeasure:
     @property
     def total(self) -> float:
         return float(self.mass0.sum()) + float(self.mass1.sum())
+
+    @functools.cached_property
+    def counts(self):
+        """``whole`` of the class masses (mass0, mass1), tested once."""
+        return whole(np.stack((self.mass0, self.mass1)))
 
 
 @dataclass(frozen=True)
@@ -341,34 +423,43 @@ def winf_feasible(g: GroundSet, p, q, epsilon: float | None = None) -> bool:
     Decided (up to a per-unit-mass slack) by one ``route`` on the bipartite
     graph of the pairs within epsilon (``_carries``).
     """
-    p, q, tp, d = _transport(g, p, q)
-    return tp == 0 or _carries(p, q, tp, d <= (g.epsilon if epsilon is None else float(epsilon)))
+    mass, counts, tp, d = _transport(g, p, q)
+    return tp == 0 or _carries(mass, counts, tp, d <= (g.epsilon if epsilon is None
+                                                        else float(epsilon)))
 
 
 def _transport(g: GroundSet, p, q):
     """``p`` and ``q`` checked as masses on the points of ``g`` of one total
-    (``MassMismatch`` otherwise): their positive masses, the total of p and
-    the distance matrix from the points of those of p to those of q."""
+    (``MassMismatch`` otherwise): the class masses (2, nodes) of the nodes
+    of their flow graph, each positive mass of p a class-1 node and then
+    each of q a class-0 node, those masses' ``whole`` counts, the total of
+    p, and the distance matrix from the points of p's nodes to those of
+    q's."""
     p = _check_mass(p, g.n, "p")
     q = _check_mass(q, g.n, "q")
     tp, tq = p.sum(), q.sum()
     if abs(tp - tq) > TOTAL_TOL * max(1.0, tp, tq):
         raise MassMismatch(f"total masses differ: {tp} vs {tq}")
     srcs, dsts = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
-    return p[srcs], q[dsts], tp, distances(g.points[srcs][:, None], g.points[dsts][None], g.norm)
+    mass = np.zeros((2, srcs.size + dsts.size))
+    mass[1, :srcs.size], mass[0, srcs.size:] = p[srcs], q[dsts]
+    return mass, whole(mass), tp, distances(g.points[srcs][:, None], g.points[dsts][None],
+                                            g.norm)
 
 
-def _carries(p: np.ndarray, q: np.ndarray, tp: float, near: np.ndarray) -> bool:
-    """Does the positive mass ``p`` (of total ``tp``) move onto ``q`` along
-    the pairs ``near[a, b]``: does one ``route`` that sends p and receives
-    q carry all of p?"""
+def _carries(mass: np.ndarray, counts, tp: float, near: np.ndarray) -> bool:
+    """Does the class-1 mass of ``mass`` (of total ``tp``) move onto its
+    class-0 mass along the pairs ``near[a, b]`` of class-1 node a and
+    class-0 node b: does one ``route``, at the ``gains`` of one block,
+    carry all of it?"""
     rows, cols = np.nonzero(near)
     if rows.size == 0:
         return False
-    # node a is source a, node p.size + b is target b
-    need = np.concatenate((p, -q))
-    flow, _, _ = route(rows, p.size + cols, np.zeros(need.size, dtype=np.int64), need)
-    return flow.sum() >= tp - FLOW_SLACK * max(1.0, tp)
+    block = np.zeros(mass.shape[1], dtype=np.int64)
+    share, need, unit = gains(mass, block, counts)
+    flow, _, _ = route(rows, near.shape[0] + cols, block, need)
+    # a unit of flow moves 1 / share0 units of class-1 mass
+    return flow.sum() * unit[0] / share[0, 0] >= tp - FLOW_SLACK * max(1.0, tp)
 
 
 def winf_distance(g: GroundSet, p, q) -> float:
@@ -377,7 +468,7 @@ def winf_distance(g: GroundSet, p, q) -> float:
     Binary search over the exact spectrum of source-target distances, on
     one distance matrix: each step thresholds it and runs ``_carries``.
     """
-    p, q, tp, d = _transport(g, p, q)
+    mass, counts, tp, d = _transport(g, p, q)
     if tp == 0:
         return 0.0
     spectrum = np.unique(d)
@@ -385,7 +476,7 @@ def winf_distance(g: GroundSet, p, q) -> float:
     # the complete bipartite graph at the largest distance is always feasible
     while lo < hi:
         mid = (lo + hi) // 2
-        if _carries(p, q, tp, d <= spectrum[mid]):
+        if _carries(mass, counts, tp, d <= spectrum[mid]):
             hi = mid
         else:
             lo = mid + 1

@@ -26,7 +26,7 @@ from .errors import InfeasiblePair, InstanceTooLarge
 from .ground import GroundSet
 from .ground import build_ground  # noqa: F401  unused; bench/spans.py patches this name
 from .losses import Loss, mul0, transform_h
-from .measures import SourceBalls, TwoClassMeasure, route
+from .measures import SourceBalls, TwoClassMeasure, gains, route, shares
 
 # a block splits where the closure its max-flow reaches gains more than
 # this share of the block's total absolute gain, above the round-off of
@@ -49,7 +49,8 @@ class PrimalSolution:
     """The exact field ``f``, its risk and max-flow count, and for
     ``dualsolve.solve_dual`` its layout ``balls``, the nested ``odds`` of
     the nodes of ``balls.arcs``, each arc's ``flow`` in the round that
-    closed its level, and the nodes ``settled`` on levels ``nest`` kept."""
+    closed its level, in units of the float ``measures.gains`` of
+    ``masses``, and the nodes ``settled`` on levels ``nest`` kept."""
 
     f: np.ndarray
     risk: float
@@ -152,24 +153,29 @@ def nest(b: SourceBalls, odds: np.ndarray) -> np.ndarray:
 def masses(b: SourceBalls) -> np.ndarray:
     """Per node of ``b.arcs``, its masses (p0, p1) per unit of total mass,
     which no mass scale under- or overflows."""
-    ns, q = b.src.size, b.p / b.measure.total
-    p = np.zeros((2, ns + b.K.size))
-    p[0, :b.nsrc0], p[1, b.nsrc0:ns] = q[:b.nsrc0], q[b.nsrc0:]
-    return p
+    m = b.measure
+    return _on_nodes(b, np.stack((m.mass0, m.mass1))) / m.total
 
 
-def shares(p: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Per node of masses ``p`` (``masses``), its block's pooled class
-    shares P0 / (P0 + P1) and P1 / (P0 + P1), 0 off every block (``block``
-    < 0) and in a block of no mass.  A block's zero-one weight at its
-    pooled class-1 share is then, per node, the class-0 share times p1
-    minus the class-1 share times p0."""
-    on = block >= 0
-    pool = np.zeros((2, block.size))
-    for c in (0, 1):
-        pool[c, on] = np.bincount(block[on], p[c, on])[block[on]]
-    total = pool.sum(axis=0)
-    return pool / np.where(total > 0, total, 1.0)
+def counts(b: SourceBalls):
+    """The ``measures.whole`` counts of the masses of the nodes of
+    ``b.arcs``, and their least masses per unit of total mass, as
+    ``measures.gains`` takes them; None unless the masses are whole, or
+    with no mass."""
+    m = b.measure
+    if m.counts is None or not m.total > 0:
+        return None
+    return _on_nodes(b, m.counts[0]), m.counts[1] / m.total
+
+
+def _on_nodes(b: SourceBalls, values: np.ndarray) -> np.ndarray:
+    """Per node of ``b.arcs``, a row per class of the per-point ``values``
+    (2, n): a source takes its point's value in its own class, and every
+    other entry is 0."""
+    ns = b.src.size
+    out = np.zeros((2, ns + b.K.size))
+    out[0, :b.nsrc0], out[1, b.nsrc0:ns] = values[0, b.src[:b.nsrc0]], values[1, b.src[b.nsrc0:]]
+    return out
 
 
 def solve_exp_primal(g: GroundSet, measure: TwoClassMeasure) -> PrimalSolution:
@@ -189,11 +195,15 @@ def solve_exp_primals(grounds, measure: TwoClassMeasure) -> list[PrimalSolution]
     optimal conditional probability eta* is constant on blocks of nodes,
     each at its pooled class-1 share (``shares``).  The grounds' graphs lie
     side by side, and a closure splits over their connected components, so
-    each component starts as a block.  Each round runs one max-flow
-    (``measures.route``) on every open block at its share and finds the
-    closure the residual graph reaches in it.  If that is a part of the
-    block whose weight exceeds ``LEVEL_RTOL`` of the block's total absolute
-    weight, it splits off as the upper part and both parts stay open;
+    each component starts as a block.  Each round runs one flow
+    (``measures.route``) on every open block at the ``measures.gains`` of
+    its share and finds the closure the residual graph reaches in it.
+    When each class's masses are whole multiples of its least one
+    (``counts``), the gains are whole numbers and the flow is one exact
+    max-flow; otherwise a second max-flow repairs the first's rounding,
+    if a node whose need was rounded falls short.  If the closure is a part
+    of the block whose weight exceeds ``LEVEL_RTOL`` of the block's total
+    absolute weight, it splits off as the upper part and both parts stay open;
     otherwise the block is a level.  Blocks of one class are levels at eta
     0 or 1.  No block's rounds depend on the blocks beside it, so each
     ground's solution is the one it has alone.  Per ground, ``nest`` pools
@@ -211,13 +221,16 @@ def solve_exp_primals(grounds, measure: TwoClassMeasure) -> list[PrimalSolution]
     nodes, owner = at[-1], np.repeat(np.arange(len(balls)), np.diff(at))
     src = np.arange(nodes) < (at[:-1] + [b.src.size for b in balls])[owner]
     p = np.concatenate([masses(b) for b in balls], axis=1)
+    per = [counts(b) for b in balls]
+    # the grounds share their measure, so their least masses
+    exact = None if per[0] is None else (np.concatenate([c[0] for c in per], axis=1), per[0][1])
     tail, head = (np.concatenate([b.arcs[k] + a for b, a in zip(balls, at)]) for k in (1, 2))
     block = connected_components(sp.csr_array((np.ones(tail.size), (tail, head)),
                                               shape=(nodes, nodes)), directed=False)[1]
     odds, kept = np.full(nodes, np.nan), np.zeros(tail.size)
     flows = np.zeros(len(balls), dtype=np.int64)
     while True:
-        share = shares(p, block)
+        share, gain, unit = gains(p, block, exact)
         # blocks of one class, or of no mass, are levels without a flow
         done = (block >= 0) & ((share[0] == 0) | (share[1] == 0))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -225,7 +238,6 @@ def solve_exp_primals(grounds, measure: TwoClassMeasure) -> list[PrimalSolution]
         block[done] = -1
         if not np.any(block >= 0):
             break
-        gain = share[0] * p[1] - share[1] * p[0]
         flow, up, runs = route(tail, head, block, gain)
         on = np.flatnonzero(block >= 0)
         flows += runs * (np.bincount(owner[on], minlength=flows.size) > 0)
@@ -236,7 +248,9 @@ def solve_exp_primals(grounds, measure: TwoClassMeasure) -> list[PrimalSolution]
         odds[level] = share[1, level] / share[0, level]
         block[level] = -1
         # an arc out of a level closing now lies in it or carries nothing
-        kept = np.where(np.isin(tail, level), flow, kept)
+        closing = np.zeros(nodes, dtype=bool)
+        closing[level] = True
+        kept = np.where(closing[tail], flow * unit[tail], kept)
         # the upper part of a split block takes a label of its own
         block[up & (block >= 0)] += size.size
         _, block[block >= 0] = np.unique(block[block >= 0], return_inverse=True)

@@ -1,3 +1,4 @@
+import hashlib
 import types
 
 import numpy as np
@@ -727,3 +728,63 @@ def test_a_primal_solution_of_another_instance_is_read_as_its_field(twopoint):
     assert ds.witness.balls.measure is other and ds.iterations == ref.iterations > 0
     assert np.array_equal(ds.witness.m0, ref.witness.m0)
     assert np.array_equal(ds.witness.m1, ref.witness.m1)
+
+
+def _reweighted():
+    """The 400-point l2 scatter, each class's points given mass 1 / (2 n_c)
+    for its n_c points: both classes weigh 1/2."""
+    g, measure = _scatter_l2()
+    m0, m1 = (m > 0 for m in (measure.mass0, measure.mass1))
+    return g, TwoClassMeasure.build(m0 / (2 * m0.sum()), m1 / (2 * m1.sum()))
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["equal masses", "class-reweighted masses"])
+def test_whole_masses_run_one_max_flow_per_route(case, monkeypatch):
+    # each class's masses are whole multiples of its least one, so every
+    # gain is a whole number and every route's first max-flow is exact: no
+    # repair, in the primal or in the dual of the field alone.  Every loss
+    # certifies at round-off, and the support check reads exactly 0
+    g, measure = (_scatter_l2, _reweighted)[case]()
+    runs, real = [], measures.route
+
+    def route(*args):
+        out = real(*args)
+        runs.append(out[2])
+        return out
+
+    for module in (primalsolve, dualsolve):
+        monkeypatch.setattr(module, "route", route)
+    ds, prov = _pipeline(g, measure, None)
+    bare = solve_dual(g, measure, ds.f)
+    assert len(runs) == prov["primal_iterations"] + bare.iterations > 3
+    assert set(runs) == {1} and prov["dual_iterations"] == 0
+    losses = ["exp", "logistic", "hinge", "zero-one"]
+    for sol in (ds, bare):
+        result = universality_check(sol.f, sol.witness, losses)
+        for kind, cert in result.certificates.items():
+            assert abs(cert.gap) <= 1e-15 * measure.total, (kind, cert.gap)
+        assert result.support_violation == 0.0
+
+
+def test_random_masses_keep_the_rounded_flows(monkeypatch):
+    # uniform random masses are no whole multiples of their least one: the
+    # suite's first instance routes its one block as before whole gains
+    # existed, a first max-flow and its repair, to the same couplings, bit
+    # for bit (their digest was recorded then)
+    g, measure, _ = _suite_first()
+    runs, real = [], measures.route
+
+    def route(*args):
+        out = real(*args)
+        runs.append(out[2])
+        return out
+
+    monkeypatch.setattr(primalsolve, "route", route)
+    ds, prov = _pipeline(g, measure, None)
+    assert runs == [2]
+    digest = hashlib.sha256()
+    for c in (ds.witness.c0, ds.witness.c1):
+        for a in (c.src, c.dst, c.w):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    assert (prov["primal_iterations"], prov["dual_iterations"]) == (2, 0)
+    assert digest.hexdigest()[:16] == "ac9c3635d206e617"

@@ -149,6 +149,17 @@ def test_inf_round_trip():
     assert np.isnan(data["v"])
 
 
+def test_float_arrays_print_as_their_lists():
+    # a float array is printed row by row, each float as a lone float is:
+    # 17 significant digits, the strings "inf", "-inf" and "nan", and a
+    # whole float as its integer
+    for a in (np.array([0.1 + 0.2, -0.0, 3.0, 1e-300]),
+              np.array([[np.inf, 2.0, -np.inf], [np.nan, 0.5, 7.0]]),
+              np.arange(24.0).reshape(2, 3, 4) / 7, np.zeros((0, 3)), np.zeros((2, 0))):
+        assert dumps(a) == dumps(a.tolist()), a.shape
+    assert dumps(np.array([[3.0, 12.0, 0.25]])) == dumps([(3, 12, 0.25)])
+
+
 def test_float_precision_survives():
     x = 0.1 + 0.2  # not representable prettily; %.17g must round-trip
     assert loads(dumps({"x": x}))["x"] == x

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from advdual import measures
+from advdual.cli import _pipeline
 from advdual.errors import MassMismatch, NegativeMass, ValidationError
 from advdual.ground import build_ground, distances, sup_ball
 from advdual.measures import (
@@ -17,7 +19,7 @@ from advdual.measures import (
 )
 
 from conftest import hall_winf, identity_coupling, transport_lp_feasible
-from test_acceptance import _scatter_l2
+from test_acceptance import _mixed_scale_draws, _scatter_l2
 
 
 def test_two_class_measure_validation():
@@ -153,6 +155,62 @@ def test_route_repairs_only_the_shortfalls_of_block_nodes():
         flow, reach, runs = route(tail, head, block, np.array([outside, 0.5, -0.5]))
         assert runs == 1, outside
         assert flow.tolist() == [0.5, 0.0] and not reach.any(), outside
+
+
+def test_route_runs_a_whole_block_beside_a_rounded_one_as_alone():
+    # block 0 holds whole needs 2, -1 and -1 (nodes 0-2), block 1 the needs
+    # 0.1 and 0.2 sent to node 5, whose rounding a repair routes.  Node 0
+    # reaches node 1 only: the whole block's first max-flow is exact, the
+    # repair leaves it as it was, and its residual graph reaches nodes 0
+    # and 1 as it does when the block is routed alone
+    tail, head = np.array([0, 3, 4]), np.array([1, 5, 5])
+    block = np.array([0, 0, 0, 1, 1, 1])
+    need = np.array([2.0, -1.0, -1.0, 0.1, 0.2, -(0.1 + 0.2)])
+    flow, reach, runs = route(tail, head, block, need)
+    alone, alone_reach, alone_runs = route(tail, head, np.where(block == 0, 0, -1), need)
+    assert runs == 2 and alone_runs == 1
+    assert flow[0] == alone[0] == 1.0
+    np.testing.assert_allclose(flow[1:], [0.1, 0.2], rtol=1e-15)
+    assert reach.tolist() == alone_reach.tolist() == [True, True] + [False] * 4
+
+
+def test_route_keys_are_unique_on_the_mixed_scale_draws(monkeypatch):
+    # every key of the arc layout appears once: within each row of every
+    # graph handed to maximum_flow the columns strictly rise, so the order
+    # of an unstable sort is the stable one
+    seen, real = [], measures.maximum_flow
+
+    def record(graph, *args, **kwargs):
+        rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+        step = np.diff(graph.indices.astype(np.int64))
+        seen.append(bool(np.all(step[rows[1:] == rows[:-1]] > 0)))
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "maximum_flow", record)
+    for pts, norm, eps, measure in _mixed_scale_draws(7, 40):
+        _pipeline(build_ground(pts, norm, eps), measure, None)
+    assert len(seen) > 40 and all(seen)
+
+
+def test_whole_masses_make_every_winf_step_one_max_flow(monkeypatch):
+    # equal masses, normalised as the winf command does: every bisection
+    # step's needs are whole, so each route is one exact max-flow, and the
+    # distance is the one the rounded needs and their repairs find
+    runs, real = [], measures.route
+
+    def route(*args):
+        out = real(*args)
+        runs.append(out[2])
+        return out
+
+    monkeypatch.setattr(measures, "route", route)
+    g, measure = _scatter_l2(200)
+    p, q = measure.mass0 / measure.mass0.sum(), measure.mass1 / measure.mass1.sum()
+    d = winf_distance(g, p, q)
+    assert len(runs) > 5 and set(runs) == {1}
+    runs.clear()
+    monkeypatch.setattr(measures, "whole", lambda mass: None)
+    assert winf_distance(g, p, q) == d and 2 in runs
 
 
 def test_winf_flow_matches_the_transport_program_at_scale():
