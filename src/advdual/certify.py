@@ -3,10 +3,13 @@
 A certificate ties a candidate score field to the validated coupling
 witness of a solve (``measures.Witness``): the duality gap bounds joint
 suboptimality, and it splits exactly into two supremum residuals and a
-pointwise residual that witness complementary slackness.  The support
-check, which reads only the conditional-probability field and the
-couplings, verifies that each coupling moves mass only to extremizers of
-that field in the epsilon-ball.  ``universality_check`` bundles both, for
+pointwise residual r_pt that witness complementary slackness.  With (h1,
+h0) the margins of the field and (m1, m0) the transported masses, r_pt =
+sum m1 h1 + sum m0 h0 - dual value: at each point, m1 h1 + m0 h0 is its
+mass times a conditional risk, which is at least the point's dual term.
+The support check, which reads only the conditional-probability field and
+the couplings, verifies that each coupling moves mass only to extremizers
+of that field in the epsilon-ball.  ``universality_check`` bundles both, for
 one exponential field and witness, as the ``Result`` a result file stores.
 ``uncertified`` is the one verdict: the losses whose gap misses the
 tolerance.  Every loss, the zero-one loss included, is judged alike: weak
@@ -86,26 +89,23 @@ def certify(loss: Loss, f, witness: Witness) -> Certificate:
     of ``loss.margins(f)`` and their worst cases over the source balls of
     the witness's instance (``witness.balls.worst``).
 
-    With (h1, h0) = ``loss.margins(f)``, r1 compares the worst-case class-1
-    integral of h1 with its value under the transported mass; r0 does the
-    same for h0 and class 0; r_pt measures, pointwise under the combined
-    transported mass, how far f is from minimizing the conditional risk at
-    eta* = m1/(m0+m1).  Each residual is nonnegative up to roundoff, and
-    their sum equals the duality gap.  The primal value is summed exactly
-    as ``risk_adv`` sums it.
+    With (h1, h0) = ``loss.margins(f)``, the transported integrals are t1 =
+    sum m1 h1 and t0 = sum m0 h0 over the witness's pushforwards: r1 =
+    worst1 - t1, r0 = worst0 - t0 and r_pt = t1 + t0 - dual value.  At a
+    point of mass s = m0 + m1 > 0, m1 h1 + m0 h0 is s times the conditional
+    risk of f at eta = m1 / s, at least its dual term s cstar(eta); so r_pt,
+    like r1 and r0, is nonnegative up to roundoff, and the three sum to the
+    gap.  The primal value is summed exactly as ``risk_adv`` sums it.
     """
     h1, h0 = loss.margins(witness.balls.g.check_field(f))
     worst1, worst0 = witness.balls.worst(h1, h0)
-    r1 = float(worst1 - mul0(witness.m1, h1).sum())
-    r0 = float(worst0 - mul0(witness.m0, h0).sum())
-    eta = witness.eta_star()
-    cond = mul0(eta, h1) + mul0(1.0 - eta, h0) - loss.cstar(eta)
-    r_pt = float(mul0(witness.m0 + witness.m1, cond).sum())
+    t1 = float(mul0(witness.m1, h1).sum())
+    t0 = float(mul0(witness.m0, h0).sum())
     primal = worst1 + worst0
     dual_val = dual_objective(loss, witness.m0, witness.m1)
     return Certificate(loss=loss.kind, primal_value=primal, dual_value=dual_val,
-                       gap=primal - dual_val, slack_sup_r1=r1, slack_sup_r0=r0,
-                       slack_pointwise=r_pt)
+                       gap=primal - dual_val, slack_sup_r1=worst1 - t1,
+                       slack_sup_r0=worst0 - t0, slack_pointwise=t1 + t0 - dual_val)
 
 
 def uncertified(certs: dict[str, Certificate], tol: float | None,

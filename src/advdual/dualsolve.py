@@ -30,15 +30,21 @@ class DualSolution:
     """The validated coupling ``witness`` and its exponential dual value
     ``objective``; the score field ``f`` of the level ratios and the pair
     ``hpair`` = (phi(-f), phi(f)) it gives, whose ``theta`` is the
-    exponential risk of ``f``.  Whether the pair is optimal enough is for
-    its certificate to say.  ``iterations`` counts the max-flows.
-    """
+    exponential risk of ``f``.  ``objective`` and ``hpair`` are computed on
+    read.  Whether the pair is optimal enough is for its certificate to
+    say.  ``iterations`` counts the max-flows."""
 
     witness: Witness
-    objective: float
     iterations: int
     f: np.ndarray
-    hpair: HPair
+
+    @property
+    def objective(self) -> float:
+        return dual_objective(EXP, self.witness.m0, self.witness.m1)
+
+    @property
+    def hpair(self) -> HPair:
+        return HPair(h0=EXP.phi(-self.f), h1=EXP.phi(self.f))
 
 
 def dual_objective(loss: Loss, m0, m1) -> float:
@@ -48,9 +54,9 @@ def dual_objective(loss: Loss, m0, m1) -> float:
     # at the smaller share, which keeps the digits that 1 - eta would lose
     m0 = np.asarray(m0, dtype=float)
     m1 = np.asarray(m1, dtype=float)
-    if np.any(m0 < 0) or np.any(m1 < 0):
-        raise NegativeMass("pushforward masses must be nonnegative")
     s = m0 + m1
+    if not ((m0 >= 0) & (m1 >= 0) & (s < np.inf)).all():
+        raise NegativeMass("pushforward masses must be finite and nonnegative")
     mask = s > 0
     if not np.any(mask):
         return 0.0
@@ -114,10 +120,7 @@ def solve_dual(g: GroundSet, measure: TwoClassMeasure, f) -> DualSolution:
     pos = flow > 0
     w[e[pos]] = flow[pos] / np.where(e >= b.split, share[0, tail], share[1, head])[pos]
     c0, c1 = b.couplings(b.renormalize(w, field))
-    witness = Witness(b, c0, c1)
-    return DualSolution(witness=witness, objective=dual_objective(EXP, witness.m0, witness.m1),
-                        iterations=flows, f=field,
-                        hpair=HPair(h0=EXP.phi(-field), h1=EXP.phi(field)))
+    return DualSolution(witness=Witness(b, c0, c1), iterations=flows, f=field)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ def mul0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _check_eta(eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
-    if np.any(eta < 0) or np.any(eta > 1) or not np.all(np.isfinite(eta)):
+    # a NaN fails the comparison too
+    if not ((eta >= 0) & (eta <= 1)).all():
         raise EtaOutOfRange("eta must lie in [0, 1]")
     return eta
 

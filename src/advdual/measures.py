@@ -230,9 +230,9 @@ class TwoClassMeasure:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Sparse coupling: weight ``w[k]`` moves from point ``src[k]`` to
-    ``dst[k]``.  Supported pairs must lie in the epsilon edge set of the
-    ground the coupling was built on."""
+    """Sparse coupling: the finite nonnegative weight ``w[k]`` moves from
+    point ``src[k]`` to ``dst[k]``.  Supported pairs must lie in the
+    epsilon edge set of the ground the coupling was built on."""
 
     src: np.ndarray
     dst: np.ndarray
@@ -246,8 +246,8 @@ class Coupling:
         w = np.asarray(w, dtype=float)
         if not (src.shape == dst.shape == w.shape) or src.ndim != 1:
             raise ValidationError("coupling triples must be parallel 1-D arrays")
-        if np.any(w < 0):
-            raise NegativeMass("coupling weights must be nonnegative")
+        if not ((w >= 0) & (w < np.inf)).all():
+            raise NegativeMass("coupling weights must be finite and nonnegative")
         if src.size and (src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n):
             raise ValidationError("coupling indices out of range")
         for a in (src, dst, w):
@@ -387,9 +387,10 @@ class Witness:
     for the points of ``balls.g``, lies on its epsilon-edges (with no slack:
     the ``distances`` comparison of ``build_ground``) and has the class
     measure ``balls.measure`` as its source marginal within ``tol`` = 1e-9
-    per unit of total mass; a NaN or infinite weight fails.  So a
-    witness proves, on its instance alone, that both pushforwards lie in the
-    W-infinity epsilon-ball of their class measures, for every loss.
+    per unit of total mass; ``Coupling.build`` has already rejected any
+    negative, NaN or infinite weight.  So a witness proves, on its instance
+    alone, that both pushforwards lie in the W-infinity epsilon-ball of
+    their class measures, for every loss.
     """
 
     __slots__ = ("balls", "c0", "c1", "m0", "m1", "tol")
@@ -407,14 +408,6 @@ class Witness:
             if not np.all(np.abs(c.source_marginal() - p) <= self.tol):
                 raise InfeasibleDual("coupling source marginal does not match "
                                      "the class measure")
-
-    def eta_star(self) -> np.ndarray:
-        """m1 / (m0 + m1) where defined, 0.5 elsewhere (unused mass points)."""
-        s = self.m0 + self.m1
-        out = np.full_like(s, 0.5)
-        mask = s > 0
-        out[mask] = self.m1[mask] / s[mask]
-        return out
 
 
 def winf_feasible(g: GroundSet, p, q, epsilon: float | None = None) -> bool:

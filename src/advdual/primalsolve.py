@@ -46,19 +46,22 @@ EXP = Loss("exponential")
 
 @dataclass(frozen=True)
 class PrimalSolution:
-    """The exact field ``f``, its risk and max-flow count, and for
-    ``dualsolve.solve_dual`` its layout ``balls``, the nested ``odds`` of
-    the nodes of ``balls.arcs``, each arc's ``flow`` in the round that
-    closed its level, in units of the float ``measures.gains`` of
+    """The exact field ``f``, its ``risk`` (computed on read) and max-flow
+    count, and for ``dualsolve.solve_dual`` its layout ``balls``, the nested
+    ``odds`` of the nodes of ``balls.arcs``, each arc's ``flow`` in the
+    round that closed its level, in units of the float ``measures.gains`` of
     ``masses``, and the nodes ``settled`` on levels ``nest`` kept."""
 
     f: np.ndarray
-    risk: float
     iterations: int
     balls: SourceBalls
     odds: np.ndarray
     flow: np.ndarray
     settled: np.ndarray
+
+    @property
+    def risk(self) -> float:
+        return self.balls.risk(EXP, self.f)
 
 
 def risk_adv(loss: Loss, f, g: GroundSet, measure: TwoClassMeasure) -> float:
@@ -209,10 +212,9 @@ def solve_exp_primals(grounds, measure: TwoClassMeasure) -> list[PrimalSolution]
     ground's solution is the one it has alone.  Per ground, ``nest`` pools
     levels the flows' round-off left out of place, and ``level_field``
     turns the levels' odds into the field; ``iterations`` counts the
-    max-flows of the rounds in which the ground had an open block, and
-    ``risk`` is the exact risk of the field.  The flow of the round that
-    closed a level is kept on its arcs: at the level's share it saturates,
-    unless ``nest`` pooled or refilled the level.
+    max-flows of the rounds in which the ground had an open block.  The
+    flow of the round that closed a level is kept on its arcs: at the
+    level's share it saturates, unless ``nest`` pooled or refilled it.
     """
     balls = [SourceBalls(g, measure) for g in grounds]
     # each ground's nodes and arcs start at its offsets in the union
@@ -260,8 +262,8 @@ def solve_exp_primals(grounds, measure: TwoClassMeasure) -> list[PrimalSolution]
         _, level = np.unique(nested, return_inverse=True)
         settled = np.bincount(level, nested != odds[at[i]:at[i + 1]])[level] == 0
         f = level_field(b, nested)
-        out.append(PrimalSolution(f=f, risk=b.risk(EXP, f), iterations=int(flows[i]), balls=b,
-                                  odds=nested, flow=kept[cut[i]:cut[i + 1]], settled=settled))
+        out.append(PrimalSolution(f=f, iterations=int(flows[i]), balls=b, odds=nested,
+                                  flow=kept[cut[i]:cut[i + 1]], settled=settled))
     return out
 
 

@@ -374,7 +374,8 @@ def test_mixed_scale_draws_certify_exactly():
     # is at float64 round-off per unit mass, every source the flows leave
     # without weight sends its mass to its ball extremum, so the support
     # check reads exactly 0, and each connected component's flows are
-    # scaled to its own total, which keeps the max-flows few
+    # scaled to its own total, which keeps the max-flows few.  The three
+    # residuals sum to the gap within two units of round-off per unit mass
     flows = 0
     for k, (pts, norm, eps, measure) in enumerate(_mixed_scale_draws(2, 300)):
         ds, prov = _pipeline(build_ground(pts, norm, eps), measure, None)
@@ -382,6 +383,8 @@ def test_mixed_scale_draws_certify_exactly():
         result = universality_check(ds.f, ds.witness, ["exp", "logistic", "hinge", "zero-one"])
         for kind, cert in result.certificates.items():
             assert cert.gap <= 1e-12 * measure.total, (k, kind, cert.gap)
+            parts = cert.slack_sup_r1 + cert.slack_sup_r0 + cert.slack_pointwise
+            assert abs(parts - cert.gap) <= 4.4e-16 * measure.total, (k, kind, parts, cert.gap)
         assert result.support_violation == 0, (k, result.support_violation)
     assert flows <= 1300
 

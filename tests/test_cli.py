@@ -16,7 +16,7 @@ import advdual
 from advdual import cli
 from advdual.cli import main
 from advdual.errors import AdvdualError
-from advdual.io import dumps, loads, save_instance
+from advdual.io import dumps, load_instance, loads, save_instance
 
 from conftest import ROOT
 from test_acceptance import _random_instance, _scatter_l2
@@ -160,6 +160,28 @@ def test_verify_nan_coupling_weight(inst, tmp_path, capsys):
     _write(out, data)
     capsys.readouterr()
     assert main(["verify", inst, out]) == 4
+
+
+def test_the_solve_scores_nothing_twice(inst, tmp_path, monkeypatch):
+    # the pipeline scores nothing, and each certificate scores its loss's
+    # dual value once: the exponential one is not scored again
+    calls = {"dual_objective": 0, "risk": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real = advdual.dualsolve.dual_objective
+    for module in (advdual.certify, advdual.dualsolve):
+        monkeypatch.setattr(module, "dual_objective", counted("dual_objective", real))
+    monkeypatch.setattr(advdual.measures.SourceBalls, "risk",
+                        counted("risk", advdual.measures.SourceBalls.risk))
+    cli._pipeline(*load_instance(inst), None)
+    assert calls == {"dual_objective": 0, "risk": 0}
+    assert main(["solve", inst, "--loss", "all", "--out", str(tmp_path / "res.json")]) == 0
+    assert calls["dual_objective"] == 4
 
 
 def test_solve_all_losses_default_tol_suite_instance(tmp_path, capsys):

@@ -98,8 +98,9 @@ def test_cstar_boundary_and_range():
         loss = get_loss(name)
         assert loss.cstar(0.0) == 0.0
         assert loss.cstar(1.0) == 0.0
-        with pytest.raises(EtaOutOfRange):
-            loss.cstar(1.2)
+        for bad in (1.2, -0.1, np.nan, np.inf, -np.inf, [0.5, np.nan]):
+            with pytest.raises(EtaOutOfRange):
+                loss.cstar(bad)
 
 
 def test_cstar_concave_midpoint():

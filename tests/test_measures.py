@@ -50,8 +50,9 @@ def test_pushforward_conserves_total():
 
 
 def test_coupling_rejects_negative_weight():
-    with pytest.raises(NegativeMass):
-        Coupling.build([0], [0], [-0.1], 2)
+    for w in (-0.1, np.nan, np.inf):
+        with pytest.raises(NegativeMass):
+            Coupling.build([0], [0], [w], 2)
     with pytest.raises(ValidationError):
         Coupling.build([0], [5], [0.1], 2)
 
